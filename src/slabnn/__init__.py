@@ -18,7 +18,7 @@ datasets, ``checkpoint`` persistence, ``cli`` command line).
 from .checkpoint import CheckpointData, load_checkpoint, read_manifest, save_checkpoint
 from .dataio import (Dataset, bayes_optimal_accuracy, load_csv, load_idx, split,
                      synth_clusters, synth_logistic, write_idx)
-from .distributions import HyperParams, PriorParams, SpikeSlabParams
+from .distributions import HyperParams
 from .elbo import Batch, elbo_estimate, elbo_gradient
 from .errors import (ConfigError, DecompositionError, DomainError, FormatError,
                      NumericError, ShapeError, SlabnnError)
@@ -55,11 +55,9 @@ __all__ = [
     "PredictionMode",
     "PredictiveResult",
     "PriorConfig",
-    "PriorParams",
     "RngStream",
     "ShapeError",
     "SlabnnError",
-    "SpikeSlabParams",
     "TrainReport",
     "TrainingAborted",
     "VariationalState",

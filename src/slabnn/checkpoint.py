@@ -25,13 +25,14 @@ round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
 import numpy as np
 
 from .distributions import HyperParams
-from .errors import FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .model import ACTIVATIONS, Family, NetworkSpec, PriorConfig, VariationalState
 
 __all__ = [
@@ -177,7 +178,7 @@ def read_manifest(path):
                 f"implausible tensor rank {rank} at byte offset {rd.off - 4}"
             )
         dims = tuple(rd.u64("tensor dim") for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # exact: a huge count reports truncation
         raw = rd.take(8 * count, f"data of tensor {name}")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
     if rd.off != len(data):
@@ -191,28 +192,46 @@ def _require(tensors: dict, name: str) -> np.ndarray:
     return tensors[name]
 
 
+def _counts(tensors: dict, name: str, size: int = None) -> list:
+    """A meta tensor's entries as nonnegative Python ints."""
+    arr = _require(tensors, name)
+    if size is not None and arr.shape != (size,):
+        raise FormatError(f"{name} must have {size} entries, got {arr.shape}")
+    if arr.ndim != 1 or not np.all(np.isfinite(arr)) or np.any(arr < 0) \
+            or np.any(arr != np.floor(arr)):
+        raise FormatError(f"{name} must hold nonnegative integers, got {arr.tolist()}")
+    return [int(v) for v in arr]
+
+
 def load_checkpoint(path) -> CheckpointData:
     """Rebuild the exact saved state; see module docstring for guarantees."""
     tensors = read_manifest(path)
-    widths = tuple(int(w) for w in _require(tensors, "meta/widths"))
-    act_codes = _require(tensors, "meta/activations")
-    activations = tuple(ACTIVATIONS[int(c)] for c in act_codes)
-    flags = _require(tensors, "meta/flags")
-    if flags.shape != (7,):
-        raise FormatError(f"meta/flags must have 7 entries, got {flags.shape}")
+    widths = tuple(_counts(tensors, "meta/widths"))
+    act_codes = _counts(tensors, "meta/activations")
+    if any(c >= len(ACTIVATIONS) for c in act_codes):
+        raise FormatError(f"unknown activation code in {act_codes}")
+    activations = tuple(ACTIVATIONS[c] for c in act_codes)
+    flags = _counts(tensors, "meta/flags", 7)
     include_bias = bool(flags[0])
-    family = _FAMILY_FROM_CODE.get(int(flags[1]))
+    family = _FAMILY_FROM_CODE.get(flags[1])
     if family is None:
         raise FormatError(f"unknown family code {flags[1]}")
-    rank = int(flags[2])
+    rank = flags[2]
     pri = _require(tensors, "meta/prior_init")
-    prior = PriorConfig(
-        sigma2=float(pri[0]), psi=float(pri[1]),
-        hyper=HyperParams(float(pri[2]), float(pri[3]), float(pri[4]), float(pri[5])),
-        learn_sigma2=bool(flags[4]), learn_psi=bool(flags[5]),
-        learn_hyper=bool(flags[6]), fixed_dense=bool(flags[3]),
-    )
-    spec = NetworkSpec(widths=widths, activations=activations, include_bias=include_bias)
+    if pri.shape != (6,):
+        raise FormatError(f"meta/prior_init must have 6 entries, got {pri.shape}")
+    try:
+        prior = PriorConfig(
+            sigma2=float(pri[0]), psi=float(pri[1]),
+            hyper=HyperParams(float(pri[2]), float(pri[3]), float(pri[4]),
+                              float(pri[5])),
+            learn_sigma2=bool(flags[4]), learn_psi=bool(flags[5]),
+            learn_hyper=bool(flags[6]), fixed_dense=bool(flags[3]),
+        )
+        spec = NetworkSpec(widths=widths, activations=activations,
+                           include_bias=include_bias)
+    except (ConfigError, DomainError) as exc:
+        raise FormatError(f"checkpoint model description is invalid: {exc}") from None
     state = VariationalState(spec, prior, family, rank)
     for l, name, arr in state.param_items():
         stored = _require(tensors, f"layer{l:02d}/{name}")
@@ -222,12 +241,8 @@ def load_checkpoint(path) -> CheckpointData:
                 f"expected {arr.shape}"
             )
         arr[...] = stored
-    cnt = _require(tensors, "meta/counters")
-    counters = {
-        "phases_completed": int(cnt[0]),
-        "epochs": int(cnt[1]),
-        "steps": int(cnt[2]),
-    }
+    cnt = _counts(tensors, "meta/counters", 3)
+    counters = {"phases_completed": cnt[0], "epochs": cnt[1], "steps": cnt[2]}
     rng_words = {}
     for name, arr in tensors.items():
         if name.startswith("rng/"):

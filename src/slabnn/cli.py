@@ -80,8 +80,6 @@ import os
 import struct
 import sys
 
-import numpy as np
-
 from . import checkpoint as ckpt
 from . import dataio
 from .distributions import HyperParams
@@ -94,7 +92,8 @@ from .model import (MVN_FULL_WEIGHT_CAP, Family, NetworkSpec, PriorConfig,
 from .numkernel import RngStream
 from .predictor import (PredictionMode, classify_with_doubt, density_level,
                         export_predictions_csv, predict)
-from .trainer import GROUPS, PhaseConfig, default_phases, train, validate_schedule
+from .trainer import (GROUPS, PhaseConfig, default_phases, live_groups, train,
+                      validate_schedule)
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -222,25 +221,6 @@ class RunConfig:
     seeds: tuple
     output_dir: str
     run_id: str
-
-
-def _live_groups(family: Family, prior: PriorConfig) -> set:
-    """Step-size groups with any movable parameter under this model."""
-    live = {"weights"}
-    if not prior.fixed_dense:
-        if family is Family.MF:
-            live.add("omega")
-        else:
-            live.update(("xi", "cov"))
-        if prior.learn_psi:
-            live.add("psi")
-        if prior.learn_hyper:
-            live.add("psi_hyper")
-    if prior.learn_sigma2:
-        live.add("sigma2")
-    if prior.learn_hyper:
-        live.add("beta_hyper")
-    return live
 
 
 def _dataset_config(reader: _SectionReader, problems: list) -> dict:
@@ -406,11 +386,9 @@ def load_config(path: str) -> RunConfig:
 
     phases = []
     if prior is not None:
-        live = _live_groups(family, prior)
+        live = live_groups(family, prior)
         if not phase_sections:
             phases = default_phases(family)
-            for phase in phases:
-                phase.lr = {g: v for g, v in phase.lr.items() if g in live}
         else:
             defaults = {p.name: p for p in default_phases(
                 family, pretrain_epochs=1, train_epochs=1, posttrain_epochs=1)}
@@ -421,7 +399,7 @@ def load_config(path: str) -> RunConfig:
                     )
                     continue
                 rd = _SectionReader(f"phase:{phase_name}", raw, problems)
-                lr = {g: v for g, v in defaults[phase_name].lr.items() if g in live}
+                lr = dict(defaults[phase_name].lr)
                 for group in GROUPS:
                     key = f"lr_{group}"
                     if not rd.has(key):

@@ -1,14 +1,15 @@
-"""Spike-and-slab building blocks.
+"""Spike-and-slab building blocks: the one copy of each formula.
 
 The generative story for every connection weight: a binary indicator
 gamma decides whether the weight is present, and conditionally on
 gamma = 1 the weight is Gaussian.  The variational family mirrors that
-structure, so training needs exactly four scalar kernels (a Gaussian
-location-scale reparametrization, a Concrete relaxation of the
-indicator, and the two KL divergences that survive after the spike
-terms cancel) plus the log densities of the hyperpriors and a sampler
-for correlated inclusion logits.  Every kernel is ufunc-style: scalars
-in, scalar out; arrays broadcast.
+structure, so training needs a Concrete relaxation of the indicator
+and the two KL divergences that survive after the spike terms cancel,
+plus the log densities of the hyperpriors and a sampler for correlated
+inclusion logits.  The objective, the model sampler and the metrics
+all call these kernels rather than restating them.  Every kernel is
+ufunc-style: scalars in, scalar out; arrays broadcast; arguments
+outside the domain raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, ShapeError
-from .numkernel import as_vector, logit, sigmoid
+from .numkernel import as_vector, sigmoid
 
 __all__ = [
-    "SpikeSlabParams",
-    "PriorParams",
     "HyperParams",
-    "gaussian_reparam",
     "concrete_transform",
     "concrete_from_logits",
     "kl_gaussian",
@@ -44,35 +42,6 @@ def _scalarize(out, *inputs):
 
 
 @dataclass(frozen=True)
-class SpikeSlabParams:
-    """Variational parameters of one weight: slab mean/sd and inclusion prob."""
-
-    kappa: float
-    tau: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.tau < 0.0:
-            raise DomainError("slab standard deviation tau must be nonnegative")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise DomainError("inclusion probability alpha must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class PriorParams:
-    """Prior slab variance and prior inclusion probability of one layer."""
-
-    sigma2: float
-    psi: float
-
-    def __post_init__(self):
-        if self.sigma2 <= 0.0:
-            raise DomainError("prior slab variance sigma2 must be positive")
-        if not (0.0 < self.psi < 1.0):
-            raise DomainError("prior inclusion probability psi must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class HyperParams:
     """Inverse-gamma (a_beta, b_beta) and beta (a_psi, b_psi) hyperprior shapes."""
 
@@ -85,20 +54,6 @@ class HyperParams:
         for name in ("a_beta", "b_beta", "a_psi", "b_psi"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"hyperparameter {name} must be positive")
-
-
-def gaussian_reparam(kappa, tau, eps):
-    """Slab draw beta = kappa + tau * eps for standard normal eps.
-
-    tau must be nonnegative; tau = 0 returns kappa exactly, which is the
-    degenerate slab used by deterministic prediction modes.
-    """
-    kappa = np.asarray(kappa, dtype=np.float64)
-    tau_arr = np.asarray(tau, dtype=np.float64)
-    if np.any(tau_arr < 0.0):
-        raise DomainError("tau must be nonnegative")
-    out = kappa + tau_arr * np.asarray(eps, dtype=np.float64)
-    return _scalarize(out, kappa, tau, eps)
 
 
 def concrete_from_logits(logit_alpha, nu, delta):
@@ -194,25 +149,29 @@ def logpdf_beta(x, a, b):
         - special.gammaln(aa)
         - special.gammaln(ba)
         + special.xlogy(aa - 1.0, xa)
-        + special.xlogy(ba - 1.0, 1.0 - xa)
+        + special.xlog1py(ba - 1.0, -xa)
     )
     return _scalarize(out, x, a, b)
 
 
 def sample_mvn_logits(xi, rng, factor=None, diag=None, chol=None):
-    """One draw of correlated inclusion logits.
+    """One draw of correlated inclusion logits, with the noise behind it.
 
     Two parametrizations are supported:
 
     * low rank plus diagonal, covariance F F^T + D: pass ``factor``
       (dim x r, r = 0 allowed via ``None`` or an empty matrix) and
-      ``diag`` (the positive diagonal of D); the draw is
-      xi + F eps1 + sqrt(diag) * eps2.
+      ``diag`` (the diagonal of D, nonnegative: a variance that
+      underflowed to zero in training is a valid degenerate entry); the
+      draw is xi + F eps1 + sqrt(diag) * eps2.
     * full covariance supplied as its lower-triangular Cholesky factor:
       pass ``chol`` only; the draw is xi + L eps.
 
     Noise order is fixed: eps1 (length r, skipped when factor is absent)
     then eps2 for the low-rank path, a single eps for the Cholesky path.
+    Returns ``(logits, noise)`` with noise ``(eps,)`` on the Cholesky
+    path and ``(eps1, eps2)`` on the low-rank path (eps1 None when no
+    factor column was drawn); the gradient reuses it.
     """
     mean = as_vector(xi)
     dim = mean.shape[0]
@@ -223,13 +182,14 @@ def sample_mvn_logits(xi, rng, factor=None, diag=None, chol=None):
         if ch.shape != (dim, dim):
             raise ShapeError(f"chol must be {dim}x{dim}, got {ch.shape}")
         eps = rng.std_normal(dim)
-        return mean + ch @ eps
+        return mean + ch @ eps, (eps,)
     if diag is None:
         raise DomainError("the low-rank path requires a diagonal variance vector")
     d = as_vector(diag, dim)
-    if np.any(d <= 0.0):
-        raise DomainError("diagonal variances must be positive")
+    if np.any(d < 0.0):
+        raise DomainError("diagonal variances must be nonnegative")
     out = mean.copy()
+    eps1 = None
     if factor is not None:
         f = np.ascontiguousarray(factor, dtype=np.float64)
         if f.ndim != 2 or f.shape[0] != dim:
@@ -239,4 +199,4 @@ def sample_mvn_logits(xi, rng, factor=None, diag=None, chol=None):
             out += f @ eps1
     eps2 = rng.std_normal(dim)
     out += np.sqrt(d) * eps2
-    return out
+    return out, (eps1, eps2)

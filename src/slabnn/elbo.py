@@ -13,12 +13,17 @@ weight because the spike components cancel:
     KL = kl_bernoulli(alpha, psi) + alpha * kl_gaussian(kappa, tau, sigma2),
 
 with alpha exact under the mean-field family and evaluated at the
-sampled alpha for the correlated families.  A fully sampled log-ratio
-estimate of the KL is kept behind ``kl_mode="sampled"`` and
-cross-checked against the analytic form in the tests; its indicator
-mass is evaluated at the rounded relaxed draw, so its pathwise gradient
-at fixed noise omits the score contribution of the mass (which has zero
-mean) and remains consistent with finite differences of the estimator.
+sampled alpha for the correlated families.  Both terms, and the
+hyperprior log densities, come from the kernels in ``distributions``;
+one per-layer helper serves the KL value and its gradient.  A fully
+sampled log-ratio estimate of the KL is kept behind
+``kl_mode="sampled"`` and cross-checked against the analytic form in
+the tests; its indicator mass is evaluated at the rounded relaxed draw,
+so its pathwise gradient at fixed noise omits the score contribution of
+the mass (which has zero mean) and remains consistent with finite
+differences of the estimator.  Prior values that training drives out of
+a kernel's domain (psi rounding to 0 or 1, sigma2 underflowing to 0)
+raise ``NumericError``, which the trainer rolls back.
 
 Gradients are reverse-mode by hand.  The chain runs
 
@@ -41,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .distributions import kl_bernoulli, kl_gaussian, logpdf_beta, logpdf_inv_gamma
 from .errors import DomainError, NumericError, ShapeError
 from .model import Family, SampledNetwork, VariationalState, sample_network
 from .numkernel import RngStream, log_sigmoid, log_softmax, sigmoid
@@ -208,19 +214,55 @@ def _backprop_loglik(sampled: SampledNetwork, batch: Batch, tape, scale: float):
     return d_weights
 
 
-def _gaussian_ratio_terms(layer_sample, sigma2):
-    """ln N(beta; kappa, tau^2) - ln N(beta; 0, sigma2), per weight.
+def _sigma2(layer, l: int) -> float:
+    sigma2 = layer.sigma2()
+    if sigma2 <= 0.0:
+        raise NumericError(f"prior slab variance underflowed to zero in layer {l}")
+    return sigma2
 
-    The variational density is evaluated at its own reparametrized
-    draw, so (beta - kappa) / tau is the stored eps exactly.
+
+def _psi(layer, l: int) -> float:
+    psi = layer.psi()
+    if not 0.0 < psi < 1.0:
+        raise NumericError(f"prior inclusion probability saturated at {psi} in layer {l}")
+    return psi
+
+
+def _analytic_kl(l: int, layer, tau, alpha, fixed: bool):
+    """Closed-form KL of one layer; returns (value, per-weight Gaussian KL).
+
+    ``fixed`` marks indicators held by a mask or by fixed_dense: the
+    slab terms are weighted by alpha and no indicator mass is added.
     """
-    tau = layer_sample.tau
     if np.any(tau <= 0.0):
-        raise NumericError("slab sd underflowed to zero; cannot evaluate densities")
-    beta = layer_sample.beta
-    log_q = -_HALF_LOG_2PI - np.log(tau) - 0.5 * layer_sample.eps**2
-    log_p = -_HALF_LOG_2PI - 0.5 * np.log(sigma2) - beta**2 / (2.0 * sigma2)
-    return log_q - log_p
+        raise NumericError(f"slab sd underflowed to zero in layer {l}")
+    kl_g = kl_gaussian(layer.kappa, tau, _sigma2(layer, l))
+    if fixed:
+        return float(np.sum(alpha * kl_g)), kl_g
+    bern = kl_bernoulli(alpha, _psi(layer, l))
+    return float(np.sum(bern) + np.sum(alpha * kl_g)), kl_g
+
+
+def _sampled_kl(l: int, layer, ls):
+    """Single-draw log ratio ln q - ln p of one layer.
+
+    Returns (slab part, indicator part, rounded indicators g); callers
+    add the two parts in that order.  The variational slab density is
+    evaluated at its own draw, so (beta - kappa) / tau is the stored eps.
+    """
+    if np.any(ls.tau <= 0.0):
+        raise NumericError(f"slab sd underflowed to zero in layer {l}")
+    sigma2 = _sigma2(layer, l)
+    g = np.rint(ls.gamma_tilde)
+    log_q = -_HALF_LOG_2PI - np.log(ls.tau) - 0.5 * ls.eps**2
+    log_p = -_HALF_LOG_2PI - 0.5 * np.log(sigma2) - ls.beta**2 / (2.0 * sigma2)
+    slab = float(np.sum(g * (log_q - log_p)))
+    if ls.fixed_indicators:
+        return slab, 0.0, g
+    lp = layer.logit_psi[0]
+    mass = (g * (log_sigmoid(ls.logits) - log_sigmoid(lp))
+            + (1.0 - g) * (log_sigmoid(-ls.logits) - log_sigmoid(-lp)))
+    return slab, float(np.sum(mass)), g
 
 
 def kl_state(state: VariationalState, sampled: SampledNetwork = None,
@@ -239,64 +281,36 @@ def kl_state(state: VariationalState, sampled: SampledNetwork = None,
     """
     if mode not in ("analytic", "sampled"):
         raise DomainError(f"kl mode must be 'analytic' or 'sampled', got {mode!r}")
-    total = 0.0
-    if mode == "analytic":
-        for l, layer in enumerate(state.layers):
-            tau = layer.tau()
-            if np.any(tau <= 0.0):
-                raise NumericError(f"slab sd underflowed to zero in layer {l}")
-            sigma2 = layer.sigma2()
-            kl_g = (0.5 * np.log(sigma2) - np.log(tau)
-                    + (tau**2 + layer.kappa**2) / (2.0 * sigma2) - 0.5)
-            if state.prior.fixed_dense:
-                total += float(np.sum(kl_g))
-                continue
-            if sampled is not None and sampled.layers[l].fixed_indicators:
-                # Conditioned on a fixed mask: slab terms only, no indicator mass.
-                total += float(np.sum(sampled.layers[l].alpha * kl_g))
-                continue
-            if state.family is Family.MF:
-                alpha = sigmoid(layer.omega)
-            else:
-                if sampled is None:
-                    raise DomainError(
-                        "analytic KL under a correlated family needs a sampled network"
-                    )
-                alpha = sampled.layers[l].alpha
-            psi = layer.psi()
-            bern = special.xlogy(alpha, alpha / psi) + special.xlogy(
-                1.0 - alpha, (1.0 - alpha) / (1.0 - psi)
-            )
-            total += float(np.sum(bern) + np.sum(alpha * kl_g))
-        return total
-    if sampled is None:
+    if mode == "sampled" and sampled is None:
         raise DomainError("sampled KL mode needs a sampled network")
+    total = 0.0
     for l, layer in enumerate(state.layers):
-        ls = sampled.layers[l]
-        g = np.rint(ls.gamma_tilde)
-        ratio = _gaussian_ratio_terms(ls, layer.sigma2())
-        total += float(np.sum(g * ratio))
-        if not ls.fixed_indicators:
-            lp = layer.logit_psi[0]
-            mass = (g * (log_sigmoid(ls.logits) - log_sigmoid(lp))
-                    + (1.0 - g) * (log_sigmoid(-ls.logits) - log_sigmoid(-lp)))
-            total += float(np.sum(mass))
+        ls = sampled.layers[l] if sampled is not None else None
+        if mode == "sampled":
+            slab, mass, _ = _sampled_kl(l, layer, ls)
+            total += slab
+            total += mass
+            continue
+        if ls is not None:
+            alpha, fixed = ls.alpha, ls.fixed_indicators
+        elif state.prior.fixed_dense:
+            alpha, fixed = 1.0, True
+        elif state.family is Family.MF:
+            alpha, fixed = sigmoid(layer.omega), False
+        else:
+            raise DomainError(
+                "analytic KL under a correlated family needs a sampled network"
+            )
+        total += _analytic_kl(l, layer, layer.tau(), alpha, fixed)[0]
     return total
 
 
 def hyperprior_logdensity(state: VariationalState) -> float:
     """Sum of hyperprior log densities at the point-estimated prior values."""
     total = 0.0
-    for layer in state.layers:
-        s2 = layer.sigma2()
-        psi = layer.psi()
-        a_b, b_b = float(layer.a_beta[0]), float(layer.b_beta[0])
-        a_p, b_p = float(layer.a_psi[0]), float(layer.b_psi[0])
-        total += (a_b * np.log(b_b) - special.gammaln(a_b)
-                  - (a_b + 1.0) * np.log(s2) - b_b / s2)
-        total += (special.gammaln(a_p + b_p) - special.gammaln(a_p)
-                  - special.gammaln(b_p)
-                  + (a_p - 1.0) * np.log(psi) + (b_p - 1.0) * np.log1p(-psi))
+    for l, layer in enumerate(state.layers):
+        total += logpdf_inv_gamma(_sigma2(layer, l), layer.a_beta[0], layer.b_beta[0])
+        total += logpdf_beta(_psi(layer, l), layer.a_psi[0], layer.b_psi[0])
     return float(total)
 
 
@@ -405,23 +419,13 @@ def _accumulate_backward(state, sampled, d_weights, bundle, with_structure,
             dlogit = dgamma * ls.gamma_tilde * (1.0 - ls.gamma_tilde) / sampled.delta
         sigma2 = layer.sigma2()
         psi = layer.psi()
-        if np.any(tau <= 0.0):
-            raise NumericError(f"slab sd underflowed to zero in layer {l}")
         if kl_mode == "analytic":
-            kl_g = (0.5 * np.log(sigma2) - np.log(tau)
-                    + (tau**2 + layer.kappa**2) / (2.0 * sigma2) - 0.5)
+            value, kl_g = _analytic_kl(l, layer, tau, ls.alpha, ls.fixed_indicators)
+            kl_value += value
             alpha = ls.alpha
             grads["kappa"] -= alpha * layer.kappa / sigma2
             grads["rho"] -= alpha * (tau / sigma2 - 1.0 / tau) * sig_rho
-            if ls.fixed_indicators:
-                # fixed_dense (alpha all ones) or a conditioning mask:
-                # slab terms only, no indicator mass.
-                kl_value += float(np.sum(alpha * kl_g))
-            else:
-                bern = special.xlogy(alpha, alpha / psi) + special.xlogy(
-                    1.0 - alpha, (1.0 - alpha) / (1.0 - psi)
-                )
-                kl_value += float(np.sum(bern) + np.sum(alpha * kl_g))
+            if not ls.fixed_indicators:
                 if dlogit is not None:
                     dlogit -= alpha * (1.0 - alpha) * (
                         (ls.logits - layer.logit_psi[0]) + kl_g
@@ -433,16 +437,12 @@ def _accumulate_backward(state, sampled, d_weights, bundle, with_structure,
                     np.sum(ls.alpha * (0.5 - (tau**2 + layer.kappa**2) / (2.0 * sigma2)))
                 )
         else:
-            g = np.rint(ls.gamma_tilde)
-            ratio = _gaussian_ratio_terms(ls, sigma2)
-            kl_value += float(np.sum(g * ratio))
+            slab, mass, g = _sampled_kl(l, layer, ls)
+            kl_value += slab
+            kl_value += mass
             grads["kappa"] -= g * ls.beta / sigma2
             grads["rho"] += g * (1.0 / tau - ls.beta * ls.eps / sigma2) * sig_rho
             if not ls.fixed_indicators:
-                lp = layer.logit_psi[0]
-                mass = (g * (log_sigmoid(ls.logits) - log_sigmoid(lp))
-                        + (1.0 - g) * (log_sigmoid(-ls.logits) - log_sigmoid(-lp)))
-                kl_value += float(np.sum(mass))
                 if dlogit is not None:
                     dlogit += ls.alpha - g
                 if with_priors:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .distributions import sample_mvn_logits
 from .errors import DomainError, ShapeError
 from .model import Family, VariationalState
 from .numkernel import RngStream, sigmoid
@@ -138,20 +139,11 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
         u = rng.uniform(n_samples * n_w).reshape(n_samples, n_w)
         draws = (u < alpha).astype(np.float64)
     else:
+        cov = lp.logit_cov()
         draws = np.empty((n_samples, n_w))
-        if state.family is Family.MVN_FULL:
-            ch = lp.chol()
-            for s in range(n_samples):
-                logits = lp.xi + ch @ rng.std_normal(n_w)
-                draws[s] = (rng.uniform(n_w) < sigmoid(logits)).astype(np.float64)
-        else:
-            d_sqrt = np.sqrt(lp.diag())
-            for s in range(n_samples):
-                vec = lp.xi.copy()
-                if lp.rank > 0:
-                    vec += lp.factor @ rng.std_normal(lp.rank)
-                vec += d_sqrt * rng.std_normal(n_w)
-                draws[s] = (rng.uniform(n_w) < sigmoid(vec)).astype(np.float64)
+        for s in range(n_samples):
+            logits = sample_mvn_logits(lp.xi, rng, **cov)[0]
+            draws[s] = (rng.uniform(n_w) < sigmoid(logits)).astype(np.float64)
     sd = draws.std(axis=0)
     constant = sd == 0.0
     corr = np.zeros((n_w, n_w))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import HyperParams, concrete_from_logits
+from .distributions import HyperParams, concrete_from_logits, sample_mvn_logits
 from .errors import ConfigError, DomainError, ShapeError
 from .numkernel import RngStream, sigmoid, softplus, softplus_inv
 
@@ -205,6 +205,12 @@ class LayerParams:
             raise DomainError("diag() is only defined for the low-rank family")
         return np.exp(self.log_diag)
 
+    def logit_cov(self) -> dict:
+        """Covariance keywords of ``sample_mvn_logits`` for this layer's logits."""
+        if self.family is Family.MVN_FULL:
+            return {"chol": self.chol()}
+        return {"factor": self.factor, "diag": self.diag()}
+
 
 class VariationalState:
     """All trainable parameters plus bookkeeping shared by the trainer.
@@ -282,9 +288,6 @@ class SampledNetwork:
     family: Family
     delta: float
     mode: str
-
-    def effective_weights(self) -> list:
-        return [lay.effective for lay in self.layers]
 
 
 def init_state(spec: NetworkSpec, prior: PriorConfig, family: Family, rng: RngStream,
@@ -384,17 +387,12 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
         else:
             if state.family is Family.MF:
                 logits_mat = layer.omega
-            elif state.family is Family.MVN_FULL:
-                eps_full = rng.std_normal(n_w)
-                logits_mat = (layer.xi + layer.chol() @ eps_full).reshape(shape)
             else:
-                if layer.rank > 0:
-                    eps_factor = rng.std_normal(layer.rank)
-                eps_diag = rng.std_normal(n_w)
-                vec = layer.xi.copy()
-                if layer.rank > 0:
-                    vec += layer.factor @ eps_factor
-                vec += np.sqrt(layer.diag()) * eps_diag
+                vec, noise = sample_mvn_logits(layer.xi, rng, **layer.logit_cov())
+                if state.family is Family.MVN_FULL:
+                    (eps_full,) = noise
+                else:
+                    eps_factor, eps_diag = noise
                 logits_mat = vec.reshape(shape)
             alpha = sigmoid(logits_mat)
             nu = rng.uniform(n_w).reshape(shape)
@@ -438,20 +436,10 @@ def marginal_inclusion(state: VariationalState, n_mc: int = 1000,
         return [a.copy() for a in state._alpha_cache[1]]
     out = []
     for layer in state.layers:
-        n_w = layer.n_weights
-        acc = np.zeros(n_w)
-        if state.family is Family.MVN_FULL:
-            ch = layer.chol()
-            for _ in range(n_mc):
-                acc += sigmoid(layer.xi + ch @ rng.std_normal(n_w))
-        else:
-            d_sqrt = np.sqrt(layer.diag())
-            for _ in range(n_mc):
-                vec = layer.xi.copy()
-                if layer.rank > 0:
-                    vec += layer.factor @ rng.std_normal(layer.rank)
-                vec += d_sqrt * rng.std_normal(n_w)
-                acc += sigmoid(vec)
+        cov = layer.logit_cov()
+        acc = np.zeros(layer.n_weights)
+        for _ in range(n_mc):
+            acc += sigmoid(sample_mvn_logits(layer.xi, rng, **cov)[0])
         out.append((acc / n_mc).reshape(layer.shape))
     state._alpha_cache = (key, [a.copy() for a in out])
     return out

@@ -1,12 +1,11 @@
 """Dense float64 kernels and a reproducible counter-based random stream.
 
 All numeric state in this package is plain numpy float64 with C (row
-major) layout; the helpers here enforce that convention and provide the
-numerically careful primitives the rest of the code builds on: a
-shift-by-max log-softmax, the logistic pair, softplus with its inverse,
-Cholesky factorization that names the failing pivot, and ``RngStream``,
-a Philox-backed stream keyed by ``(seed, stream_id)`` whose state can be
-serialized exactly.
+major) layout; the helpers here enforce that convention for vectors and
+provide the numerically careful primitives the rest of the code builds
+on: a shift-by-max log-softmax, the logistic pair, softplus with its
+inverse, and ``RngStream``, a Philox-backed stream keyed by
+``(seed, stream_id)`` whose state can be serialized exactly.
 
 Determinism notes
 -----------------
@@ -24,43 +23,20 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy import special
 
-from .errors import DecompositionError, DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError
 
 __all__ = [
-    "as_matrix",
     "as_vector",
-    "matmul",
     "sigmoid",
     "logit",
     "softplus",
     "softplus_inv",
     "log_sigmoid",
     "log_softmax",
-    "cholesky_factor",
     "RngStream",
 ]
 
 _U64 = np.uint64
-
-
-def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce ``values`` to a 2-D C-contiguous float64 array.
-
-    Parameters
-    ----------
-    values : array_like
-        Anything numpy can turn into a 2-D array.
-    rows, cols : int, optional
-        Expected dimensions; a mismatch raises ``ShapeError``.
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if rows is not None and arr.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise ShapeError(f"expected {cols} columns, got {arr.shape[1]}")
-    return arr
 
 
 def as_vector(values, n: int | None = None) -> np.ndarray:
@@ -71,22 +47,6 @@ def as_vector(values, n: int | None = None) -> np.ndarray:
     if n is not None and arr.shape[0] != n:
         raise ShapeError(f"expected length {n}, got {arr.shape[0]}")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape validation.
-
-    Raises ``ShapeError`` when inner dimensions disagree instead of
-    letting numpy produce its generic message.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions disagree: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
 
 
 def sigmoid(x):
@@ -134,35 +94,6 @@ def log_softmax(logits) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError("log_softmax received non-finite logits")
     return special.log_softmax(arr, axis=-1)
-
-
-def cholesky_factor(a) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == a for symmetric PD input.
-
-    Raises ``DomainError`` for asymmetric or non-finite input and
-    ``DecompositionError`` naming the first failing pivot when the
-    matrix is not positive definite.
-    """
-    mat = as_matrix(a)
-    if mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"cholesky_factor needs a square matrix, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise DomainError("cholesky_factor received non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > 1e-8 * scale:
-        raise DomainError("cholesky_factor requires a symmetric matrix")
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        # Find the first leading minor that is not PD so the error names it.
-        for k in range(1, mat.shape[0] + 1):
-            try:
-                np.linalg.cholesky(mat[:k, :k])
-            except np.linalg.LinAlgError:
-                raise DecompositionError(
-                    f"matrix is not positive definite: pivot {k - 1} fails"
-                ) from None
-        raise DecompositionError("matrix is not positive definite") from None
 
 
 class RngStream:

@@ -27,13 +27,13 @@ contains.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from .elbo import Batch, GradientBundle, elbo_gradient
-from .errors import ConfigError, NumericError, SlabnnError
+from .errors import ConfigError, NumericError
 from .model import (Family, NetworkSpec, PriorConfig, VariationalState, init_state,
                     marginal_inclusion, median_model)
 from .numkernel import RngStream
@@ -54,6 +54,7 @@ __all__ = [
     "TrainReport",
     "TrainingAborted",
     "validate_schedule",
+    "live_groups",
 ]
 
 # Step-size groups; every state parameter maps to exactly one.
@@ -165,6 +166,31 @@ class PhaseConfig:
                         f"posttrain: structure group {group} must be frozen"
                     )
         return problems
+
+
+def live_groups(family: Family, prior: PriorConfig) -> set:
+    """Step-size groups with any movable parameter under this model.
+
+    fixed_dense freezes the inclusion structure and the prior inclusion
+    probability; ``learn_sigma2``, ``learn_psi`` and ``learn_hyper``
+    freeze their groups.  ``train`` drops the step size of every other
+    group.
+    """
+    live = {"weights"}
+    if not prior.fixed_dense:
+        if family is Family.MF:
+            live.add("omega")
+        else:
+            live.update(("xi", "cov"))
+        if prior.learn_psi:
+            live.add("psi")
+        if prior.learn_hyper:
+            live.add("psi_hyper")
+    if prior.learn_sigma2:
+        live.add("sigma2")
+    if prior.learn_hyper:
+        live.add("beta_hyper")
+    return live
 
 
 def validate_schedule(phases) -> list:
@@ -357,11 +383,16 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
     and, when ``checkpoint_dir`` is given, byte-identical checkpoint
     files (one per completed phase plus ``checkpoint_final.lbnn``).
     On an aborted phase the rolled-back state is still checkpointed
-    before the abort propagates.
+    before the abort propagates.  Groups outside ``live_groups(family,
+    prior)`` keep their parameters bit-identical whatever the phases'
+    step sizes say.
     """
     problems = validate_schedule(phases)
     if problems:
         raise ConfigError("; ".join(problems))
+    live = live_groups(family, prior)
+    phases = [replace(p, lr={g: v for g, v in p.lr.items() if g in live})
+              for p in phases]
     state = init_state(spec, prior, family, RngStream(seed, STREAM_INIT),
                        rank=rank, init_tau=init_tau)
     rng_shuffle = RngStream(seed, STREAM_SHUFFLE)

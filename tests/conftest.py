@@ -1,9 +1,11 @@
 """Shared builders for the test suite plus the acceptance summary hook."""
 
+import struct
 import sys
 
 import numpy as np
 
+from slabnn.checkpoint import FORMAT_VERSION, MAGIC, _encode_tensor
 from slabnn.elbo import Batch
 from slabnn.model import Family, NetworkSpec, PriorConfig, init_state
 from slabnn.numkernel import RngStream
@@ -25,6 +27,13 @@ def make_batch(n=8, p=4, classes=2, seed=9, n_total=None):
     x = gen.normal(size=(n, p))
     y = gen.integers(0, classes, size=n)
     return Batch(x, y, n_total=n_total if n_total is not None else n)
+
+
+def write_tensors(path, tensors: dict):
+    """Write {name: array} as a checkpoint file, valid or not."""
+    blob = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(tensors))]
+    blob += [_encode_tensor(n, a) for n, a in tensors.items()]
+    path.write_bytes(b"".join(blob))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

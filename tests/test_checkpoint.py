@@ -1,10 +1,13 @@
 """Checkpoint serialization: bit-exact round trips and format errors."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, make_state
-from slabnn.checkpoint import load_checkpoint, read_manifest, save_checkpoint
+from conftest import ALL_FAMILIES, make_state, write_tensors
+from slabnn.checkpoint import (FORMAT_VERSION, MAGIC, load_checkpoint, read_manifest,
+                               save_checkpoint)
 from slabnn.errors import FormatError
 from slabnn.model import PriorConfig
 from slabnn.numkernel import RngStream
@@ -108,14 +111,8 @@ class TestFormatErrors:
         tensors = read_manifest(path)
         assert "layer00/kappa" in tensors and "meta/widths" in tensors
         # drop one tensor by rewriting without it
-        import struct
-        from slabnn.checkpoint import FORMAT_VERSION, MAGIC, _encode_tensor
-        kept = [(n, a) for n, a in tensors.items() if n != "layer00/kappa"]
-        blob = [MAGIC, struct.pack("<I", FORMAT_VERSION),
-                struct.pack("<I", len(kept))]
-        for n, a in kept:
-            blob.append(_encode_tensor(n, a))
-        path.write_bytes(b"".join(blob))
+        del tensors["layer00/kappa"]
+        write_tensors(path, tensors)
         with pytest.raises(FormatError, match="layer00/kappa"):
             load_checkpoint(path)
 
@@ -124,16 +121,33 @@ class TestFormatErrors:
         path = tmp_path / "s.lbnn"
         save_checkpoint(path, st)
         tensors = read_manifest(path)
-        import struct
-        from slabnn.checkpoint import FORMAT_VERSION, MAGIC, _encode_tensor
-        blob = [MAGIC, struct.pack("<I", FORMAT_VERSION),
-                struct.pack("<I", len(tensors))]
-        for n, a in tensors.items():
-            if n == "layer01/kappa":
-                a = np.zeros((2, 2))
-            blob.append(_encode_tensor(n, a))
-        path.write_bytes(b"".join(blob))
+        tensors["layer01/kappa"] = np.zeros((2, 2))
+        write_tensors(path, tensors)
         with pytest.raises(FormatError, match="layer01/kappa"):
+            load_checkpoint(path)
+
+    def test_overflowing_dims_report_truncation(self, tmp_path):
+        # 2**62 * 4 entries wrap a 64-bit product to zero.
+        name = b"meta/widths"
+        head = struct.pack("<I", len(name)) + name + struct.pack("<IQQ", 2, 2**62, 4)
+        path = tmp_path / "huge.lbnn"
+        path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, 1) + head)
+        with pytest.raises(FormatError, match="truncated checkpoint"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("name,index,value", [
+        ("meta/flags", 2, np.nan),
+        ("meta/counters", 1, np.inf),
+        ("meta/activations", 0, 7.0),
+        ("meta/activations", 0, -1.0),
+    ])
+    def test_bad_meta_codes_rejected(self, tmp_path, name, index, value):
+        path = tmp_path / "meta.lbnn"
+        save_checkpoint(path, make_state())
+        tensors = read_manifest(path)
+        tensors[name][index] = value
+        write_tensors(path, tensors)
+        with pytest.raises(FormatError):
             load_checkpoint(path)
 
     def test_missing_file_is_oserror(self, tmp_path):

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import write_tensors
+from slabnn.checkpoint import read_manifest
 from slabnn.cli import load_config, main
 from slabnn.errors import ConfigError
 
@@ -311,6 +313,17 @@ class TestInspectCommand:
         code, _, err = _run_main(["inspect", str(bad)], capsys)
         assert code == 1
         assert "byte offset" in err
+
+    def test_bad_activation_code_is_format_error(self, trained, tmp_path):
+        tensors = read_manifest(trained["ckpt"])
+        tensors["meta/activations"][0] = 7.0
+        bad = tmp_path / "act.lbnn"
+        write_tensors(bad, tensors)
+        proc = subprocess.run([sys.executable, "-m", "slabnn", "inspect", str(bad)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("format error:")
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code, _, err = _run_main(["inspect", str(tmp_path / "no.lbnn")], capsys)

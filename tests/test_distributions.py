@@ -4,21 +4,13 @@ import numpy as np
 import pytest
 
 from slabnn.distributions import (HyperParams, concrete_from_logits,
-                                  concrete_transform, gaussian_reparam,
+                                  concrete_transform,
                                   kl_bernoulli, kl_gaussian, logpdf_beta,
                                   logpdf_inv_gamma, sample_mvn_logits)
 from slabnn.errors import DomainError
 from slabnn.numkernel import RngStream, logit, sigmoid
 
 LN2 = 0.6931471805599453
-
-
-def test_gaussian_reparam_is_affine():
-    eps = np.array([-1.0, 0.0, 2.0])
-    out = gaussian_reparam(np.full(3, 1.5), np.full(3, 0.5), eps)
-    np.testing.assert_allclose(out, [1.0, 1.5, 2.5], atol=1e-15)
-    with pytest.raises(DomainError):
-        gaussian_reparam(np.zeros(1), np.array([-0.1]), np.zeros(1))
 
 
 class TestConcrete:
@@ -164,8 +156,9 @@ class TestMvnLogits:
             def std_normal(self, n):
                 return np.array([1.0, -1.0])[:n]
 
-        out = sample_mvn_logits(xi, _Fixed(), chol=chol)
+        out, (eps,) = sample_mvn_logits(xi, _Fixed(), chol=chol)
         np.testing.assert_allclose(out, [3.0, -2.0], atol=1e-15)
+        np.testing.assert_array_equal(eps, [1.0, -1.0])
 
     def test_lowrank_covariance_mc(self):
         gen = np.random.default_rng(8)
@@ -174,7 +167,7 @@ class TestMvnLogits:
         xi = gen.normal(size=4)
         rng = RngStream(21, 0)
         n = 200_000
-        draws = np.stack([sample_mvn_logits(xi, rng, factor=factor, diag=diag)
+        draws = np.stack([sample_mvn_logits(xi, rng, factor=factor, diag=diag)[0]
                           for _ in range(n // 1000)])
         # keep runtime sane: 200 draws only checks the mean; covariance
         # accuracy is covered by the dedicated acceptance criterion
@@ -189,5 +182,11 @@ class TestMvnLogits:
             def std_normal(self, n):
                 return np.ones(n)
 
-        out = sample_mvn_logits(xi, _Ones(), diag=diag)
+        out, (eps1, eps2) = sample_mvn_logits(xi, _Ones(), diag=diag)
         np.testing.assert_allclose(out, [2.0, 3.0, 4.0], atol=1e-15)
+        assert eps1 is None
+        np.testing.assert_array_equal(eps2, np.ones(3))
+        out, _ = sample_mvn_logits(xi, _Ones(), diag=np.array([0.0, 1.0, 4.0]))
+        np.testing.assert_array_equal(out, [0.0, 1.0, 2.0])
+        with pytest.raises(DomainError):
+            sample_mvn_logits(xi, _Ones(), diag=np.array([-1.0, 1.0, 4.0]))

@@ -8,7 +8,7 @@ from conftest import ALL_FAMILIES, make_batch, make_state
 from slabnn.distributions import kl_bernoulli, kl_gaussian
 from slabnn.elbo import (Batch, elbo_estimate, elbo_gradient, forward,
                          hyperprior_logdensity, kl_state)
-from slabnn.errors import DomainError, ShapeError
+from slabnn.errors import DomainError, NumericError, ShapeError
 from slabnn.model import Family, PriorConfig, sample_network
 from slabnn.numkernel import RngStream, sigmoid
 
@@ -190,6 +190,41 @@ class TestHyperprior:
                                include_hyperprior=True)
         np.testing.assert_allclose(with_h - base, hyperprior_logdensity(st),
                                    rtol=1e-9)
+
+
+class TestSaturatedPriorsRaiseNumericError:
+    """Prior values that training can reach must fail as NumericError.
+
+    The trainer rolls back on NumericError only; a DomainError from a
+    checked kernel would turn a recoverable blow-up into a hard abort.
+    """
+
+    FAMILIES = [(Family.MF, 0), (Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 2)]
+
+    @staticmethod
+    def _state(family, rank, name, value):
+        st = make_state(family, rank, seed=31, widths=(3, 2, 2))
+        for lp in st.layers:
+            getattr(lp, name)[...] = value
+        st.bump_version()
+        return st
+
+    @pytest.mark.parametrize("name,value", [("logit_psi", 40.0), ("log_sigma2", -800.0)])
+    @pytest.mark.parametrize("phase", ["train", "pretrain"])
+    @pytest.mark.parametrize("family,rank", FAMILIES)
+    def test_gradient(self, family, rank, phase, name, value):
+        st = self._state(family, rank, name, value)
+        with pytest.raises(NumericError):
+            elbo_gradient(st, make_batch(n=6, p=3), 1, 0.1, RngStream(3, 2),
+                          phase=phase)
+
+    @pytest.mark.parametrize("name,value", [("logit_psi", 40.0), ("log_sigma2", -800.0)])
+    @pytest.mark.parametrize("family,rank", FAMILIES)
+    def test_estimate_with_hyperprior(self, family, rank, name, value):
+        st = self._state(family, rank, name, value)
+        with pytest.raises(NumericError):
+            elbo_estimate(st, make_batch(n=6, p=3), 1, 0.1, RngStream(3, 2),
+                          include_hyperprior=True)
 
 
 class TestEstimatorIdentities:

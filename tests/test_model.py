@@ -8,7 +8,7 @@ from slabnn.errors import ConfigError, DomainError, ShapeError
 from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state,
                           marginal_inclusion, median_model,
                           posterior_mean_weights, sample_network)
-from slabnn.numkernel import RngStream, sigmoid
+from slabnn.numkernel import RngStream, sigmoid, softplus_inv
 
 
 class TestNetworkSpec:
@@ -158,6 +158,23 @@ class TestSampleNetwork:
         for ls, lp in zip(net.layers, st.layers):
             np.testing.assert_allclose(ls.beta, lp.kappa, atol=1e-15)
 
+    def test_slab_draw_is_affine(self):
+        st = make_state()
+        lp = st.layers[0]
+        lp.kappa[...] = 1.5
+        lp.rho[...] = softplus_inv(0.5)
+        st.bump_version()
+        ls = sample_network(st, 0.1, "relaxed", RngStream(4, 2)).layers[0]
+        np.testing.assert_allclose(ls.beta, 1.5 + 0.5 * ls.eps, atol=1e-15)
+
+    def test_underflowed_lowrank_diagonal_still_samples(self):
+        # exp(-800) is 0.0, which training can reach: the draw stays valid.
+        st = make_state(Family.MVN_LOWRANK, 0)
+        st.layers[1].log_diag[...] = -800.0
+        st.bump_version()
+        ls = sample_network(st, 0.1, "relaxed", RngStream(4, 2)).layers[1]
+        np.testing.assert_array_equal(ls.logits.reshape(-1), st.layers[1].xi)
+
     def test_same_stream_reproduces_draw_for_draw(self):
         for family, rank in ALL_FAMILIES:
             st = make_state(family, rank)
@@ -232,6 +249,14 @@ class TestInclusionSummaries:
             np.testing.assert_array_equal(a, 1.0)
         for m in median_model(st):
             np.testing.assert_array_equal(m, 1.0)
+
+
+class TestLayerParams:
+    def test_chol_frozen_value(self):
+        st = make_state(Family.MVN_FULL, widths=(1, 1))
+        lp = st.layers[0]
+        lp.chol_raw[...] = [[softplus_inv(2.0), 7.0], [1.0, softplus_inv(2.0)]]
+        np.testing.assert_allclose(lp.chol(), [[2.0, 0.0], [1.0, 2.0]], atol=1e-15)
 
 
 class TestStateCopy:

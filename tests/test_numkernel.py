@@ -1,12 +1,11 @@
-"""Numeric primitives: transforms, factorizations, the counter-based stream."""
+"""Numeric primitives: transforms and the counter-based stream."""
 
 import numpy as np
 import pytest
 
-from slabnn.errors import DecompositionError, DomainError, NumericError, ShapeError
-from slabnn.numkernel import (RngStream, as_matrix, as_vector, cholesky_factor,
-                              log_sigmoid, log_softmax, logit, matmul, sigmoid,
-                              softplus, softplus_inv)
+from slabnn.errors import DomainError, NumericError, ShapeError
+from slabnn.numkernel import (RngStream, as_vector, log_sigmoid, log_softmax, logit,
+                              sigmoid, softplus, softplus_inv)
 
 
 def test_sigmoid_logit_round_trip():
@@ -73,46 +72,14 @@ def test_log_softmax_rejects_nan():
         log_softmax(np.array([[np.nan, 0.0]]))
 
 
-def test_matmul_shapes():
-    a = np.ones((2, 3))
-    b = np.ones((3, 4))
-    assert matmul(a, b).shape == (2, 4)
-    with pytest.raises(ShapeError):
-        matmul(a, np.ones((2, 4)))
-
-
-def test_as_matrix_as_vector_validation():
-    m = as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.float64 and m.flags["C_CONTIGUOUS"]
+def test_as_vector_validation():
     v = as_vector([1.0, 2.0])
+    assert v.dtype == np.float64 and v.flags["C_CONTIGUOUS"]
     assert v.shape == (2,)
     with pytest.raises(ShapeError):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(ShapeError):
         as_vector([[1.0], [2.0]])
-
-
-def test_cholesky_frozen_value():
-    left = cholesky_factor(np.array([[4.0, 2.0], [2.0, 5.0]]))
-    np.testing.assert_allclose(left, [[2.0, 0.0], [1.0, 2.0]], atol=1e-15)
-
-
-def test_cholesky_reconstructs():
-    gen = np.random.default_rng(5)
-    a = gen.normal(size=(6, 6))
-    mat = a @ a.T + 6.0 * np.eye(6)
-    left = cholesky_factor(mat)
-    np.testing.assert_allclose(left @ left.T, mat, atol=1e-10)
-    assert np.all(np.diag(left) > 0.0)
-
-
-def test_cholesky_failure_names_pivot():
-    bad = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(DecompositionError) as err:
-        cholesky_factor(bad)
-    assert "pivot 1" in str(err.value)  # 0-based: the second diagonal fails
-    with pytest.raises(DomainError):
-        cholesky_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ShapeError):
+        as_vector([1.0, 2.0], 3)
 
 
 class TestRngStream:

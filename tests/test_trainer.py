@@ -10,11 +10,11 @@ from slabnn.checkpoint import load_checkpoint
 from slabnn.dataio import synth_clusters
 from slabnn.elbo import Batch, elbo_gradient
 from slabnn.errors import ConfigError, NumericError
-from slabnn.model import Family, NetworkSpec, PriorConfig, median_model
+from slabnn.model import Family, NetworkSpec, PriorConfig, init_state, median_model
 from slabnn.numkernel import RngStream, sigmoid
-from slabnn.trainer import (GROUPS, HYPER_CLAMP, PARAM_GROUP, AdamMoments,
-                            PhaseConfig, TrainingAborted, adam_step,
-                            default_phases, run_phase, train,
+from slabnn.trainer import (GROUPS, HYPER_CLAMP, PARAM_GROUP, STREAM_INIT,
+                            AdamMoments, PhaseConfig, TrainingAborted,
+                            adam_step, default_phases, run_phase, train,
                             validate_schedule)
 
 
@@ -243,6 +243,28 @@ class TestTrain:
         (_, _), d2 = go("b")
         assert (d1 / "checkpoint_final.lbnn").read_bytes() == \
                (d2 / "checkpoint_final.lbnn").read_bytes()
+
+    _PRIOR_PARAMS = {"learn_sigma2": ("log_sigma2",),
+                     "learn_psi": ("logit_psi",),
+                     "learn_hyper": ("a_beta", "b_beta", "a_psi", "b_psi")}
+
+    @pytest.mark.parametrize("flag", sorted(_PRIOR_PARAMS))
+    def test_learn_flags_freeze_their_parameters(self, flag):
+        ds = synth_clusters(n=40, p=3, n_classes=2, seed=10)
+        spec = NetworkSpec((3, 2))
+        prior = PriorConfig(psi=0.3, **{flag: False})
+        lr = {g: 1e-2 for g in GROUPS}
+        state, _ = train(spec, prior, Family.MF, [PhaseConfig("pretrain", 1, lr)],
+                         ds.features, ds.labels, seed=4)
+        start = init_state(spec, prior, Family.MF, RngStream(4, STREAM_INIT))
+        for flag_name, names in self._PRIOR_PARAMS.items():
+            for name in names:
+                before = getattr(start.layers[0], name)
+                after = getattr(state.layers[0], name)
+                if flag_name == flag:
+                    np.testing.assert_array_equal(after, before)
+                else:
+                    assert not np.array_equal(after, before), name
 
     def test_zero_epoch_phase_is_allowed(self):
         ds = synth_clusters(n=30, p=3, n_classes=2, seed=7)
