@@ -20,8 +20,8 @@ from .dataio import (Dataset, bayes_optimal_accuracy, load_csv, load_idx, split,
                      synth_clusters, synth_logistic, write_idx)
 from .distributions import HyperParams
 from .elbo import Batch, elbo_estimate, elbo_gradient
-from .errors import (ConfigError, DecompositionError, DomainError, FormatError,
-                     NumericError, ShapeError, SlabnnError)
+from .errors import (ConfigError, DomainError, FormatError, NumericError, ShapeError,
+                     SlabnnError)
 from .metrics import (EntropyCdf, MetricsReport, accuracy, entropy_cdf,
                       inclusion_correlation, layer_inclusion_means, summarize_runs)
 from .model import (Family, NetworkSpec, PriorConfig, VariationalState, init_state,
@@ -41,7 +41,6 @@ __all__ = [
     "CheckpointData",
     "ConfigError",
     "Dataset",
-    "DecompositionError",
     "DomainError",
     "DoubtDecisions",
     "EntropyCdf",

@@ -19,8 +19,10 @@ and "rng/..." tensors holding random stream positions as raw uint64
 words bit-cast to float64 (floats cannot carry 64-bit integers exactly,
 the bit-cast round-trips).  Saving is atomic (temp file plus rename)
 and byte-deterministic: the same state and streams always serialize to
-identical bytes.  Loading rebuilds the exact arrays, so a save/load
-round trip is bit-exact.
+identical bytes.  Loading checks every stored parameter shape against
+the one the stored model description implies before it allocates
+anything, then rebuilds the exact arrays, so a save/load round trip is
+bit-exact.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import numpy as np
 
 from .distributions import HyperParams
 from .errors import ConfigError, DomainError, FormatError
-from .model import ACTIVATIONS, Family, NetworkSpec, PriorConfig, VariationalState
+from .model import (ACTIVATIONS, Family, LayerParams, NetworkSpec, PriorConfig,
+                    VariationalState)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -232,15 +235,22 @@ def load_checkpoint(path) -> CheckpointData:
                            include_bias=include_bias)
     except (ConfigError, DomainError) as exc:
         raise FormatError(f"checkpoint model description is invalid: {exc}") from None
+    if rank != 0 and family is not Family.MVN_LOWRANK:
+        raise FormatError(f"rank {rank} is only meaningful for the low-rank family")
+    # Check every stored shape against the one the description implies
+    # before allocating: absurd widths or ranks fail here, not in numpy.
+    for l in range(spec.n_transitions):
+        shapes = LayerParams.param_shapes(family, spec.weight_shape(l), rank)
+        for name, expected in shapes.items():
+            stored = _require(tensors, f"layer{l:02d}/{name}")
+            if stored.shape != expected:
+                raise FormatError(
+                    f"tensor layer{l:02d}/{name} has shape {stored.shape}, "
+                    f"expected {expected}"
+                )
     state = VariationalState(spec, prior, family, rank)
     for l, name, arr in state.param_items():
-        stored = _require(tensors, f"layer{l:02d}/{name}")
-        if stored.shape != arr.shape:
-            raise FormatError(
-                f"tensor layer{l:02d}/{name} has shape {stored.shape}, "
-                f"expected {arr.shape}"
-            )
-        arr[...] = stored
+        arr[...] = tensors[f"layer{l:02d}/{name}"]
     cnt = _counts(tensors, "meta/counters", 3)
     counters = {"phases_completed": cnt[0], "epochs": cnt[1], "steps": cnt[2]}
     rng_words = {}

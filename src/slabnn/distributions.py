@@ -30,6 +30,8 @@ __all__ = [
     "kl_bernoulli",
     "logpdf_inv_gamma",
     "logpdf_beta",
+    "MVN_BLOCK_ELEMENTS",
+    "mvn_blocks",
     "sample_mvn_logits",
 ]
 
@@ -154,24 +156,48 @@ def logpdf_beta(x, a, b):
     return _scalarize(out, x, a, b)
 
 
-def sample_mvn_logits(xi, rng, factor=None, diag=None, chol=None):
-    """One draw of correlated inclusion logits, with the noise behind it.
+# Element budget of one block of Monte Carlo logit draws: 2**16 float64
+# values, 512 KB per block array.  Small enough that peak memory does
+# not grow with the draw count, large enough that a block of a
+# full-covariance layer is one matrix-matrix product.
+MVN_BLOCK_ELEMENTS = 2**16
+
+
+def mvn_blocks(n_draws: int, width: int):
+    """Row counts splitting ``n_draws`` draws of ``width`` values into blocks.
+
+    Each block holds at most ``MVN_BLOCK_ELEMENTS`` values, and at least
+    one row even when a single draw is wider than that.
+    """
+    rows = max(1, MVN_BLOCK_ELEMENTS // width)
+    for start in range(0, n_draws, rows):
+        yield min(rows, n_draws - start)
+
+
+def sample_mvn_logits(xi, rng, n, factor=None, diag=None, chol=None):
+    """A block of ``n`` draws of correlated inclusion logits, with their noise.
 
     Two parametrizations are supported:
 
     * low rank plus diagonal, covariance F F^T + D: pass ``factor``
       (dim x r, r = 0 allowed via ``None`` or an empty matrix) and
       ``diag`` (the diagonal of D, nonnegative: a variance that
-      underflowed to zero in training is a valid degenerate entry); the
+      underflowed to zero in training is a valid degenerate entry); a
       draw is xi + F eps1 + sqrt(diag) * eps2.
     * full covariance supplied as its lower-triangular Cholesky factor:
-      pass ``chol`` only; the draw is xi + L eps.
+      pass ``chol`` only; a draw is xi + L eps.
 
-    Noise order is fixed: eps1 (length r, skipped when factor is absent)
-    then eps2 for the low-rank path, a single eps for the Cholesky path.
-    Returns ``(logits, noise)`` with noise ``(eps,)`` on the Cholesky
-    path and ``(eps1, eps2)`` on the low-rank path (eps1 None when no
-    factor column was drawn); the gradient reuses it.
+    Row i of every returned array is draw i.  The noise is one
+    ``rng.std_normal(n * width)`` call split into rows of ``width``
+    values: a row is eps (width dim) on the Cholesky path, and eps1 (the
+    first r values) then eps2 (dim values) on the low-rank path.  Row i
+    therefore holds the same numbers, in the same order, as the i-th of
+    n single-draw calls, and the stream ends where they would leave it.
+    A block costs one matrix product, xi + eps L^T or xi + eps1 F^T.
+    Returns ``(logits, noise)``: logits ``(n, dim)``; noise ``(eps,)``
+    with eps ``(n, dim)`` on the Cholesky path, or ``(eps1, eps2)`` with
+    eps1 ``(n, r)`` (None when r = 0) and eps2 ``(n, dim)``.  The
+    gradient reuses the noise.
     """
     mean = as_vector(xi)
     dim = mean.shape[0]
@@ -181,22 +207,24 @@ def sample_mvn_logits(xi, rng, factor=None, diag=None, chol=None):
         ch = np.ascontiguousarray(chol, dtype=np.float64)
         if ch.shape != (dim, dim):
             raise ShapeError(f"chol must be {dim}x{dim}, got {ch.shape}")
-        eps = rng.std_normal(dim)
-        return mean + ch @ eps, (eps,)
+        eps = rng.std_normal(n * dim).reshape(n, dim)
+        return mean + eps @ ch.T, (eps,)
     if diag is None:
         raise DomainError("the low-rank path requires a diagonal variance vector")
     d = as_vector(diag, dim)
     if np.any(d < 0.0):
         raise DomainError("diagonal variances must be nonnegative")
-    out = mean.copy()
-    eps1 = None
+    r = 0
     if factor is not None:
         f = np.ascontiguousarray(factor, dtype=np.float64)
         if f.ndim != 2 or f.shape[0] != dim:
             raise ShapeError(f"factor must have {dim} rows, got shape {f.shape}")
-        if f.shape[1] > 0:
-            eps1 = rng.std_normal(f.shape[1])
-            out += f @ eps1
-    eps2 = rng.std_normal(dim)
+        r = f.shape[1]
+    z = rng.std_normal(n * (r + dim)).reshape(n, r + dim)
+    eps1 = z[:, :r] if r > 0 else None
+    eps2 = z[:, r:]
+    out = np.tile(mean, (n, 1))
+    if eps1 is not None:
+        out += eps1 @ f.T
     out += np.sqrt(d) * eps2
     return out, (eps1, eps2)

@@ -3,7 +3,7 @@
 Everything derives from SlabnnError so callers can catch the package's
 failures in one clause; the subclasses match the failure families the
 individual modules document (shape mismatches, domain violations,
-numeric blow-ups, failed decompositions, malformed files, bad configs).
+numeric blow-ups, malformed files, bad configs).
 """
 
 
@@ -21,10 +21,6 @@ class DomainError(SlabnnError, ValueError):
 
 class NumericError(SlabnnError, ArithmeticError):
     """A computation produced non-finite values or lost validity."""
-
-
-class DecompositionError(SlabnnError, ArithmeticError):
-    """A matrix factorization failed (for example a non-PD Cholesky input)."""
 
 
 class FormatError(SlabnnError, ValueError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .distributions import sample_mvn_logits
+from .distributions import mvn_blocks, sample_mvn_logits
 from .errors import DomainError, ShapeError
 from .model import Family, VariationalState
 from .numkernel import RngStream, sigmoid
@@ -121,7 +121,10 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
 
     Draws ``n_samples`` hard indicator vectors (fresh inclusion
     probabilities per draw for the correlated families) and correlates
-    the flattened weight positions.  Returns ``(corr, constant)``
+    the flattened weight positions.  The correlated families draw in
+    blocks (``mvn_blocks``): per block, the block's logits from one
+    ``sample_mvn_logits`` call, then the block's uniforms, row by row.
+    Returns ``(corr, constant)``
     where ``constant`` flags positions whose draws never varied; their
     rows and columns are zero by convention (diagonal included),
     non-constant positions have unit diagonal.
@@ -141,9 +144,12 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
     else:
         cov = lp.logit_cov()
         draws = np.empty((n_samples, n_w))
-        for s in range(n_samples):
-            logits = sample_mvn_logits(lp.xi, rng, **cov)[0]
-            draws[s] = (rng.uniform(n_w) < sigmoid(logits)).astype(np.float64)
+        start = 0
+        for rows in mvn_blocks(n_samples, n_w + lp.rank):
+            logits = sample_mvn_logits(lp.xi, rng, rows, **cov)[0]
+            u = rng.uniform(rows * n_w).reshape(rows, n_w)
+            draws[start:start + rows] = u < sigmoid(logits)
+            start += rows
     sd = draws.std(axis=0)
     constant = sd == 0.0
     corr = np.zeros((n_w, n_w))

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import HyperParams, concrete_from_logits, sample_mvn_logits
+from .distributions import (HyperParams, concrete_from_logits, mvn_blocks,
+                            sample_mvn_logits)
 from .errors import ConfigError, DomainError, ShapeError
 from .numkernel import RngStream, sigmoid, softplus, softplus_inv
 
@@ -148,40 +149,35 @@ class LayerParams:
         self.family = family
         self.shape = tuple(shape)
         self.rank = int(rank)
-        n_w = self.shape[0] * self.shape[1]
-        self.kappa = np.zeros(self.shape)
-        self.rho = np.zeros(self.shape)
+        for name, dims in self.param_shapes(family, self.shape, self.rank).items():
+            setattr(self, name, np.zeros(dims))
+        for name in ("a_beta", "b_beta", "a_psi", "b_psi"):
+            getattr(self, name)[0] = 1.0
+
+    @staticmethod
+    def param_shapes(family: Family, shape, rank: int = 0) -> dict:
+        """Every parameter's shape, in canonical order, without allocating.
+
+        Sizes are exact Python ints, so a reader can check stored
+        tensors against them before building anything.
+        """
+        rows, cols = shape
+        n_w = rows * cols
         if family is Family.MF:
-            self.omega = np.zeros(self.shape)
+            own = {"omega": (rows, cols)}
         elif family is Family.MVN_FULL:
-            self.xi = np.zeros(n_w)
-            self.chol_raw = np.zeros((n_w, n_w))
-        elif family is Family.MVN_LOWRANK:
-            self.xi = np.zeros(n_w)
-            self.factor = np.zeros((n_w, self.rank))
-            self.log_diag = np.zeros(n_w)
-        else:  # pragma: no cover - enum is closed
-            raise ConfigError(f"unknown family {family}")
-        self.log_sigma2 = np.zeros(1)
-        self.logit_psi = np.zeros(1)
-        self.a_beta = np.ones(1)
-        self.b_beta = np.ones(1)
-        self.a_psi = np.ones(1)
-        self.b_psi = np.ones(1)
+            own = {"xi": (n_w,), "chol_raw": (n_w, n_w)}
+        else:
+            own = {"xi": (n_w,), "factor": (n_w, rank), "log_diag": (n_w,)}
+        return {"kappa": (rows, cols), "rho": (rows, cols), **own,
+                **dict.fromkeys(LayerParams.SCALARS, (1,))}
 
     @property
     def n_weights(self) -> int:
         return self.shape[0] * self.shape[1]
 
-    def family_param_names(self) -> tuple:
-        if self.family is Family.MF:
-            return ("omega",)
-        if self.family is Family.MVN_FULL:
-            return ("xi", "chol_raw")
-        return ("xi", "factor", "log_diag")
-
     def param_names(self) -> tuple:
-        return ("kappa", "rho") + self.family_param_names() + self.SCALARS
+        return tuple(self.param_shapes(self.family, self.shape, self.rank))
 
     def tau(self) -> np.ndarray:
         return softplus(self.rho)
@@ -388,12 +384,13 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
             if state.family is Family.MF:
                 logits_mat = layer.omega
             else:
-                vec, noise = sample_mvn_logits(layer.xi, rng, **layer.logit_cov())
+                block, noise = sample_mvn_logits(layer.xi, rng, 1, **layer.logit_cov())
+                noise = [None if e is None else e[0] for e in noise]
                 if state.family is Family.MVN_FULL:
                     (eps_full,) = noise
                 else:
                     eps_factor, eps_diag = noise
-                logits_mat = vec.reshape(shape)
+                logits_mat = block[0].reshape(shape)
             alpha = sigmoid(logits_mat)
             nu = rng.uniform(n_w).reshape(shape)
             if mode == "relaxed":
@@ -419,9 +416,16 @@ def marginal_inclusion(state: VariationalState, n_mc: int = 1000,
 
     Exact for the mean-field family and for fixed_dense states (all
     ones); the MVN families integrate the logit distribution by Monte
-    Carlo with ``n_mc`` draws, which requires an rng.  MVN results are
-    cached on the state keyed by (version, n_mc, seed, stream_id) so a
-    repeated call with an equivalent fresh stream is free.
+    Carlo with ``n_mc`` draws, which requires an rng.  Each layer draws
+    its logits in blocks (``mvn_blocks``, one ``sample_mvn_logits`` call
+    per block), so the stream is consumed exactly as by ``n_mc``
+    single draws per layer, layer after layer, and the sigmoids are
+    summed in draw order.
+
+    MVN results are cached on the state, keyed by (version, n_mc, stream
+    position at entry).  A repeated call from the same position makes
+    no draw: it returns the cached values and moves the stream to the
+    position a fresh computation would leave it at.
     """
     if state.prior.fixed_dense:
         return [np.ones(layer.shape) for layer in state.layers]
@@ -431,17 +435,23 @@ def marginal_inclusion(state: VariationalState, n_mc: int = 1000,
         raise DomainError("marginal_inclusion needs an rng for MVN families")
     if n_mc < 1:
         raise DomainError("n_mc must be at least 1")
-    key = (state.version, int(n_mc), rng.seed, rng.stream_id)
-    if state._alpha_cache is not None and state._alpha_cache[0] == key:
-        return [a.copy() for a in state._alpha_cache[1]]
+    key = (state.version, int(n_mc), rng.state_words().tobytes())
+    cached = state._alpha_cache
+    if cached is not None and cached[0] == key:
+        rng.set_state_words(cached[2])
+        return [a.copy() for a in cached[1]]
     out = []
     for layer in state.layers:
         cov = layer.logit_cov()
         acc = np.zeros(layer.n_weights)
-        for _ in range(n_mc):
-            acc += sigmoid(sample_mvn_logits(layer.xi, rng, **cov)[0])
+        for rows in mvn_blocks(n_mc, layer.n_weights + layer.rank):
+            probs = sigmoid(sample_mvn_logits(layer.xi, rng, rows, **cov)[0])
+            # Fold the running sum into the first row; the reduction then
+            # adds rows in draw order, as a draw-by-draw loop would.
+            probs[0] += acc
+            acc = np.add.reduce(probs, axis=0)
         out.append((acc / n_mc).reshape(layer.shape))
-    state._alpha_cache = (key, [a.copy() for a in out])
+    state._alpha_cache = (key, [a.copy() for a in out], rng.state_words())
     return out
 
 

@@ -3,7 +3,7 @@
 All numeric state in this package is plain numpy float64 with C (row
 major) layout; the helpers here enforce that convention for vectors and
 provide the numerically careful primitives the rest of the code builds
-on: a shift-by-max log-softmax, the logistic pair, softplus with its
+on: a shift-by-max log-softmax, the logistic function, softplus with its
 inverse, and ``RngStream``, a Philox-backed stream keyed by
 ``(seed, stream_id)`` whose state can be serialized exactly.
 
@@ -28,7 +28,6 @@ from .errors import DomainError, NumericError, ShapeError
 __all__ = [
     "as_vector",
     "sigmoid",
-    "logit",
     "softplus",
     "softplus_inv",
     "log_sigmoid",
@@ -52,15 +51,6 @@ def as_vector(values, n: int | None = None) -> np.ndarray:
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), overflow safe."""
     return special.expit(x)
-
-
-def logit(p):
-    """Inverse logistic; the domain is the open interval (0, 1)."""
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("logit is defined on the open interval (0, 1)")
-    out = special.logit(arr)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
 def softplus(x):
@@ -107,7 +97,8 @@ class RngStream:
 
     The full generator position is exposed through ``state_words`` /
     ``from_state_words`` (13 raw uint64 words plus the two ids), which
-    round-trips exactly and is what checkpoints store.
+    round-trips exactly and is what checkpoints store;
+    ``set_state_words`` moves an existing stream to such a position.
     """
 
     _N_STATE_WORDS = 15  # counter(4) key(2) buffer(4) buffer_pos has_uint32 uinteger + seed + stream_id
@@ -157,6 +148,27 @@ class RngStream:
         words[14] = _U64(self.stream_id)
         return words
 
+    def set_state_words(self, words):
+        """Move this stream to the position captured by state_words.
+
+        The words must come from a stream with the same (seed, stream_id).
+        """
+        arr = np.asarray(words, dtype=_U64)
+        if arr.shape != (self._N_STATE_WORDS,):
+            raise ShapeError(
+                f"expected {self._N_STATE_WORDS} state words, got shape {arr.shape}"
+            )
+        if (int(arr[13]), int(arr[14])) != (self.seed, self.stream_id):
+            raise DomainError("state words belong to a different (seed, stream_id)")
+        st = self._bit.state
+        st["state"]["counter"][:] = arr[0:4]
+        st["state"]["key"][:] = arr[4:6]
+        st["buffer"][:] = arr[6:10]
+        st["buffer_pos"] = int(arr[10])
+        st["has_uint32"] = int(arr[11])
+        st["uinteger"] = int(arr[12])
+        self._bit.state = st
+
     @classmethod
     def from_state_words(cls, words) -> "RngStream":
         """Rebuild a stream at the exact position captured by state_words."""
@@ -166,12 +178,5 @@ class RngStream:
                 f"expected {cls._N_STATE_WORDS} state words, got shape {arr.shape}"
             )
         stream = cls(int(arr[13]), int(arr[14]))
-        st = stream._bit.state
-        st["state"]["counter"][:] = arr[0:4]
-        st["state"]["key"][:] = arr[4:6]
-        st["buffer"][:] = arr[6:10]
-        st["buffer_pos"] = int(arr[10])
-        st["has_uint32"] = int(arr[11])
-        st["uinteger"] = int(arr[12])
-        stream._bit.state = st
+        stream.set_state_words(arr)
         return stream

@@ -9,7 +9,7 @@ from conftest import ALL_FAMILIES, make_state, write_tensors
 from slabnn.checkpoint import (FORMAT_VERSION, MAGIC, load_checkpoint, read_manifest,
                                save_checkpoint)
 from slabnn.errors import FormatError
-from slabnn.model import PriorConfig
+from slabnn.model import Family, PriorConfig
 from slabnn.numkernel import RngStream
 
 
@@ -148,6 +148,38 @@ class TestFormatErrors:
         tensors[name][index] = value
         write_tensors(path, tensors)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("family,rank,widths,bad_tensor", [
+        (Family.MVN_LOWRANK, 2**40, None, "layer00/factor"),  # 64 TiB factor
+        (Family.MVN_FULL, 0, (40000, 2), "layer00/kappa"),     # 47.7 GiB Cholesky
+        (Family.MF, 0, (2**33, 2), "layer00/kappa"),           # 128 GiB per matrix
+    ])
+    def test_absurd_sizes_rejected_before_allocation(self, tmp_path, monkeypatch,
+                                                      family, rank, widths, bad_tensor):
+        path = tmp_path / "absurd.lbnn"
+        save_checkpoint(path, make_state(family, 2 if rank else 0, widths=(4, 2)))
+        tensors = read_manifest(path)
+        if widths is not None:
+            tensors["meta/widths"] = np.array(widths, dtype=np.float64)
+        tensors["meta/flags"][2] = rank
+        write_tensors(path, tensors)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("state allocated before the stored shapes were checked")
+
+        monkeypatch.setattr("slabnn.checkpoint.VariationalState", refuse)
+        with pytest.raises(FormatError, match=bad_tensor):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("family", [Family.MF, Family.MVN_FULL])
+    def test_rank_outside_lowrank_rejected(self, tmp_path, family):
+        path = tmp_path / "rank.lbnn"
+        save_checkpoint(path, make_state(family))
+        tensors = read_manifest(path)
+        tensors["meta/flags"][2] = 3
+        write_tensors(path, tensors)
+        with pytest.raises(FormatError, match="rank 3"):
             load_checkpoint(path)
 
     def test_missing_file_is_oserror(self, tmp_path):

@@ -7,8 +7,10 @@ from slabnn.distributions import (HyperParams, concrete_from_logits,
                                   concrete_transform,
                                   kl_bernoulli, kl_gaussian, logpdf_beta,
                                   logpdf_inv_gamma, sample_mvn_logits)
+from scipy.special import logit
+
 from slabnn.errors import DomainError
-from slabnn.numkernel import RngStream, logit, sigmoid
+from slabnn.numkernel import RngStream, sigmoid
 
 LN2 = 0.6931471805599453
 
@@ -154,11 +156,16 @@ class TestMvnLogits:
 
         class _Fixed:
             def std_normal(self, n):
-                return np.array([1.0, -1.0])[:n]
+                return np.resize([1.0, -1.0, 0.0, 1.0, 2.0, 0.0], n)
 
-        out, (eps,) = sample_mvn_logits(xi, _Fixed(), chol=chol)
-        np.testing.assert_allclose(out, [3.0, -2.0], atol=1e-15)
-        np.testing.assert_array_equal(eps, [1.0, -1.0])
+        out, (eps,) = sample_mvn_logits(xi, _Fixed(), 1, chol=chol)
+        np.testing.assert_allclose(out, [[3.0, -2.0]], atol=1e-15)
+        np.testing.assert_array_equal(eps, [[1.0, -1.0]])
+        # a block of three: row i is draw i, noise split by rows in order
+        out, (eps,) = sample_mvn_logits(xi, _Fixed(), 3, chol=chol)
+        np.testing.assert_allclose(out, [[3.0, -2.0], [1.0, 1.0], [5.0, 1.0]],
+                                   atol=1e-15)
+        np.testing.assert_array_equal(eps, [[1.0, -1.0], [0.0, 1.0], [2.0, 0.0]])
 
     def test_lowrank_covariance_mc(self):
         gen = np.random.default_rng(8)
@@ -166,11 +173,9 @@ class TestMvnLogits:
         diag = np.exp(gen.normal(size=4))
         xi = gen.normal(size=4)
         rng = RngStream(21, 0)
-        n = 200_000
-        draws = np.stack([sample_mvn_logits(xi, rng, factor=factor, diag=diag)[0]
-                          for _ in range(n // 1000)])
-        # keep runtime sane: 200 draws only checks the mean; covariance
-        # accuracy is covered by the dedicated acceptance criterion
+        draws = sample_mvn_logits(xi, rng, 200, factor=factor, diag=diag)[0]
+        # 200 draws only check the mean; covariance accuracy is covered
+        # by the dedicated acceptance criterion
         assert np.all(np.abs(draws.mean(axis=0) - xi) < 5 * np.sqrt(
             (np.sum(factor**2, axis=1) + diag) / draws.shape[0]))
 
@@ -182,11 +187,22 @@ class TestMvnLogits:
             def std_normal(self, n):
                 return np.ones(n)
 
-        out, (eps1, eps2) = sample_mvn_logits(xi, _Ones(), diag=diag)
-        np.testing.assert_allclose(out, [2.0, 3.0, 4.0], atol=1e-15)
+        out, (eps1, eps2) = sample_mvn_logits(xi, _Ones(), 1, diag=diag)
+        np.testing.assert_allclose(out, [[2.0, 3.0, 4.0]], atol=1e-15)
         assert eps1 is None
-        np.testing.assert_array_equal(eps2, np.ones(3))
-        out, _ = sample_mvn_logits(xi, _Ones(), diag=np.array([0.0, 1.0, 4.0]))
-        np.testing.assert_array_equal(out, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(eps2, np.ones((1, 3)))
+
+        class _Ramp:
+            def std_normal(self, n):
+                return np.arange(float(n))
+
+        # a block of three: the noise splits by rows in draw order
+        out, (eps1, eps2) = sample_mvn_logits(xi, _Ramp(), 3, diag=diag)
+        np.testing.assert_allclose(out, [[0.0, 3.0, 8.0], [6.0, 12.0, 20.0],
+                                         [12.0, 21.0, 32.0]], atol=1e-15)
+        assert eps1 is None
+        np.testing.assert_array_equal(eps2, np.arange(9.0).reshape(3, 3))
+        out, _ = sample_mvn_logits(xi, _Ones(), 1, diag=np.array([0.0, 1.0, 4.0]))
+        np.testing.assert_array_equal(out, [[0.0, 1.0, 2.0]])
         with pytest.raises(DomainError):
-            sample_mvn_logits(xi, _Ones(), diag=np.array([-1.0, 1.0, 4.0]))
+            sample_mvn_logits(xi, _Ones(), 1, diag=np.array([-1.0, 1.0, 4.0]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, make_state
+from slabnn.distributions import MVN_BLOCK_ELEMENTS
 from slabnn.errors import ConfigError, DomainError, ShapeError
 from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state,
                           marginal_inclusion, median_model,
@@ -226,6 +227,34 @@ class TestInclusionSummaries:
         a3 = marginal_inclusion(st, n_mc=500, rng=RngStream(3, 7))
         assert not np.allclose(a1[0], a3[0])
 
+    def test_cache_keys_on_stream_position(self):
+        st = make_state(Family.MVN_FULL)
+        marginal_inclusion(st, n_mc=50, rng=RngStream(3, 7))  # warm from the start
+        moved = RngStream(3, 7)
+        moved.std_normal(5)
+        got = marginal_inclusion(st, n_mc=50, rng=moved)
+        ref = RngStream(3, 7)
+        ref.std_normal(5)
+        want = marginal_inclusion(st.copy(), n_mc=50, rng=ref)  # copies start uncached
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(moved.state_words(), ref.state_words())
+
+    def test_cache_hit_leaves_stream_where_a_miss_would(self):
+        st = make_state(Family.MVN_LOWRANK, 2)
+        miss = RngStream(3, 7)
+        a1 = marginal_inclusion(st, n_mc=50, rng=miss)
+        hit = RngStream(3, 7)
+
+        def no_draw(n):
+            raise AssertionError("a cache hit must not draw")
+
+        hit.std_normal = hit.uniform = no_draw
+        a2 = marginal_inclusion(st, n_mc=50, rng=hit)
+        for x, y in zip(a1, a2):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(hit.state_words(), miss.state_words())
+
     def test_median_model_strict_threshold(self):
         st = make_state()
         st.layers[0].omega[...] = 0.0  # alpha exactly 1/2
@@ -249,6 +278,90 @@ class TestInclusionSummaries:
             np.testing.assert_array_equal(a, 1.0)
         for m in median_model(st):
             np.testing.assert_array_equal(m, 1.0)
+
+
+def _random_mvn_state(family, rank, widths, seed=11):
+    """A correlated-family state with every logit parameter off its init value."""
+    st = make_state(family, rank, seed=seed, widths=widths)
+    gen = np.random.default_rng(seed)
+    for lp in st.layers:
+        lp.xi[...] = gen.normal(size=lp.xi.size)
+        if family is Family.MVN_FULL:
+            lp.chol_raw[...] = np.tril(0.05 * gen.normal(size=lp.chol_raw.shape))
+            lp.chol_raw[np.diag_indices(lp.n_weights)] += softplus_inv(0.8)
+        else:
+            lp.log_diag[...] = gen.normal(scale=0.3, size=lp.n_weights)
+    st.bump_version()
+    return st
+
+
+def _loop_marginal_inclusion(state, n_mc, rng):
+    """Reference estimator: one logit draw at a time, layer after layer."""
+    out = []
+    for lp in state.layers:
+        chol = lp.chol() if state.family is Family.MVN_FULL else None
+        acc = np.zeros(lp.n_weights)
+        for _ in range(n_mc):
+            if chol is not None:
+                logits = lp.xi + chol @ rng.std_normal(lp.n_weights)
+            else:
+                logits = lp.xi.copy()
+                if lp.rank > 0:
+                    logits += lp.factor @ rng.std_normal(lp.rank)
+                logits += np.sqrt(lp.diag()) * rng.std_normal(lp.n_weights)
+            acc += sigmoid(logits)
+        out.append((acc / n_mc).reshape(lp.shape))
+    return out
+
+
+class TestBatchedMonteCarlo:
+    """The block-drawn Monte Carlo against the draw-by-draw definition."""
+
+    @pytest.mark.parametrize("family,rank,widths", [
+        (Family.MVN_FULL, 0, (30, 15, 2)),
+        (Family.MVN_LOWRANK, 0, (30, 15, 2)),
+        (Family.MVN_LOWRANK, 4, (30, 15, 2)),
+        # layer 0 holds (B // 100 + 2) * 100 > B weights, B the block budget
+        (Family.MVN_LOWRANK, 4, (MVN_BLOCK_ELEMENTS // 100 + 1, 100, 2)),
+    ])
+    def test_marginal_inclusion_matches_loop(self, family, rank, widths):
+        st = _random_mvn_state(family, rank, widths)
+        # two full blocks and a remainder on layer 0
+        block_rows = max(1, MVN_BLOCK_ELEMENTS // (st.layers[0].n_weights + rank))
+        n_mc = 2 * block_rows + 3
+        batched, looped = RngStream(4, 9), RngStream(4, 9)
+        got = marginal_inclusion(st, n_mc=n_mc, rng=batched)
+        want = _loop_marginal_inclusion(st, n_mc, looped)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(batched.state_words(), looped.state_words())
+
+    @pytest.mark.parametrize("family,rank", [
+        (Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 0), (Family.MVN_LOWRANK, 4),
+    ])
+    def test_sample_network_logits_match_single_draw(self, family, rank):
+        st = _random_mvn_state(family, rank, (30, 15, 2))
+        net = sample_network(st, 0.1, "relaxed", RngStream(5, 8))
+        ref = RngStream(5, 8)
+        for lp, ls in zip(st.layers, net.layers):
+            if family is Family.MVN_FULL:
+                eps = ref.std_normal(lp.n_weights)
+                np.testing.assert_array_equal(ls.eps_full, eps)
+                expected = lp.xi + lp.chol() @ eps
+            else:
+                expected = lp.xi.copy()
+                if rank > 0:
+                    eps1 = ref.std_normal(rank)
+                    np.testing.assert_array_equal(ls.eps_factor, eps1)
+                    expected += lp.factor @ eps1
+                else:
+                    assert ls.eps_factor is None
+                eps2 = ref.std_normal(lp.n_weights)
+                np.testing.assert_array_equal(ls.eps_diag, eps2)
+                expected += np.sqrt(lp.diag()) * eps2
+            np.testing.assert_array_equal(ls.logits.reshape(-1), expected)
+            ref.uniform(lp.n_weights)     # nu
+            ref.std_normal(lp.n_weights)  # slab eps
 
 
 class TestLayerParams:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from scipy.special import logit
+
 from slabnn.errors import DomainError, NumericError, ShapeError
-from slabnn.numkernel import (RngStream, as_vector, log_sigmoid, log_softmax, logit,
-                              sigmoid, softplus, softplus_inv)
+from slabnn.numkernel import (RngStream, as_vector, log_sigmoid, log_softmax, sigmoid,
+                              softplus, softplus_inv)
 
 
 def test_sigmoid_logit_round_trip():
@@ -25,13 +27,6 @@ def test_sigmoid_known_values():
     assert sigmoid(0.0) == 0.5
     # sigmoid(ln 3) = 3/4 exactly in real arithmetic
     np.testing.assert_allclose(sigmoid(np.log(3.0)), 0.75, rtol=1e-15)
-
-
-def test_logit_rejects_closed_endpoints():
-    with pytest.raises(DomainError):
-        logit(np.array([0.0]))
-    with pytest.raises(DomainError):
-        logit(np.array([1.0]))
 
 
 def test_softplus_inverse_and_large_arguments():
@@ -117,6 +112,17 @@ class TestRngStream:
         clone = RngStream.from_state_words(words)
         np.testing.assert_array_equal(clone.uniform(100), rng.uniform(100))
         np.testing.assert_array_equal(clone.std_normal(7), rng.std_normal(7))
+
+    def test_set_state_words_moves_an_existing_stream(self):
+        ahead = RngStream(99, 5)
+        ahead.std_normal(13)
+        rng = RngStream(99, 5)
+        rng.set_state_words(ahead.state_words())
+        np.testing.assert_array_equal(rng.uniform(20), ahead.uniform(20))
+        with pytest.raises(DomainError):
+            RngStream(99, 6).set_state_words(ahead.state_words())
+        with pytest.raises(ShapeError):
+            rng.set_state_words(ahead.state_words()[:14])
 
     def test_state_words_roundtrip_fresh(self):
         rng = RngStream(5, 2)
