@@ -174,7 +174,11 @@ def read_manifest(path):
             raise FormatError(
                 f"implausible tensor name length {name_len} at byte offset {rd.off - 4}"
             )
-        name = rd.take(name_len, "tensor name").decode("utf-8")
+        try:
+            name = rd.take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"tensor name at byte offset {rd.off - name_len} "
+                              "is not utf-8") from None
         rank = rd.u32("tensor rank")
         if rank > 8:
             raise FormatError(
@@ -183,7 +187,10 @@ def read_manifest(path):
         dims = tuple(rd.u64("tensor dim") for _ in range(rank))
         count = math.prod(dims)  # exact: a huge count reports truncation
         raw = rd.take(8 * count, f"data of tensor {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        except ValueError:  # e.g. an empty tensor whose other dims overflow
+            raise FormatError(f"tensor {name} has unrepresentable dims {dims}") from None
     if rd.off != len(data):
         raise FormatError(f"trailing bytes after last tensor at byte offset {rd.off}")
     return tensors
@@ -223,6 +230,8 @@ def load_checkpoint(path) -> CheckpointData:
     pri = _require(tensors, "meta/prior_init")
     if pri.shape != (6,):
         raise FormatError(f"meta/prior_init must have 6 entries, got {pri.shape}")
+    if not np.all(np.isfinite(pri)):  # a NaN passes every range check below
+        raise FormatError(f"meta/prior_init must be finite, got {pri.tolist()}")
     try:
         prior = PriorConfig(
             sigma2=float(pri[0]), psi=float(pri[1]),

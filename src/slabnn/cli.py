@@ -50,7 +50,7 @@ Config schema (defaults in parentheses)::
     batch_size = INT (100)  draws = INT (1)  delta = FLOAT (0.1)
     kl_mode = analytic | sampled   (analytic)
     gamma_policy = resample | median_fixed   (resample; posttrain only)
-    alpha_mc = INT (1000)
+    alpha_mc = INT (1000)          accepted; inclusion probabilities are exact
     lr_weights / lr_omega / lr_xi / lr_cov / lr_sigma2 / lr_psi /
     lr_psi_hyper / lr_beta_hyper = FLOAT   (stock table for the family)
     # no phase sections at all: the stock 20 pretrain + 250 train schedule
@@ -58,7 +58,7 @@ Config schema (defaults in parentheses)::
     [predict]
     gamma = sim | all | med (sim)  beta = sim | mea (sim)
     replicates = INT (10)          threshold = FLOAT (0.95)
-    alpha_mc = INT (1000)
+    alpha_mc = INT (1000)          accepted; inclusion probabilities are exact
 
     [run]
     seeds = INT,INT,... (1)
@@ -99,8 +99,12 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 # Stream ids 0..3 belong to the trainer; prediction replicates derive
 # 1 + r from their base stream, so these bases keep all runs disjoint.
+# Only STREAM_METRICS_ALPHA + 1 (inclusion correlations) draws from the
+# metrics base: inclusion probabilities are exact.
 STREAM_PREDICT = 999
 STREAM_METRICS_ALPHA = 998
+
+ALPHA_MC_HELP = "accepted; inclusion probabilities are exact"
 
 _FORMATS = ("csv", "idx", "synth_logistic", "synth_clusters")
 _FAMILY_NAMES = {f.value: f for f in Family}
@@ -217,7 +221,6 @@ class RunConfig:
     phases: list
     predict_mode: PredictionMode
     threshold: float
-    alpha_mc: int
     seeds: tuple
     output_dir: str
     run_id: str
@@ -442,7 +445,7 @@ def load_config(path: str) -> RunConfig:
     threshold = pd.floating("threshold", default=0.95)
     if threshold is not None and not (0.0 <= threshold < 1.0):
         problems.append("[predict] threshold: must lie in [0, 1)")
-    alpha_mc = pd.integer("alpha_mc", default=1000, minimum=1)
+    pd.integer("alpha_mc", default=1000, minimum=1)  # accepted, not used
     predict_mode = None
     try:
         predict_mode = PredictionMode(gamma or "sim", beta or "sim", replicates or 1)
@@ -469,7 +472,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         dataset=dataset, spec=spec, prior=prior, family=family, rank=rank,
         init_tau=init_tau, phases=phases, predict_mode=predict_mode,
-        threshold=threshold, alpha_mc=alpha_mc, seeds=seeds,
+        threshold=threshold, seeds=seeds,
         output_dir=output_dir, run_id=run_id,
     )
 
@@ -501,11 +504,10 @@ def _build_datasets(ds: dict):
     return train_ds, (test_ds if test_ds.n else train_ds), has_labels
 
 
-def _network_metrics(state, eval_ds, mode, threshold, alpha_mc, seed, run_id,
-                     has_labels):
+def _network_metrics(state, eval_ds, mode, threshold, seed, run_id, has_labels):
     """Predict on the eval set and assemble the per-run report."""
     rng = RngStream(seed, STREAM_PREDICT)
-    result = predict(state, eval_ds.features, mode, rng=rng, alpha_mc=alpha_mc)
+    result = predict(state, eval_ds.features, mode, rng=rng)
     doubt = classify_with_doubt(result.probs, threshold)
     plain = classify_with_doubt(result.probs, 0.0)
     report = MetricsReport(run_id=run_id, seed=seed)
@@ -515,9 +517,7 @@ def _network_metrics(state, eval_ds, mode, threshold, alpha_mc, seed, run_id,
                                          restrict_to_classified=True)
         report.doubt_classified = doubt.n_classified
     report.density = density_level(result.masks)
-    alpha_hat = marginal_inclusion(state, n_mc=alpha_mc,
-                                   rng=RngStream(seed, STREAM_METRICS_ALPHA))
-    report.layer_rho = layer_inclusion_means(alpha_hat)
+    report.layer_rho = layer_inclusion_means(marginal_inclusion(state))
     return result, doubt, report
 
 
@@ -552,8 +552,8 @@ def cmd_train(args) -> int:
                              checkpoint_dir=seed_dir)
         trace.to_jsonl(os.path.join(seed_dir, "trace.jsonl"))
         result, doubt, report = _network_metrics(
-            state, eval_ds, cfg.predict_mode, cfg.threshold, cfg.alpha_mc,
-            seed, cfg.run_id, has_labels)
+            state, eval_ds, cfg.predict_mode, cfg.threshold, seed, cfg.run_id,
+            has_labels)
         report.epoch_time_s = trace.mean_epoch_seconds()
         export_predictions_csv(os.path.join(seed_dir, "predictions.csv"),
                                result, doubt)
@@ -624,7 +624,7 @@ def cmd_predict(args) -> int:
         return 1
     mode = _mode_from_flags(args)
     rng = RngStream(args.seed, STREAM_PREDICT)
-    result = predict(state, data.features, mode, rng=rng, alpha_mc=args.alpha_mc)
+    result = predict(state, data.features, mode, rng=rng)
     doubt = classify_with_doubt(result.probs, args.threshold)
     export_predictions_csv(args.out, result, doubt)
     print(f"[predict] mode={mode.gamma}/{mode.beta} replicates={mode.replicates} "
@@ -659,15 +659,13 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     mode = _mode_from_flags(args)
     rng = RngStream(args.seed, STREAM_PREDICT)
-    result = predict(state, data.features, mode, rng=rng, alpha_mc=args.alpha_mc)
+    result = predict(state, data.features, mode, rng=rng)
     cdf_in = entropy_cdf(result.probs)
     cdf_in.to_csv(os.path.join(args.out, "entropy_in.csv"))
 
     report = MetricsReport(run_id=os.path.basename(args.checkpoint), seed=args.seed)
     report.density = density_level(result.masks)
-    alpha_hat = marginal_inclusion(state, n_mc=args.alpha_mc,
-                                   rng=RngStream(args.seed, STREAM_METRICS_ALPHA))
-    report.layer_rho = layer_inclusion_means(alpha_hat)
+    report.layer_rho = layer_inclusion_means(marginal_inclusion(state))
     report.extra["median_entropy_in"] = cdf_in.median
     if has_labels:
         doubt = classify_with_doubt(result.probs, args.threshold)
@@ -684,8 +682,7 @@ def cmd_eval(args) -> int:
                   f"out-of-domain data has {ood.p}", file=sys.stderr)
             return 1
         rng_ood = RngStream(args.seed, STREAM_PREDICT)
-        result_ood = predict(state, ood.features, mode, rng=rng_ood,
-                             alpha_mc=args.alpha_mc)
+        result_ood = predict(state, ood.features, mode, rng=rng_ood)
         cdf_ood = entropy_cdf(result_ood.probs)
         cdf_ood.to_csv(os.path.join(args.out, "entropy_ood.csv"))
         report.extra["median_entropy_ood"] = cdf_ood.median
@@ -731,9 +728,7 @@ def cmd_inspect(args) -> int:
         arr = tensors[name]
         dims = "x".join(str(d) for d in arr.shape) or "scalar"
         print(f"  {name}  ({dims})")
-    alpha_hat = marginal_inclusion(state, n_mc=args.alpha_mc,
-                                   rng=RngStream(0, STREAM_METRICS_ALPHA))
-    rho = layer_inclusion_means(alpha_hat)
+    rho = layer_inclusion_means(marginal_inclusion(state))
     for l, layer in enumerate(state.layers):
         count = sum(getattr(layer, name).size for name in layer.param_names())
         print(f"layer {l}: weights={layer.shape[0]}x{layer.shape[1]} "
@@ -762,7 +757,8 @@ def _add_mode_flags(sub):
     sub.add_argument("--beta", choices=("sim", "mea"), default="sim")
     sub.add_argument("-R", "--replicates", type=int, default=10)
     sub.add_argument("--threshold", type=float, default=0.95)
-    sub.add_argument("--alpha-mc", dest="alpha_mc", type=int, default=1000)
+    sub.add_argument("--alpha-mc", dest="alpha_mc", type=int, default=1000,
+                     help=ALPHA_MC_HELP)
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -797,7 +793,8 @@ def main(argv=None) -> int:
 
     p_ins = subs.add_parser("inspect", help="print a checkpoint's contents")
     p_ins.add_argument("checkpoint")
-    p_ins.add_argument("--alpha-mc", dest="alpha_mc", type=int, default=200)
+    p_ins.add_argument("--alpha-mc", dest="alpha_mc", type=int, default=200,
+                       help=ALPHA_MC_HELP)
     p_ins.set_defaults(func=cmd_inspect)
 
     args = parser.parse_args(argv)

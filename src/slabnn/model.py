@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (HyperParams, concrete_from_logits, mvn_blocks,
+from .distributions import (HyperParams, concrete_from_logits, logit_normal_mean,
                             sample_mvn_logits)
 from .errors import ConfigError, DomainError, ShapeError
 from .numkernel import RngStream, sigmoid, softplus, softplus_inv
@@ -201,6 +201,12 @@ class LayerParams:
             raise DomainError("diag() is only defined for the low-rank family")
         return np.exp(self.log_diag)
 
+    def logit_sd(self) -> np.ndarray:
+        """Marginal sd of each correlated inclusion logit (root covariance diagonal)."""
+        if self.family is Family.MVN_FULL:
+            return np.linalg.norm(self.chol(), axis=1)
+        return np.sqrt(np.sum(self.factor**2, axis=1) + self.diag())
+
     def logit_cov(self) -> dict:
         """Covariance keywords of ``sample_mvn_logits`` for this layer's logits."""
         if self.family is Family.MVN_FULL:
@@ -211,8 +217,7 @@ class LayerParams:
 class VariationalState:
     """All trainable parameters plus bookkeeping shared by the trainer.
 
-    ``version`` increments on every optimizer step and invalidates the
-    cached marginal inclusion probabilities.
+    ``version`` increments on every optimizer step.
     """
 
     def __init__(self, spec: NetworkSpec, prior: PriorConfig, family: Family,
@@ -226,7 +231,6 @@ class VariationalState:
             for l in range(spec.n_transitions)
         ]
         self.version = 0
-        self._alpha_cache = None
 
     @property
     def n_transitions(self) -> int:
@@ -240,7 +244,6 @@ class VariationalState:
 
     def bump_version(self):
         self.version += 1
-        self._alpha_cache = None
 
     def copy(self) -> "VariationalState":
         """Deep copy of every parameter array (used for epoch snapshots)."""
@@ -414,45 +417,19 @@ def marginal_inclusion(state: VariationalState, n_mc: int = 1000,
                        rng: RngStream = None) -> list:
     """Per-weight marginal inclusion probabilities alpha_hat, one matrix per layer.
 
-    Exact for the mean-field family and for fixed_dense states (all
-    ones); the MVN families integrate the logit distribution by Monte
-    Carlo with ``n_mc`` draws, which requires an rng.  Each layer draws
-    its logits in blocks (``mvn_blocks``, one ``sample_mvn_logits`` call
-    per block), so the stream is consumed exactly as by ``n_mc``
-    single draws per layer, layer after layer, and the sigmoids are
-    summed in draw order.
-
-    MVN results are cached on the state, keyed by (version, n_mc, stream
-    position at entry).  A repeated call from the same position makes
-    no draw: it returns the cached values and moves the stream to the
-    position a fresh computation would leave it at.
+    Exact for every family, and nothing is drawn.  Mean field gives
+    sigmoid(omega) and fixed_dense states all ones.  A correlated
+    family's logit i is marginally N(xi_i, s_i^2), with s_i from
+    ``LayerParams.logit_sd``, so alpha_hat_i = E[sigmoid(logit i)] is the
+    1-D integral ``logit_normal_mean(xi_i, s_i)``.  ``n_mc`` and ``rng``
+    are accepted for compatibility and not used.
     """
     if state.prior.fixed_dense:
         return [np.ones(layer.shape) for layer in state.layers]
     if state.family is Family.MF:
         return [sigmoid(layer.omega) for layer in state.layers]
-    if rng is None:
-        raise DomainError("marginal_inclusion needs an rng for MVN families")
-    if n_mc < 1:
-        raise DomainError("n_mc must be at least 1")
-    key = (state.version, int(n_mc), rng.state_words().tobytes())
-    cached = state._alpha_cache
-    if cached is not None and cached[0] == key:
-        rng.set_state_words(cached[2])
-        return [a.copy() for a in cached[1]]
-    out = []
-    for layer in state.layers:
-        cov = layer.logit_cov()
-        acc = np.zeros(layer.n_weights)
-        for rows in mvn_blocks(n_mc, layer.n_weights + layer.rank):
-            probs = sigmoid(sample_mvn_logits(layer.xi, rng, rows, **cov)[0])
-            # Fold the running sum into the first row; the reduction then
-            # adds rows in draw order, as a draw-by-draw loop would.
-            probs[0] += acc
-            acc = np.add.reduce(probs, axis=0)
-        out.append((acc / n_mc).reshape(layer.shape))
-    state._alpha_cache = (key, [a.copy() for a in out], rng.state_words())
-    return out
+    return [logit_normal_mean(layer.xi, layer.logit_sd()).reshape(layer.shape)
+            for layer in state.layers]
 
 
 def median_model(state: VariationalState, alpha_hat=None, n_mc: int = 1000,
@@ -460,16 +437,21 @@ def median_model(state: VariationalState, alpha_hat=None, n_mc: int = 1000,
     """0/1 masks of the median probability model: include iff alpha_hat > 1/2.
 
     The threshold is strict, so a weight sitting exactly at 1/2 is
-    excluded.  ``alpha_hat`` may be passed to reuse a cached estimate.
+    excluded.  ``alpha_hat`` may be passed to reuse computed values;
+    ``n_mc`` and ``rng`` are accepted and not used (see
+    ``marginal_inclusion``).
     """
     if alpha_hat is None:
-        alpha_hat = marginal_inclusion(state, n_mc=n_mc, rng=rng)
+        alpha_hat = marginal_inclusion(state)
     return [(a > 0.5).astype(np.float64) for a in alpha_hat]
 
 
 def posterior_mean_weights(state: VariationalState, alpha_hat=None, n_mc: int = 1000,
                            rng: RngStream = None) -> list:
-    """Deterministic weights alpha_hat * kappa used by the mean prediction mode."""
+    """Deterministic weights alpha_hat * kappa used by the mean prediction mode.
+
+    ``n_mc`` and ``rng`` are accepted and not used (see ``marginal_inclusion``).
+    """
     if alpha_hat is None:
-        alpha_hat = marginal_inclusion(state, n_mc=n_mc, rng=rng)
+        alpha_hat = marginal_inclusion(state)
     return [a * layer.kappa for a, layer in zip(alpha_hat, state.layers)]

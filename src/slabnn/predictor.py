@@ -18,8 +18,9 @@ the Concrete relaxation: indicators are exact Bernoulli draws.
 
 Replicate r consumes stream (seed, stream_id + 1 + r) derived from the
 passed rng's key, so the first replicates of an R=1 and an R=10 call
-with the same rng are identical, and the inclusion-probability Monte
-Carlo (correlated families) uses the passed stream itself.  A result
+with the same rng are identical.  The inclusion probabilities are exact
+for every family and draw nothing, so the deterministic modes (all/mea,
+med/mea) run without an rng.  A result
 records the masks each replicate used, which is what the density level
 summarizes (union across replicates, biases included).
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from .elbo import forward_logits
 from .errors import ConfigError, DomainError, ShapeError
-from .model import (Family, SampledLayer, SampledNetwork, VariationalState,
+from .model import (SampledLayer, SampledNetwork, VariationalState,
                     marginal_inclusion, median_model, posterior_mean_weights,
                     sample_network)
 from .numkernel import RngStream, log_softmax
@@ -123,10 +124,10 @@ def predict(state: VariationalState, features, mode: PredictionMode,
             rng: RngStream = None, alpha_mc: int = 1000) -> PredictiveResult:
     """Class probabilities for a design block under the given mode.
 
-    Needs an rng whenever anything is sampled (sim replicates) or the
-    inclusion probabilities require Monte Carlo (correlated families);
-    deterministic mean-field modes run without one.  Given the same
-    rng key the result is reproducible draw for draw.
+    Needs an rng whenever anything is sampled (sim replicates); the
+    deterministic modes run without one, for every family.  Given the
+    same rng key the result is reproducible draw for draw.  ``alpha_mc``
+    is accepted and not used: the inclusion probabilities are exact.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != state.spec.widths[0]:
@@ -136,16 +137,12 @@ def predict(state: VariationalState, features, mode: PredictionMode,
             "all/sim keeps every connection while sampling slabs, which this "
             "model family only defines for fixed-dense states"
         )
-    needs_alpha = mode.gamma == "med" or (mode.gamma == "all" and mode.beta == "mea")
-    needs_mc_alpha = (needs_alpha and state.family is not Family.MF
-                      and not state.prior.fixed_dense)
-    needs_rng = mode.beta == "sim" or mode.gamma == "sim" or needs_mc_alpha
-    if needs_rng and rng is None:
+    if (mode.beta == "sim" or mode.gamma == "sim") and rng is None:
         raise DomainError("this prediction mode needs an rng")
 
     alpha_hat = None
-    if needs_alpha:
-        alpha_hat = marginal_inclusion(state, n_mc=alpha_mc, rng=rng)
+    if mode.gamma == "med" or (mode.gamma == "all" and mode.beta == "mea"):
+        alpha_hat = marginal_inclusion(state)
 
     if mode.beta == "mea":
         if mode.gamma == "all":

@@ -79,6 +79,7 @@ PARAM_GROUP = {
 PHASE_NAMES = ("pretrain", "train", "posttrain")
 
 # Reserved stream ids per run seed; prediction uses 1000 + replicate.
+# STREAM_ALPHA no longer draws; checkpoints keep its (initial) position.
 STREAM_INIT = 0
 STREAM_SHUFFLE = 1
 STREAM_SAMPLE = 2
@@ -109,8 +110,9 @@ class PhaseConfig:
     missing groups are frozen.  ``gamma_policy`` only matters for the
     posttrain phase: "resample" keeps drawing indicators, while
     "median_fixed" conditions every step on the median probability
-    mask computed at phase entry (``alpha_mc`` Monte Carlo draws for
-    the correlated families).
+    mask computed at phase entry from the exact inclusion
+    probabilities.  ``alpha_mc`` is accepted (and must be at least 1)
+    but not used.
     """
 
     name: str
@@ -290,8 +292,7 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
 
 
 def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
-              rng_sample: RngStream, rng_shuffle: RngStream,
-              rng_alpha: RngStream = None, fixed_masks=None,
+              rng_sample: RngStream, rng_shuffle: RngStream, fixed_masks=None,
               step_counter: list = None) -> list:
     """Run one phase in place; returns per-epoch trace records.
 
@@ -299,16 +300,20 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
     partitions it into minibatches of ``phase.batch_size`` (last one
     possibly smaller) and takes one optimizer step per minibatch.  The
     record per epoch carries the mean minibatch ELBO estimate and the
-    wall-clock seconds spent.  On non-finite numbers the state rolls
-    back to the last completed epoch and ``TrainingAborted`` is raised
-    with the completed records attached.
+    wall-clock seconds spent.  ``step_counter[0]``, when given, counts
+    the optimizer steps of the whole run.  On non-finite numbers the
+    state rolls back to the last completed epoch and ``TrainingAborted``
+    is raised with the completed records attached; its message names
+    the phase, the epoch, the 1-based minibatch within the epoch and
+    the run's step number (counted from 0 at phase entry without a
+    ``step_counter``).
     """
     if phase.name == "posttrain" and phase.gamma_policy == "median_fixed" \
             and fixed_masks is None:
-        # rng_alpha is only consumed by the correlated families.
-        alpha_hat = marginal_inclusion(state, n_mc=phase.alpha_mc, rng=rng_alpha)
-        fixed_masks = median_model(state, alpha_hat=alpha_hat)
+        # Called through this module's name: perfbench/spans.py traces it here.
+        fixed_masks = median_model(state, alpha_hat=marginal_inclusion(state))
     moments = AdamMoments(state)
+    steps = step_counter if step_counter is not None else [0]
     n = data.size
     records = []
     for epoch in range(1, phase.epochs + 1):
@@ -316,9 +321,9 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
         t0 = time.perf_counter()
         perm = rng_shuffle.permutation(n)
         acc = 0.0
-        n_batches = 0
         try:
-            for start in range(0, n, phase.batch_size):
+            for batch, start in enumerate(range(0, n, phase.batch_size), 1):
+                step = steps[0] + 1
                 idx = perm[start:start + phase.batch_size]
                 mb = Batch(data.features[idx], data.labels[idx], n_total=n)
                 value, grads = elbo_gradient(
@@ -326,17 +331,16 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
                     phase=phase.name, kl_mode=phase.kl_mode, fixed_masks=fixed_masks,
                 )
                 adam_step(state, grads, moments, phase.lr)
-                if step_counter is not None:
-                    step_counter[0] += 1
+                steps[0] = step
                 acc += value
-                n_batches += 1
-            mean_elbo = acc / n_batches
+            mean_elbo = acc / batch
             if not np.isfinite(mean_elbo):
                 raise NumericError("epoch mean ELBO is not finite")
         except NumericError as exc:
             state.restore_from(snapshot)
             raise TrainingAborted(
-                f"{phase.name} epoch {epoch} aborted: {exc}", records
+                f"{phase.name} epoch {epoch} minibatch {batch} (global step {step}) "
+                f"aborted: {exc}", records
             ) from exc
         records.append({
             "phase": phase.name,
@@ -378,10 +382,11 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
     """Initialize and run the full schedule; returns (state, report).
 
     Streams are carved out of the run seed by fixed ids (0 init,
-    1 shuffle, 2 sampling noise, 3 inclusion-probability Monte Carlo),
-    so two calls with identical arguments produce bit-identical states
-    and, when ``checkpoint_dir`` is given, byte-identical checkpoint
-    files (one per completed phase plus ``checkpoint_final.lbnn``).
+    1 shuffle, 2 sampling noise, 3 reserved: checkpointed but never
+    drawn, since inclusion probabilities are exact), so two calls with
+    identical arguments produce bit-identical states and, when
+    ``checkpoint_dir`` is given, byte-identical checkpoint files (one
+    per completed phase plus ``checkpoint_final.lbnn``).
     On an aborted phase the rolled-back state is still checkpointed
     before the abort propagates.  Groups outside ``live_groups(family,
     prior)`` keep their parameters bit-identical whatever the phases'
@@ -421,7 +426,7 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
     for phase in phases:
         try:
             records = run_phase(state, data, phase, rng_sample, rng_shuffle,
-                                rng_alpha=rng_alpha, step_counter=steps)
+                                step_counter=steps)
         except TrainingAborted as exc:
             report.records.extend(exc.records)
             counters["epochs"] += len(exc.records)

@@ -135,11 +135,29 @@ class TestFormatErrors:
         with pytest.raises(FormatError, match="truncated checkpoint"):
             read_manifest(path)
 
+    def test_non_utf8_name_rejected(self, tmp_path):
+        head = struct.pack("<I", 2) + b"\xed\x80" + struct.pack("<IQ", 1, 0)
+        path = tmp_path / "name.lbnn"
+        path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, 1) + head)
+        with pytest.raises(FormatError, match="name at byte offset 16 is not utf-8"):
+            read_manifest(path)
+
+    def test_empty_tensor_with_overflowing_dims_rejected(self, tmp_path):
+        # zero entries, so no bytes follow, but no array has these dims
+        name = b"meta/widths"
+        head = struct.pack("<I", len(name)) + name + struct.pack("<IQQ", 2, 2**63, 0)
+        path = tmp_path / "empty.lbnn"
+        path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, 1) + head)
+        with pytest.raises(FormatError, match="unrepresentable dims"):
+            read_manifest(path)
+
     @pytest.mark.parametrize("name,index,value", [
         ("meta/flags", 2, np.nan),
         ("meta/counters", 1, np.inf),
         ("meta/activations", 0, 7.0),
         ("meta/activations", 0, -1.0),
+        ("meta/prior_init", 0, np.nan),
+        ("meta/prior_init", 3, np.inf),
     ])
     def test_bad_meta_codes_rejected(self, tmp_path, name, index, value):
         path = tmp_path / "meta.lbnn"

@@ -5,9 +5,11 @@ import pytest
 
 from slabnn.distributions import (HyperParams, concrete_from_logits,
                                   concrete_transform,
-                                  kl_bernoulli, kl_gaussian, logpdf_beta,
-                                  logpdf_inv_gamma, sample_mvn_logits)
-from scipy.special import logit
+                                  kl_bernoulli, kl_gaussian, logit_normal_mean,
+                                  logpdf_beta, logpdf_inv_gamma,
+                                  sample_mvn_logits)
+from scipy import integrate
+from scipy.special import expit, logit
 
 from slabnn.errors import DomainError
 from slabnn.numkernel import RngStream, sigmoid
@@ -206,3 +208,54 @@ class TestMvnLogits:
         np.testing.assert_array_equal(out, [[0.0, 1.0, 2.0]])
         with pytest.raises(DomainError):
             sample_mvn_logits(xi, _Ones(), 1, diag=np.array([-1.0, 1.0, 4.0]))
+
+
+def _quad_logit_normal_mean(mean, sd):
+    """Adaptive reference: integrate sigmoid(mean + sd z) against N(0, 1) on |z| <= 40.
+
+    Breakpoints around the sigmoid's step at z = -mean / sd let ``quad``
+    resolve it even when sd is large.
+    """
+    def f(z):
+        return expit(mean + sd * z) * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+
+    points = None
+    if sd > 0.0:
+        offsets = np.array([-40.0, -10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0, 40.0])
+        p = (offsets - mean) / sd
+        p = p[np.abs(p) < 40.0]
+        points = list(p) if p.size else None
+    return integrate.quad(f, -40.0, 40.0, points=points, epsabs=1e-13, epsrel=1e-13,
+                          limit=2000)[0]
+
+
+class TestLogitNormalMean:
+    MEANS = (-30.0, -5.0, -0.3, 0.0, 0.3, 5.0, 30.0)
+    SDS = (0.0, 1e-8, 1e-3, 0.5, 0.999, 1.0, 1.001, 3.0, 50.0, 1e3)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_matches_adaptive_quadrature(self):
+        m, s = np.meshgrid(self.MEANS, self.SDS, indexing="ij")
+        got = logit_normal_mean(m, s)
+        want = np.vectorize(_quad_logit_normal_mean)(m, s)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_zero_mean_is_exactly_half(self):
+        sds = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 200)])
+        np.testing.assert_array_equal(logit_normal_mean(np.zeros(sds.size), sds), 0.5)
+
+    def test_zero_sd_is_the_sigmoid(self):
+        m = np.linspace(-20.0, 20.0, 81)
+        np.testing.assert_allclose(logit_normal_mean(m, 0.0), sigmoid(m),
+                                   rtol=0, atol=1e-15)
+
+    def test_broadcast_scalar_and_domain(self):
+        assert isinstance(logit_normal_mean(0.7, 2.0), float)
+        out = logit_normal_mean(np.array([[0.5], [-0.5]]), np.array([0.2, 4.0]))
+        assert out.shape == (2, 2)
+        # odd in the mean: E sigmoid(-l) = 1 - E sigmoid(l)
+        np.testing.assert_allclose(out[0] + out[1], 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(DomainError):
+            logit_normal_mean(0.0, -1e-3)
+        with pytest.raises(DomainError):
+            logit_normal_mean(0.0, np.nan)

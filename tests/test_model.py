@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, make_state
-from slabnn.distributions import MVN_BLOCK_ELEMENTS
+from slabnn.distributions import (MVN_BLOCK_ELEMENTS, logit_normal_mean,
+                                  mvn_blocks, sample_mvn_logits)
 from slabnn.errors import ConfigError, DomainError, ShapeError
 from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state,
                           marginal_inclusion, median_model,
@@ -48,12 +49,10 @@ class TestInit:
         assert [lp.log_diag.shape for lp in st.layers] == [(10,), (9,), (8,)]
 
     def test_inclusion_starts_at_half(self):
+        # omega or xi starts at zero, and the quadrature is exactly 1/2 there
         for family, rank in ALL_FAMILIES:
-            st = make_state(family, rank)
-            alpha = marginal_inclusion(st, n_mc=4000, rng=RngStream(0, 9))
-            for a in alpha:
-                # exactly 1/2 for MF (omega zero); MC-close for MVN
-                assert np.all(np.abs(a - 0.5) < 0.05)
+            for a in marginal_inclusion(make_state(family, rank)):
+                np.testing.assert_array_equal(a, 0.5)
 
     def test_tau_starts_at_init_value(self):
         st = make_state(init_tau=0.07)
@@ -193,19 +192,32 @@ class TestInclusionSummaries:
         alpha = marginal_inclusion(st)
         np.testing.assert_allclose(alpha[1], sigmoid(0.8), atol=1e-15)
 
-    def test_mvn_needs_rng(self):
-        st = make_state(Family.MVN_FULL)
-        with pytest.raises(DomainError):
-            marginal_inclusion(st)
+    def test_mvn_needs_no_rng(self):
+        for family, rank in ALL_FAMILIES[1:]:
+            st = _random_mvn_state(family, rank, (4, 3, 2))
+            rng = RngStream(3, 7)
+            seeded = marginal_inclusion(st, n_mc=50, rng=rng)
+            for a, b in zip(marginal_inclusion(st), seeded):
+                np.testing.assert_array_equal(a, b)
+            # nothing was drawn
+            np.testing.assert_array_equal(rng.state_words(),
+                                          RngStream(3, 7).state_words())
 
     def test_mvn_symmetric_case_is_half(self):
-        # xi = 0 keeps the logit distribution symmetric around zero, so
-        # the marginal is exactly 1/2 regardless of the covariance.
-        st = make_state(Family.MVN_FULL, seed=4)
-        st.layers[0].chol_raw[np.diag_indices(15)] = 2.0
-        st.bump_version()
-        alpha = marginal_inclusion(st, n_mc=20_000, rng=RngStream(1, 5))
-        assert np.all(np.abs(alpha[0] - 0.5) < 0.02)
+        # A zero logit mean keeps the logit distribution symmetric around
+        # zero, so the marginal is exactly 1/2 regardless of the covariance.
+        for family, rank in ALL_FAMILIES:
+            st = make_state(family, rank, seed=4)
+            if family is Family.MVN_FULL:
+                st.layers[0].chol_raw[np.diag_indices(15)] = 2.0
+                st.layers[1].chol_raw[...] = np.tril(np.full((8, 8), 0.3))
+            elif family is Family.MVN_LOWRANK:
+                for lp in st.layers:
+                    lp.factor *= 20.0
+                    lp.log_diag[...] = np.linspace(-9.0, 5.0, lp.n_weights)
+            st.bump_version()
+            for a in marginal_inclusion(st):
+                np.testing.assert_array_equal(a, 0.5)
 
     def test_mvn_tiny_noise_approaches_sigmoid_xi(self):
         st = make_state(Family.MVN_LOWRANK, rank=0, seed=6)
@@ -216,44 +228,17 @@ class TestInclusionSummaries:
         alpha = marginal_inclusion(st, n_mc=50, rng=RngStream(2, 6))
         np.testing.assert_allclose(alpha[0].reshape(-1), sigmoid(lp.xi), atol=1e-5)
 
-    def test_cache_hit_and_invalidation(self):
+    def test_alpha_follows_in_place_edit(self):
+        # No version bump: nothing may serve alpha from before the edit.
         st = make_state(Family.MVN_FULL)
         a1 = marginal_inclusion(st, n_mc=500, rng=RngStream(3, 7))
+        lp = st.layers[0]
+        lp.xi += 1.0
         a2 = marginal_inclusion(st, n_mc=500, rng=RngStream(3, 7))
-        for x, y in zip(a1, a2):
-            np.testing.assert_array_equal(x, y)
-        st.layers[0].xi += 1.0
-        st.bump_version()
-        a3 = marginal_inclusion(st, n_mc=500, rng=RngStream(3, 7))
-        assert not np.allclose(a1[0], a3[0])
-
-    def test_cache_keys_on_stream_position(self):
-        st = make_state(Family.MVN_FULL)
-        marginal_inclusion(st, n_mc=50, rng=RngStream(3, 7))  # warm from the start
-        moved = RngStream(3, 7)
-        moved.std_normal(5)
-        got = marginal_inclusion(st, n_mc=50, rng=moved)
-        ref = RngStream(3, 7)
-        ref.std_normal(5)
-        want = marginal_inclusion(st.copy(), n_mc=50, rng=ref)  # copies start uncached
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-        np.testing.assert_array_equal(moved.state_words(), ref.state_words())
-
-    def test_cache_hit_leaves_stream_where_a_miss_would(self):
-        st = make_state(Family.MVN_LOWRANK, 2)
-        miss = RngStream(3, 7)
-        a1 = marginal_inclusion(st, n_mc=50, rng=miss)
-        hit = RngStream(3, 7)
-
-        def no_draw(n):
-            raise AssertionError("a cache hit must not draw")
-
-        hit.std_normal = hit.uniform = no_draw
-        a2 = marginal_inclusion(st, n_mc=50, rng=hit)
-        for x, y in zip(a1, a2):
-            np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(hit.state_words(), miss.state_words())
+        assert np.all(a2[0] > a1[0])
+        np.testing.assert_array_equal(
+            a2[0], logit_normal_mean(lp.xi, lp.logit_sd()).reshape(lp.shape))
+        np.testing.assert_array_equal(a2[1], a1[1])
 
     def test_median_model_strict_threshold(self):
         st = make_state()
@@ -295,27 +280,62 @@ def _random_mvn_state(family, rank, widths, seed=11):
     return st
 
 
-def _loop_marginal_inclusion(state, n_mc, rng):
-    """Reference estimator: one logit draw at a time, layer after layer."""
+def _loop_logit_draws(state, n_mc, rng):
+    """Reference sampler: one logit draw at a time, layer after layer.
+
+    Returns one (n_mc, n_weights) array of draws per layer.
+    """
     out = []
     for lp in state.layers:
         chol = lp.chol() if state.family is Family.MVN_FULL else None
-        acc = np.zeros(lp.n_weights)
-        for _ in range(n_mc):
+        draws = np.empty((n_mc, lp.n_weights))
+        for i in range(n_mc):
             if chol is not None:
-                logits = lp.xi + chol @ rng.std_normal(lp.n_weights)
+                draws[i] = lp.xi + chol @ rng.std_normal(lp.n_weights)
             else:
-                logits = lp.xi.copy()
+                draws[i] = lp.xi
                 if lp.rank > 0:
-                    logits += lp.factor @ rng.std_normal(lp.rank)
-                logits += np.sqrt(lp.diag()) * rng.std_normal(lp.n_weights)
-            acc += sigmoid(logits)
-        out.append((acc / n_mc).reshape(lp.shape))
+                    draws[i] += lp.factor @ rng.std_normal(lp.rank)
+                draws[i] += np.sqrt(lp.diag()) * rng.std_normal(lp.n_weights)
+        out.append(draws)
     return out
 
 
+def _blocked_logit_draws(state, n_mc, rng):
+    """The same draws from ``sample_mvn_logits`` over ``mvn_blocks``."""
+    return [np.concatenate([sample_mvn_logits(lp.xi, rng, rows, **lp.logit_cov())[0]
+                            for rows in mvn_blocks(n_mc, lp.n_weights + lp.rank)])
+            for lp in state.layers]
+
+
+class TestExactInclusion:
+    @pytest.mark.parametrize("family,rank", [
+        (Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 0), (Family.MVN_LOWRANK, 4),
+    ])
+    def test_within_four_standard_errors_of_monte_carlo(self, family, rank):
+        st = _random_mvn_state(family, rank, (6, 5, 3))
+        exact = marginal_inclusion(st)
+        for a, draws in zip(exact, _loop_logit_draws(st, 2000, RngStream(6, 9))):
+            p = sigmoid(draws)
+            se = p.std(axis=0, ddof=1) / np.sqrt(p.shape[0])
+            assert np.all(np.abs(a.reshape(-1) - p.mean(axis=0)) <= 4.0 * se)
+
+    @pytest.mark.parametrize("family,rank", [
+        (Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 0), (Family.MVN_LOWRANK, 4),
+    ])
+    def test_logit_sd_is_root_covariance_diagonal(self, family, rank):
+        st = _random_mvn_state(family, rank, (4, 3, 2))
+        for lp in st.layers:
+            if family is Family.MVN_FULL:
+                cov = lp.chol() @ lp.chol().T
+            else:
+                cov = lp.factor @ lp.factor.T + np.diag(lp.diag())
+            np.testing.assert_allclose(lp.logit_sd(), np.sqrt(np.diag(cov)),
+                                       rtol=1e-14, atol=0)
+
+
 class TestBatchedMonteCarlo:
-    """The block-drawn Monte Carlo against the draw-by-draw definition."""
+    """The block sampler that the correlation metric uses, against single draws."""
 
     @pytest.mark.parametrize("family,rank,widths", [
         (Family.MVN_FULL, 0, (30, 15, 2)),
@@ -325,15 +345,19 @@ class TestBatchedMonteCarlo:
         (Family.MVN_LOWRANK, 4, (MVN_BLOCK_ELEMENTS // 100 + 1, 100, 2)),
     ])
     def test_marginal_inclusion_matches_loop(self, family, rank, widths):
+        # The Monte Carlo inclusion estimate from blocked draws equals the
+        # draw-by-draw one: same draws, same stream position after.
         st = _random_mvn_state(family, rank, widths)
         # two full blocks and a remainder on layer 0
         block_rows = max(1, MVN_BLOCK_ELEMENTS // (st.layers[0].n_weights + rank))
         n_mc = 2 * block_rows + 3
         batched, looped = RngStream(4, 9), RngStream(4, 9)
-        got = marginal_inclusion(st, n_mc=n_mc, rng=batched)
-        want = _loop_marginal_inclusion(st, n_mc, looped)
+        got = _blocked_logit_draws(st, n_mc, batched)
+        want = _loop_logit_draws(st, n_mc, looped)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sigmoid(g).mean(axis=0), sigmoid(w).mean(axis=0),
+                                       rtol=0, atol=1e-12)
         np.testing.assert_array_equal(batched.state_words(), looped.state_words())
 
     @pytest.mark.parametrize("family,rank", [

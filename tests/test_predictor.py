@@ -66,11 +66,19 @@ class TestPredict:
         np.testing.assert_array_equal(res_med.probs, again.probs)
         assert not np.allclose(res_med.probs, res_all.probs)
 
-    def test_correlated_family_median_needs_rng(self):
+    def test_correlated_family_mean_modes_need_no_rng(self):
         st = make_state(Family.MVN_FULL, seed=55)
-        with pytest.raises(DomainError):
-            predict(st, _features(), PredictionMode("med", "mea"))
-        predict(st, _features(), PredictionMode("med", "mea"), rng=RngStream(0, 99))
+        st.layers[0].xi[...] = np.linspace(-2.0, 2.0, st.layers[0].n_weights)
+        st.layers[1].xi[...] = 1.0
+        st.bump_version()
+        x = _features()
+        for gamma in ("med", "all"):
+            free = predict(st, x, PredictionMode(gamma, "mea"))
+            seeded = predict(st, x, PredictionMode(gamma, "mea"), rng=RngStream(0, 99))
+            np.testing.assert_array_equal(free.probs, seeded.probs)
+        # the median mask is neither empty nor full, so med/mea is a real check
+        kept = sum(float(m.sum()) for m in median_model(st))
+        assert 0.0 < kept < sum(lp.n_weights for lp in st.layers)
 
     def test_all_sim_rejected_unless_dense(self):
         st = make_state(seed=56)

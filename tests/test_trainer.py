@@ -1,6 +1,7 @@
 """Optimizer, phase schedule, and full training loop behavior."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -165,10 +166,21 @@ class TestRunPhase:
         st = make_state(seed=48, widths=(3, 2))
         start = st.copy()
         bad = PhaseConfig("train", epochs=8, lr={"weights": 1e18}, batch_size=16)
+        steps = [100]  # steps of earlier phases
         with pytest.raises(TrainingAborted) as err:
-            run_phase(st, data, bad, RngStream(7, 2), RngStream(7, 1))
+            run_phase(st, data, bad, RngStream(7, 2), RngStream(7, 1),
+                      step_counter=steps)
         k = len(err.value.records)
         assert k < 8
+        # the message names the epoch, the 1-based minibatch within it
+        # (40 rows at 16 per batch: three minibatches) and the run's step
+        found = re.search(r"train epoch (\d+) minibatch (\d+) \(global step (\d+)\)",
+                          str(err.value))
+        assert found is not None, str(err.value)
+        epoch, batch, step = (int(g) for g in found.groups())
+        assert epoch == k + 1 and 1 <= batch <= 3
+        assert step == 100 + 3 * k + batch
+        assert steps[0] == step - 1  # the failed step is not counted
         replay = PhaseConfig("train", epochs=k, lr={"weights": 1e18},
                              batch_size=16)
         run_phase(start, data, replay, RngStream(7, 2), RngStream(7, 1))
@@ -186,8 +198,7 @@ class TestRunPhase:
         phase = PhaseConfig("posttrain", epochs=3, lr={"weights": 0.01},
                             batch_size=20, gamma_policy="median_fixed")
         omega_before = st.layers[0].omega.copy()
-        run_phase(st, data, phase, RngStream(8, 2), RngStream(8, 1),
-                  rng_alpha=RngStream(8, 3))
+        run_phase(st, data, phase, RngStream(8, 2), RngStream(8, 1))
         # structure untouched, median mask unchanged
         np.testing.assert_array_equal(st.layers[0].omega, omega_before)
         for a, b in zip(median_model(st), masks_before):
