@@ -50,7 +50,6 @@ Config schema (defaults in parentheses)::
     batch_size = INT (100)  draws = INT (1)  delta = FLOAT (0.1)
     kl_mode = analytic | sampled   (analytic)
     gamma_policy = resample | median_fixed   (resample; posttrain only)
-    alpha_mc = INT (1000)          accepted; inclusion probabilities are exact
     lr_weights / lr_omega / lr_xi / lr_cov / lr_sigma2 / lr_psi /
     lr_psi_hyper / lr_beta_hyper = FLOAT   (stock table for the family)
     # no phase sections at all: the stock 20 pretrain + 250 train schedule
@@ -58,7 +57,7 @@ Config schema (defaults in parentheses)::
     [predict]
     gamma = sim | all | med (sim)  beta = sim | mea (sim)
     replicates = INT (10)          threshold = FLOAT (0.95)
-    alpha_mc = INT (1000)          accepted; inclusion probabilities are exact
+    # gamma=sim needs beta=sim; gamma=all with beta=sim needs fixed_dense
 
     [run]
     seeds = INT,INT,... (1)
@@ -87,7 +86,7 @@ from .errors import ConfigError, FormatError, SlabnnError
 from .metrics import (MetricsReport, accuracy, entropy_cdf,
                       inclusion_correlation, layer_inclusion_means,
                       summarize_runs)
-from .model import (MVN_FULL_WEIGHT_CAP, Family, NetworkSpec, PriorConfig,
+from .model import (Family, NetworkSpec, PriorConfig, family_problems,
                     marginal_inclusion)
 from .numkernel import RngStream
 from .predictor import (PredictionMode, classify_with_doubt, density_level,
@@ -104,8 +103,6 @@ __all__ = ["RunConfig", "load_config", "main"]
 STREAM_PREDICT = 999
 STREAM_METRICS_ALPHA = 998
 
-ALPHA_MC_HELP = "accepted; inclusion probabilities are exact"
-
 _FORMATS = ("csv", "idx", "synth_logistic", "synth_clusters")
 _FAMILY_NAMES = {f.value: f for f in Family}
 
@@ -120,11 +117,11 @@ _KNOWN_KEYS = {
     "model": {"widths", "activations", "family", "rank", "fixed_dense", "init_tau"},
     "prior": {"sigma2", "psi", "a_beta", "b_beta", "a_psi", "b_psi",
               "learn_sigma2", "learn_psi", "learn_hyper"},
-    "predict": {"gamma", "beta", "replicates", "threshold", "alpha_mc"},
+    "predict": {"gamma", "beta", "replicates", "threshold"},
     "run": {"seeds", "output_dir", "run_id"},
 }
 _PHASE_KEYS = {"epochs", "batch_size", "draws", "delta", "kl_mode",
-               "gamma_policy", "alpha_mc"} | {f"lr_{g}" for g in GROUPS}
+               "gamma_policy"} | {f"lr_{g}" for g in GROUPS}
 
 _BOOL_STATES = configparser.ConfigParser.BOOLEAN_STATES
 
@@ -346,8 +343,6 @@ def load_config(path: str) -> RunConfig:
     init_tau = model.floating("init_tau", default=0.05)
     if init_tau is not None and init_tau <= 0.0:
         problems.append("[model] init_tau: must be positive")
-    if rank and family is not Family.MVN_LOWRANK:
-        problems.append("[model] rank: only meaningful with family = mvn_lowrank")
 
     spec = None
     if widths is not None:
@@ -359,13 +354,7 @@ def load_config(path: str) -> RunConfig:
             spec = NetworkSpec(widths=widths, activations=activations)
         except ConfigError as exc:
             problems.append(f"[model] {exc}")
-    if spec is not None and family is Family.MVN_FULL:
-        worst = max(spec.n_weights(l) for l in range(spec.n_transitions))
-        if worst > MVN_FULL_WEIGHT_CAP:
-            problems.append(
-                f"[model] family: mvn_full needs every layer at or below "
-                f"{MVN_FULL_WEIGHT_CAP} weights; widths give {worst}"
-            )
+    problems.extend(f"[model] {p}" for p in family_problems(family, rank, spec))
 
     pr = _SectionReader("prior", sections.get("prior", {}), problems)
     prior = None
@@ -427,7 +416,6 @@ def load_config(path: str) -> RunConfig:
                                       choices=("analytic", "sampled")),
                     gamma_policy=rd.string("gamma_policy", default="resample",
                                            choices=("resample", "median_fixed")),
-                    alpha_mc=rd.integer("alpha_mc", default=1000, minimum=1),
                 )
                 try:
                     phases.append(PhaseConfig(phase_name, **kwargs))
@@ -445,7 +433,6 @@ def load_config(path: str) -> RunConfig:
     threshold = pd.floating("threshold", default=0.95)
     if threshold is not None and not (0.0 <= threshold < 1.0):
         problems.append("[predict] threshold: must lie in [0, 1)")
-    pd.integer("alpha_mc", default=1000, minimum=1)  # accepted, not used
     predict_mode = None
     try:
         predict_mode = PredictionMode(gamma or "sim", beta or "sim", replicates or 1)
@@ -615,6 +602,7 @@ def _mode_from_flags(args) -> PredictionMode:
 
 
 def cmd_predict(args) -> int:
+    mode = _mode_from_flags(args)
     stored = ckpt.load_checkpoint(args.checkpoint)
     data, has_labels = _data_from_flags(args)
     state = stored.state
@@ -622,7 +610,6 @@ def cmd_predict(args) -> int:
         print(f"error: checkpoint expects {state.spec.widths[0]} features, "
               f"data has {data.p}", file=sys.stderr)
         return 1
-    mode = _mode_from_flags(args)
     rng = RngStream(args.seed, STREAM_PREDICT)
     result = predict(state, data.features, mode, rng=rng)
     doubt = classify_with_doubt(result.probs, args.threshold)
@@ -649,6 +636,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    mode = _mode_from_flags(args)
     stored = ckpt.load_checkpoint(args.checkpoint)
     state = stored.state
     data, has_labels = _data_from_flags(args)
@@ -657,7 +645,6 @@ def cmd_eval(args) -> int:
               f"data has {data.p}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    mode = _mode_from_flags(args)
     rng = RngStream(args.seed, STREAM_PREDICT)
     result = predict(state, data.features, mode, rng=rng)
     cdf_in = entropy_cdf(result.probs)
@@ -757,8 +744,6 @@ def _add_mode_flags(sub):
     sub.add_argument("--beta", choices=("sim", "mea"), default="sim")
     sub.add_argument("-R", "--replicates", type=int, default=10)
     sub.add_argument("--threshold", type=float, default=0.95)
-    sub.add_argument("--alpha-mc", dest="alpha_mc", type=int, default=1000,
-                     help=ALPHA_MC_HELP)
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -793,8 +778,6 @@ def main(argv=None) -> int:
 
     p_ins = subs.add_parser("inspect", help="print a checkpoint's contents")
     p_ins.add_argument("checkpoint")
-    p_ins.add_argument("--alpha-mc", dest="alpha_mc", type=int, default=200,
-                       help=ALPHA_MC_HELP)
     p_ins.set_defaults(func=cmd_inspect)
 
     args = parser.parse_args(argv)

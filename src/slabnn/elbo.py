@@ -452,27 +452,8 @@ def _accumulate_backward(state, sampled, d_weights, bundle, with_structure,
                     np.sum(g * (0.5 - ls.beta**2 / (2.0 * sigma2)))
                 )
         if dlogit is not None:
-            _route_logit_gradient(state, layer, ls, dlogit, bundle.layers[l])
+            layer.route_logit_grad(dlogit, ls.noise, grads)
     return kl_value
-
-
-def _route_logit_gradient(state, layer, ls, dlogit, grads):
-    """Push a gradient on the inclusion logits into the family parameters."""
-    if state.family is Family.MF:
-        grads["omega"] += dlogit
-        return
-    dvec = dlogit.reshape(-1)
-    grads["xi"] += dvec
-    if state.family is Family.MVN_FULL:
-        douter = np.outer(dvec, ls.eps_full)
-        dl = np.tril(douter)
-        diag = np.diagonal(douter) * sigmoid(np.diagonal(layer.chol_raw))
-        dl[np.diag_indices_from(dl)] = diag
-        grads["chol_raw"] += dl
-    else:
-        if layer.rank > 0:
-            grads["factor"] += np.outer(dvec, ls.eps_factor)
-        grads["log_diag"] += dvec * ls.eps_diag * 0.5 * np.sqrt(layer.diag())
 
 
 def _add_hyperprior_grads(state, bundle):

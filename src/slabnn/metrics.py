@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .distributions import mvn_blocks, sample_mvn_logits
+from .distributions import mvn_blocks
 from .errors import DomainError, ShapeError
-from .model import Family, VariationalState
+from .model import VariationalState
 from .numkernel import RngStream, sigmoid
 
 __all__ = [
@@ -121,10 +121,10 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
 
     Draws ``n_samples`` hard indicator vectors (fresh inclusion
     probabilities per draw for the correlated families) and correlates
-    the flattened weight positions.  The correlated families draw in
-    blocks (``mvn_blocks``): per block, the block's logits from one
-    ``sample_mvn_logits`` call, then the block's uniforms, row by row.
-    Returns ``(corr, constant)``
+    the flattened weight positions.  Every family draws in blocks
+    (``mvn_blocks``): per block, the block's logits from one
+    ``LayerParams.logit_sampler`` call (mean field draws nothing there),
+    then the block's uniforms, row by row.  Returns ``(corr, constant)``
     where ``constant`` flags positions whose draws never varied; their
     rows and columns are zero by convention (diagonal included),
     non-constant positions have unit diagonal.
@@ -137,16 +137,12 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
     n_w = lp.n_weights
     if state.prior.fixed_dense:
         draws = np.ones((n_samples, n_w))
-    elif state.family is Family.MF:
-        alpha = sigmoid(lp.omega).reshape(-1)
-        u = rng.uniform(n_samples * n_w).reshape(n_samples, n_w)
-        draws = (u < alpha).astype(np.float64)
     else:
-        cov = lp.logit_cov()
+        draw = lp.logit_sampler()
         draws = np.empty((n_samples, n_w))
         start = 0
         for rows in mvn_blocks(n_samples, n_w + lp.rank):
-            logits = sample_mvn_logits(lp.xi, rng, rows, **cov)[0]
+            logits = draw(rng, rows)[0]
             u = rng.uniform(rows * n_w).reshape(rows, n_w)
             draws[start:start + rows] = u < sigmoid(logits)
             start += rows

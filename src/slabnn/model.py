@@ -16,6 +16,10 @@ inclusion side:
 * ``Family.MVN_LOWRANK``: same, with covariance F F^T + D for a learned
   dim x r factor and positive diagonal (rank 0 allowed).
 
+``LayerParams`` is the one place that knows the family: parameter
+shapes, initial values, logit sampler, exact inclusion probabilities and
+logit-gradient routing.  ``family_problems`` holds the rank and size rules.
+
 Per layer the state also carries the point-estimated prior slab
 variance ``log_sigma2`` and prior inclusion probability ``logit_psi``
 together with their hyperprior shapes, all updated only during the
@@ -47,6 +51,7 @@ __all__ = [
     "VariationalState",
     "SampledLayer",
     "SampledNetwork",
+    "family_problems",
     "init_state",
     "sample_network",
     "marginal_inclusion",
@@ -56,8 +61,8 @@ __all__ = [
 
 ACTIVATIONS = ("relu", "identity")
 
-# Default ceiling on per-layer weight count for the full-covariance
-# family; its Cholesky factor is quadratic in that count.
+# Ceiling on per-layer weight count for the full-covariance family; its
+# Cholesky factor is quadratic in that count.
 MVN_FULL_WEIGHT_CAP = 10_000
 
 
@@ -207,18 +212,70 @@ class LayerParams:
             return np.linalg.norm(self.chol(), axis=1)
         return np.sqrt(np.sum(self.factor**2, axis=1) + self.diag())
 
-    def logit_cov(self) -> dict:
-        """Covariance keywords of ``sample_mvn_logits`` for this layer's logits."""
+    def init_structure(self, rng: RngStream):
+        """Initial structure values: every logit at mean 0, unit variance.
+
+        The low-rank factor is drawn N(0, 0.01), the only draw, and the
+        diagonal makes up the rest of the unit variance (at least 0.05).
+        """
         if self.family is Family.MVN_FULL:
-            return {"chol": self.chol()}
-        return {"factor": self.factor, "diag": self.diag()}
+            self.chol_raw[np.diag_indices(self.n_weights)] = softplus_inv(1.0)
+        elif self.family is Family.MVN_LOWRANK:
+            if self.rank > 0:
+                self.factor[...] = 0.1 * rng.std_normal(
+                    self.n_weights * self.rank
+                ).reshape(self.n_weights, self.rank)
+            resid = 1.0 - np.sum(self.factor**2, axis=1)
+            self.log_diag[...] = np.log(np.maximum(resid, 0.05))
+
+    def logit_sampler(self):
+        """``draw(rng, n) -> (logits (n, n_weights), noise)``, as ``sample_mvn_logits``.
+
+        The covariance factor is built once per sampler.  Mean field
+        draws nothing: its rows are ``omega`` (read-only) and noise ``()``.
+        """
+        if self.family is Family.MF:
+            row = self.omega.reshape(1, -1)
+            return lambda rng, n: (np.broadcast_to(row, (n, self.n_weights)), ())
+        if self.family is Family.MVN_FULL:
+            cov = {"chol": self.chol()}
+        else:
+            cov = {"factor": self.factor, "diag": self.diag()}
+        return lambda rng, n: sample_mvn_logits(self.xi, rng, n, **cov)
+
+    def inclusion(self) -> np.ndarray:
+        """Exact marginal inclusion probabilities alpha_hat, as a weight matrix.
+
+        A correlated logit i is marginally N(xi_i, s_i^2), s_i from
+        ``logit_sd``, so alpha_hat_i is ``logit_normal_mean(xi_i, s_i)``.
+        """
+        if self.family is Family.MF:
+            return sigmoid(self.omega)
+        return logit_normal_mean(self.xi, self.logit_sd()).reshape(self.shape)
+
+    def route_logit_grad(self, dlogit: np.ndarray, noise: tuple, grads: dict):
+        """Add one draw's logit gradient, given its ``noise``, into ``grads``."""
+        if self.family is Family.MF:
+            grads["omega"] += dlogit
+            return
+        dvec = dlogit.reshape(-1)
+        grads["xi"] += dvec
+        if self.family is Family.MVN_FULL:
+            (eps,) = noise
+            douter = np.outer(dvec, eps)
+            dl = np.tril(douter)
+            dl[np.diag_indices_from(dl)] = (np.diagonal(douter)
+                                            * sigmoid(np.diagonal(self.chol_raw)))
+            grads["chol_raw"] += dl
+            return
+        eps1, eps2 = noise
+        if eps1 is not None:
+            grads["factor"] += np.outer(dvec, eps1)
+        grads["log_diag"] += dvec * eps2 * 0.5 * np.sqrt(self.diag())
 
 
 class VariationalState:
-    """All trainable parameters plus bookkeeping shared by the trainer.
-
-    ``version`` increments on every optimizer step.
-    """
+    """All trainable parameters plus bookkeeping shared by the trainer."""
 
     def __init__(self, spec: NetworkSpec, prior: PriorConfig, family: Family,
                  rank: int = 0):
@@ -230,7 +287,6 @@ class VariationalState:
             LayerParams(family, spec.weight_shape(l), rank)
             for l in range(spec.n_transitions)
         ]
-        self.version = 0
 
     @property
     def n_transitions(self) -> int:
@@ -242,22 +298,17 @@ class VariationalState:
             for name in layer.param_names():
                 yield l, name, getattr(layer, name)
 
-    def bump_version(self):
-        self.version += 1
-
     def copy(self) -> "VariationalState":
         """Deep copy of every parameter array (used for epoch snapshots)."""
         other = VariationalState(self.spec, self.prior, self.family, self.rank)
         for (_, name, src), (l2, n2, _) in zip(self.param_items(), other.param_items()):
             getattr(other.layers[l2], n2)[...] = src
-        other.version = self.version
         return other
 
     def restore_from(self, snapshot: "VariationalState"):
         """Overwrite every parameter array with the snapshot's values."""
         for (l, name, dst), (_, _, src) in zip(self.param_items(), snapshot.param_items()):
             dst[...] = src
-        self.bump_version()
 
 
 @dataclass
@@ -270,11 +321,8 @@ class SampledLayer:
     effective: np.ndarray      # gamma_tilde * beta, the weights used by forward
     eps: np.ndarray            # slab noise
     tau: np.ndarray            # softplus(rho) at draw time
-    nu: np.ndarray = None      # uniform noise (absent for fixed indicators)
-    logits: np.ndarray = None  # inclusion logits, matrix view (absent when fixed dense)
-    eps_factor: np.ndarray = None  # low-rank factor noise
-    eps_diag: np.ndarray = None    # low-rank diagonal noise
-    eps_full: np.ndarray = None    # full-covariance noise
+    logits: np.ndarray = None  # inclusion logits, matrix view (absent when fixed)
+    noise: tuple = ()          # logit noise of this draw (see LayerParams.logit_sampler)
     fixed_indicators: bool = False # True when gamma came from a mask or fixed_dense
 
 
@@ -284,36 +332,47 @@ class SampledNetwork:
 
     layers: list
     spec: NetworkSpec
-    family: Family
     delta: float
-    mode: str
+
+
+def family_problems(family: Family, rank: int, spec: NetworkSpec) -> list:
+    """Messages for each broken family rule; empty when the choice is valid.
+
+    Only the low-rank family takes a rank (nonnegative), and mvn_full
+    takes at most ``MVN_FULL_WEIGHT_CAP`` weights per layer of ``spec``
+    (unchecked when ``spec`` is None).
+    """
+    problems = []
+    if family is Family.MVN_LOWRANK and rank < 0:
+        problems.append(f"rank: must be nonnegative, got {rank}")
+    if family is not Family.MVN_LOWRANK and rank != 0:
+        problems.append(f"rank: only meaningful with family = mvn_lowrank, "
+                        f"got {rank} with family = {family.value}")
+    if family is Family.MVN_FULL and spec is not None:
+        for l in range(spec.n_transitions):
+            if spec.n_weights(l) > MVN_FULL_WEIGHT_CAP:
+                problems.append(
+                    f"family: layer {l} has {spec.n_weights(l)} weights; mvn_full "
+                    f"is capped at {MVN_FULL_WEIGHT_CAP} per layer"
+                )
+    return problems
 
 
 def init_state(spec: NetworkSpec, prior: PriorConfig, family: Family, rng: RngStream,
-               rank: int = 0, init_tau: float = 0.05,
-               mvn_full_cap: int = MVN_FULL_WEIGHT_CAP) -> VariationalState:
+               rank: int = 0, init_tau: float = 0.05) -> VariationalState:
     """Fresh variational state with the documented initialization.
 
     kappa ~ N(0, 1/fan_in) with fan_in the layer input width, tau
-    starts at ``init_tau`` everywhere, inclusion probabilities start at
-    1/2 (omega or xi zero), the low-rank factor is drawn N(0, 0.01) and
-    its diagonal is set so each logit has unit marginal variance, and
-    the full-covariance Cholesky starts at the identity.  Prior values
-    come from ``prior`` and must sit in their hyperpriors' support.
-    Deterministic given the rng: a fixed seed reproduces the state
-    bit for bit.
+    starts at ``init_tau`` everywhere, and the structure parameters
+    start as ``LayerParams.init_structure`` sets them (inclusion
+    probabilities at 1/2).  Prior values come from ``prior`` and must
+    sit in their hyperpriors' support.  Raises ``ConfigError`` for the
+    problems ``family_problems`` lists.  Deterministic given the rng: a
+    fixed seed reproduces the state bit for bit.
     """
-    if family is Family.MVN_LOWRANK and rank < 0:
-        raise ConfigError("rank must be nonnegative")
-    if family is not Family.MVN_LOWRANK and rank != 0:
-        raise ConfigError("rank is only meaningful for the low-rank family")
-    if family is Family.MVN_FULL:
-        for l in range(spec.n_transitions):
-            if spec.n_weights(l) > mvn_full_cap:
-                raise ConfigError(
-                    f"layer {l} has {spec.n_weights(l)} weights; the full-covariance "
-                    f"family is capped at {mvn_full_cap} per layer"
-                )
+    problems = family_problems(family, rank, spec)
+    if problems:
+        raise ConfigError("; ".join(problems))
     state = VariationalState(spec, prior, family, rank)
     rho0 = softplus_inv(float(init_tau))
     for l, layer in enumerate(state.layers):
@@ -321,16 +380,7 @@ def init_state(spec: NetworkSpec, prior: PriorConfig, family: Family, rng: RngSt
         sd = 1.0 / np.sqrt(fan_in)
         layer.kappa[...] = sd * rng.std_normal(layer.n_weights).reshape(layer.shape)
         layer.rho[...] = rho0
-        if family is Family.MVN_FULL:
-            diag_raw = softplus_inv(1.0)  # unit marginal sd for every logit
-            layer.chol_raw[np.diag_indices(layer.n_weights)] = diag_raw
-        elif family is Family.MVN_LOWRANK:
-            if rank > 0:
-                layer.factor[...] = 0.1 * rng.std_normal(
-                    layer.n_weights * rank
-                ).reshape(layer.n_weights, rank)
-            resid = 1.0 - np.sum(layer.factor**2, axis=1)
-            layer.log_diag[...] = np.log(np.maximum(resid, 0.05))
+        layer.init_structure(rng)
         layer.log_sigma2[0] = np.log(prior.sigma2)
         layer.logit_psi[0] = np.log(prior.psi) - np.log1p(-prior.psi)
         layer.a_beta[0] = prior.hyper.a_beta
@@ -351,9 +401,9 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
     median-fixed fine-tuning phase conditions on a mask.
 
     Noise draw order per layer is fixed and documented: structure noise
-    first (full: eps, low rank: eps1 then eps2), then the uniform nu
-    matrix, then the slab eps matrix.  fixed_dense states and fixed
-    masks skip the structure and nu draws entirely.
+    first (full: eps, low rank: eps1 then eps2, mean field: none), then
+    the uniform nu matrix, then the slab eps matrix.  fixed_dense states
+    and fixed masks skip the structure and nu draws entirely.
 
     Invariant: ``effective = gamma_tilde * beta`` holds exactly, entry
     by entry, for every layer.
@@ -369,8 +419,7 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
         shape = layer.shape
         n_w = layer.n_weights
         logits_mat = None
-        eps_factor = eps_diag = eps_full = None
-        nu = None
+        noise = ()
         fixed = False
         if fixed_masks is not None:
             mask = np.asarray(fixed_masks[l], dtype=np.float64)
@@ -384,16 +433,9 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
             gamma = np.ones(shape)
             fixed = True
         else:
-            if state.family is Family.MF:
-                logits_mat = layer.omega
-            else:
-                block, noise = sample_mvn_logits(layer.xi, rng, 1, **layer.logit_cov())
-                noise = [None if e is None else e[0] for e in noise]
-                if state.family is Family.MVN_FULL:
-                    (eps_full,) = noise
-                else:
-                    eps_factor, eps_diag = noise
-                logits_mat = block[0].reshape(shape)
+            block, noise = layer.logit_sampler()(rng, 1)
+            noise = tuple(None if e is None else e[0] for e in noise)
+            logits_mat = block[0].reshape(shape)
             alpha = sigmoid(logits_mat)
             nu = rng.uniform(n_w).reshape(shape)
             if mode == "relaxed":
@@ -405,53 +447,38 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
         beta = layer.kappa + tau * eps
         layers.append(SampledLayer(
             alpha=alpha, gamma_tilde=gamma, beta=beta, effective=gamma * beta,
-            eps=eps, tau=tau, nu=nu, logits=logits_mat,
-            eps_factor=eps_factor, eps_diag=eps_diag, eps_full=eps_full,
+            eps=eps, tau=tau, logits=logits_mat, noise=noise,
             fixed_indicators=fixed,
         ))
-    return SampledNetwork(layers=layers, spec=state.spec, family=state.family,
-                          delta=float(delta), mode=mode)
+    return SampledNetwork(layers=layers, spec=state.spec, delta=float(delta))
 
 
 def marginal_inclusion(state: VariationalState, n_mc: int = 1000,
                        rng: RngStream = None) -> list:
     """Per-weight marginal inclusion probabilities alpha_hat, one matrix per layer.
 
-    Exact for every family, and nothing is drawn.  Mean field gives
-    sigmoid(omega) and fixed_dense states all ones.  A correlated
-    family's logit i is marginally N(xi_i, s_i^2), with s_i from
-    ``LayerParams.logit_sd``, so alpha_hat_i = E[sigmoid(logit i)] is the
-    1-D integral ``logit_normal_mean(xi_i, s_i)``.  ``n_mc`` and ``rng``
-    are accepted for compatibility and not used.
+    Exact for every family (``LayerParams.inclusion``), and nothing is
+    drawn; fixed_dense states give all ones.  ``n_mc`` and ``rng`` are
+    accepted for compatibility and not used.
     """
     if state.prior.fixed_dense:
         return [np.ones(layer.shape) for layer in state.layers]
-    if state.family is Family.MF:
-        return [sigmoid(layer.omega) for layer in state.layers]
-    return [logit_normal_mean(layer.xi, layer.logit_sd()).reshape(layer.shape)
-            for layer in state.layers]
+    return [layer.inclusion() for layer in state.layers]
 
 
-def median_model(state: VariationalState, alpha_hat=None, n_mc: int = 1000,
-                 rng: RngStream = None) -> list:
+def median_model(state: VariationalState, alpha_hat=None) -> list:
     """0/1 masks of the median probability model: include iff alpha_hat > 1/2.
 
     The threshold is strict, so a weight sitting exactly at 1/2 is
-    excluded.  ``alpha_hat`` may be passed to reuse computed values;
-    ``n_mc`` and ``rng`` are accepted and not used (see
-    ``marginal_inclusion``).
+    excluded.  ``alpha_hat`` may be passed to reuse computed values.
     """
     if alpha_hat is None:
         alpha_hat = marginal_inclusion(state)
     return [(a > 0.5).astype(np.float64) for a in alpha_hat]
 
 
-def posterior_mean_weights(state: VariationalState, alpha_hat=None, n_mc: int = 1000,
-                           rng: RngStream = None) -> list:
-    """Deterministic weights alpha_hat * kappa used by the mean prediction mode.
-
-    ``n_mc`` and ``rng`` are accepted and not used (see ``marginal_inclusion``).
-    """
+def posterior_mean_weights(state: VariationalState, alpha_hat=None) -> list:
+    """Deterministic weights alpha_hat * kappa used by the mean prediction mode."""
     if alpha_hat is None:
         alpha_hat = marginal_inclusion(state)
     return [a * layer.kappa for a, layer in zip(alpha_hat, state.layers)]

@@ -13,7 +13,8 @@ weights (second) are handled:
 * med/mea : the median mask applied to the slab means; deterministic.
 
 all/sim (every connection kept but slabs sampled) only makes sense for
-fixed-dense states and is rejected otherwise.  Prediction never uses
+fixed-dense states and is rejected otherwise.  sim/mea is not a mode
+and ``PredictionMode`` rejects it.  Prediction never uses
 the Concrete relaxation: indicators are exact Bernoulli draws.
 
 Replicate r consumes stream (seed, stream_id + 1 + r) derived from the
@@ -71,6 +72,9 @@ class PredictionMode:
             raise ConfigError(f"beta rule must be one of {BETA_RULES}, got {self.beta!r}")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
+        if self.gamma == "sim" and self.beta == "mea":
+            raise ConfigError("gamma=sim with beta=mea is not a prediction mode; "
+                              "use med/mea or all/mea")
 
     @property
     def deterministic(self) -> bool:
@@ -114,8 +118,7 @@ def _forward_probs_from_weights(state, weights, features):
                      fixed_indicators=True)
         for w in weights
     ]
-    net = SampledNetwork(layers=layers, spec=state.spec, family=state.family,
-                         delta=0.0, mode="hard")
+    net = SampledNetwork(layers=layers, spec=state.spec, delta=0.0)
     logits, _ = forward_logits(net, features)
     return np.exp(log_softmax(logits))
 
@@ -137,7 +140,7 @@ def predict(state: VariationalState, features, mode: PredictionMode,
             "all/sim keeps every connection while sampling slabs, which this "
             "model family only defines for fixed-dense states"
         )
-    if (mode.beta == "sim" or mode.gamma == "sim") and rng is None:
+    if mode.beta == "sim" and rng is None:
         raise DomainError("this prediction mode needs an rng")
 
     alpha_hat = None

@@ -288,7 +288,6 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
         param += step * (m / c1) / (np.sqrt(v / c2) + eps)
         if name in ("a_beta", "b_beta", "a_psi", "b_psi"):
             np.clip(param, HYPER_CLAMP[0], HYPER_CLAMP[1], out=param)
-    state.bump_version()
 
 
 def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,

@@ -1,0 +1,160 @@
+"""Same-seed digests of every public output, for refactors that must keep bytes.
+
+Run from a checkout::
+
+    PYTHONPATH=src python tests/same_bytes.py > digests.json
+
+and compare the JSON of two commits: identical output means every
+checked output has the same bytes.  Five runs of ``train()`` with
+checkpoints on 200 ``synth_clusters(separation=1.0, seed=5)`` rows,
+widths 6-5-3, seed 5, cover each family and both indicator modes: mean
+field with a median_fixed posttrain, mean field fixed_dense, mvn_full
+with a sampled-KL train and a median_fixed posttrain, and low rank at
+r=4 (draws=2, median_fixed posttrain) and at r=0.  Per run the sha256
+covers ``trace.jsonl``, every checkpoint file, ``marginal_inclusion``,
+``median_model``, ``inclusion_correlation`` on both layers, one
+``sample_network``, ``elbo_estimate`` in both KL modes with and without
+the hyperprior, ``elbo_gradient`` in pretrain and train under both KL
+modes, and ``predict`` in all four modes.  Values that come with an rng
+also hash the stream position it was left at.
+
+The file has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from slabnn.dataio import synth_clusters
+from slabnn.elbo import Batch, elbo_estimate, elbo_gradient
+from slabnn.metrics import inclusion_correlation
+from slabnn.model import (Family, NetworkSpec, PriorConfig, marginal_inclusion,
+                          median_model, sample_network)
+from slabnn.numkernel import RngStream
+from slabnn.predictor import PredictionMode, predict
+from slabnn.trainer import default_phases, train
+
+SEED = 5
+WIDTHS = (6, 5, 3)
+MODES = (("sim", "sim"), ("all", "mea"), ("med", "sim"), ("med", "mea"))
+
+
+def _phases(family, **train_kw):
+    phases = default_phases(family, pretrain_epochs=2, train_epochs=3,
+                            posttrain_epochs=1, batch_size=50,
+                            gamma_policy="median_fixed")
+    return [dataclasses.replace(p, **train_kw) if p.name == "train" else p
+            for p in phases]
+
+
+# name -> (family, rank, prior, phases)
+RUNS = {
+    "mf": (Family.MF, 0, PriorConfig(), _phases(Family.MF)),
+    "mf_dense": (Family.MF, 0, PriorConfig(fixed_dense=True),
+                 _phases(Family.MF)[:2]),
+    "full": (Family.MVN_FULL, 0, PriorConfig(),
+             _phases(Family.MVN_FULL, kl_mode="sampled")),
+    "lowrank4": (Family.MVN_LOWRANK, 4, PriorConfig(),
+                 [dataclasses.replace(p, draws=2)
+                  for p in _phases(Family.MVN_LOWRANK)]),
+    "lowrank0": (Family.MVN_LOWRANK, 0, PriorConfig(), _phases(Family.MVN_LOWRANK)),
+}
+
+
+class Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def add(self, *items):
+        for item in items:
+            if item is None:
+                self._h.update(b"<none>")
+            elif isinstance(item, (bytes, str)):
+                self._h.update(item.encode() if isinstance(item, str) else item)
+            elif isinstance(item, float):
+                self._h.update(repr(item).encode())
+            elif isinstance(item, RngStream):
+                self.add(np.asarray(item.state_words()))
+            elif isinstance(item, (list, tuple)):
+                for sub in item:
+                    self.add(sub)
+            else:
+                arr = np.ascontiguousarray(item)
+                self._h.update(f"{arr.dtype}{arr.shape}".encode())
+                self._h.update(arr.tobytes())
+        return self
+
+    def hex(self) -> str:
+        return self._h.hexdigest()
+
+
+def _digest(*items) -> str:
+    return Digest().add(*items).hex()
+
+
+def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
+    out = {}
+    ckdir = os.path.join(workdir, name)
+    state, report = train(NetworkSpec(WIDTHS), prior, family, phases,
+                          data.features, data.labels, SEED, rank=rank,
+                          checkpoint_dir=ckdir)
+    report.to_jsonl(os.path.join(ckdir, "trace.jsonl"))
+    for fname in sorted(os.listdir(ckdir)):
+        with open(os.path.join(ckdir, fname), "rb") as fh:
+            out[f"{name}/{fname}"] = _digest(fh.read())
+
+    alpha = marginal_inclusion(state)
+    out[f"{name}/marginal_inclusion"] = _digest(alpha)
+    out[f"{name}/median_model"] = _digest(median_model(state))
+    for layer in range(state.n_transitions):
+        rng = RngStream(SEED, 11)
+        corr, constant = inclusion_correlation(state, layer, 300, rng)
+        out[f"{name}/inclusion_correlation{layer}"] = _digest(corr, constant, rng)
+
+    rng = RngStream(SEED, 12)
+    net = sample_network(state, 0.1, "relaxed", rng)
+    out[f"{name}/sample_network"] = _digest(
+        [(ls.alpha, ls.gamma_tilde, ls.beta, ls.effective, ls.eps, ls.tau,
+          ls.logits, ls.fixed_indicators) for ls in net.layers], rng)
+
+    batch = Batch(data.features[:50], data.labels[:50], n_total=data.n)
+    for kl_mode in ("analytic", "sampled"):
+        for hyper in (False, True):
+            rng = RngStream(SEED, 13)
+            value = elbo_estimate(state, batch, 2, 0.1, rng, kl_mode=kl_mode,
+                                  include_hyperprior=hyper)
+            out[f"{name}/elbo_estimate/{kl_mode}/hyper={hyper}"] = _digest(value, rng)
+        for phase in ("pretrain", "train"):
+            rng = RngStream(SEED, 14)
+            value, bundle = elbo_gradient(state, batch, 2, 0.1, rng, phase=phase,
+                                          kl_mode=kl_mode)
+            out[f"{name}/elbo_gradient/{phase}/{kl_mode}"] = _digest(
+                value, [(l, n, g) for l, n, g in bundle.items()], rng)
+
+    for gamma, beta in MODES:
+        rng = RngStream(SEED, 999)
+        res = predict(state, data.features, PredictionMode(gamma, beta, 3), rng=rng)
+        out[f"{name}/predict/{gamma}_{beta}"] = _digest(
+            res.probs, res.replicate_probs, res.masks)
+    return out
+
+
+def main() -> int:
+    data = synth_clusters(200, WIDTHS[0], WIDTHS[-1], separation=1.0, seed=SEED)
+    digests = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, (family, rank, prior, phases) in RUNS.items():
+            digests.update(run_digests(name, family, rank, prior, phases, data,
+                                       workdir))
+    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

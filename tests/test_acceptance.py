@@ -74,7 +74,6 @@ def _generic_point(state, seed, scale=0.2):
     for _, name, arr in state.param_items():
         if name in names:
             arr += scale * gen.standard_normal(arr.shape)
-    state.bump_version()
     return state
 
 
@@ -114,13 +113,10 @@ def test_criterion_01_gradient_fidelity():
             for i in range(flat_p.size):
                 orig = flat_p[i]
                 flat_p[i] = orig + h
-                state.bump_version()
                 up = estimate()
                 flat_p[i] = orig - h
-                state.bump_version()
                 down = estimate()
                 flat_p[i] = orig
-                state.bump_version()
                 fd = (up - down) / (2.0 * h)
                 err = abs(flat_g[i] - fd)
                 tol = max(1e-4 * abs(fd), 1e-7)
@@ -157,7 +153,6 @@ def test_criterion_02_kl_oracle():
             layer.rho[...] = gen.normal(-1.0, 0.7, size=layer.shape)
             layer.logit_psi[0] = gen.normal(0.0, 1.0)
             layer.log_sigma2[0] = gen.normal(0.0, 0.7)
-        state.bump_version()
         analytic = kl_state(state)
         totals = np.zeros(n_draws)
         for layer in state.layers:
@@ -233,7 +228,6 @@ def test_criterion_04_concrete_limit():
     gen = np.random.default_rng(5)
     state.layers[0].omega[...] = gen.normal(0.0, 2.0,
                                             size=state.layers[0].shape)
-    state.bump_version()
     agree = 0
     total = 0
     for d in range(100):
@@ -409,7 +403,6 @@ def test_criterion_07_lowrank_covariance():
     layer.xi[...] = gen.normal(0.0, 1.0, size=6)
     layer.factor[...] = gen.normal(0.0, 0.8, size=(6, 2))
     layer.log_diag[...] = gen.normal(-1.0, 0.5, size=6)
-    state.bump_version()
     target = layer.factor @ layer.factor.T + np.diag(np.exp(layer.log_diag))
     n = 100_000
     rng = RngStream(71, 2)

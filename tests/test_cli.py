@@ -121,6 +121,27 @@ output_dir = {out}
         with pytest.raises(ConfigError, match="fixed_dense"):
             load_config(cfg)
 
+    def test_sim_mea_exits_two(self, tmp_path, capsys):
+        text = GOOD_CONFIG.replace("beta = sim", "beta = mea")
+        cfg, _ = _write_config(tmp_path, text)
+        code, _, err = _run_main(["train", str(cfg)], capsys)
+        assert code == 2
+        assert "config error: [predict] gamma=sim with beta=mea" in err
+
+    @pytest.mark.parametrize("model_lines,expected", [
+        ("widths = 4,3,2\nrank = 2", "config error: [model] rank:"),
+        ("widths = 4,3,2\nfamily = mvn_full\nrank = 2", "config error: [model] rank:"),
+        # 201 * 100 weights in layer 0, over the full-covariance cap
+        ("widths = 200,100,2\nfamily = mvn_full", "config error: [model] family: layer 0"),
+    ])
+    def test_family_rules_exit_two(self, tmp_path, capsys, model_lines, expected):
+        text = GOOD_CONFIG.replace("widths = 4,3,2", model_lines)
+        text = text.replace("lr_omega = 0.05", "")
+        cfg, _ = _write_config(tmp_path, text)
+        code, _, err = _run_main(["train", str(cfg)], capsys)
+        assert code == 2
+        assert expected in err
+
     def test_width_mismatch_exits_two(self, tmp_path, capsys):
         text = GOOD_CONFIG.replace("widths = 4,3,2", "widths = 7,3,2")
         cfg, _ = _write_config(tmp_path, text)
@@ -239,6 +260,15 @@ class TestPredictCommand:
         assert code == 2
         assert "fixed-dense" in err or "fixed_dense" in err
 
+    def test_sim_mea_rejected(self, trained, tmp_path, capsys):
+        code, _, err = _run_main(
+            ["predict", str(trained["ckpt"]), "--csv", str(trained["csv"]),
+             "--gamma", "sim", "--beta", "mea",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "gamma=sim with beta=mea" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_wrong_width_exits_one(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0,0\n3.0,4.0,1\n")
@@ -285,6 +315,15 @@ class TestEvalCommand:
         kv = (out / "metrics.kv").read_text()
         assert "median_entropy_in=" in kv
         assert "density=" in kv
+
+    def test_sim_mea_exits_two_before_writing(self, trained, tmp_path, capsys):
+        out = tmp_path / "ev_bad"
+        code, _, err = _run_main(
+            ["eval", str(trained["ckpt"]), "--csv", str(trained["csv"]),
+             "--gamma", "sim", "--beta", "mea", "--out", str(out)], capsys)
+        assert code == 2
+        assert "gamma=sim with beta=mea" in err
+        assert not out.exists()
 
     def test_identical_ood_dataset_gives_identical_cdf(self, trained,
                                                        tmp_path, capsys):

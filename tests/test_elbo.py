@@ -33,7 +33,6 @@ class TestLikelihood:
         for lp in st.layers:
             lp.kappa[...] = 0.0
             lp.rho[...] = -40.0
-        st.bump_version()
         batch = make_batch(n=6, p=4, classes=3)
         net = sample_network(st, 0.1, "relaxed", RngStream(0, 2))
         loglik, _ = forward(net, batch)
@@ -45,7 +44,6 @@ class TestLikelihood:
         # scale * X_ext^T (onehot - probs) minus the Gaussian KL pull.
         st = make_state(widths=(3, 2), prior=PriorConfig(fixed_dense=True), seed=5)
         st.layers[0].rho[...] = -40.0
-        st.bump_version()
         batch = make_batch(n=12, p=3, classes=2, seed=4)
         value, grads = elbo_gradient(st, batch, 1, 0.1, RngStream(6, 2))
         kappa = st.layers[0].kappa
@@ -130,7 +128,6 @@ class TestKl:
     def test_mf_analytic_matches_term_sum(self):
         st = make_state(seed=10)
         st.layers[0].omega[...] = 0.7
-        st.bump_version()
         expected = 0.0
         for lp in st.layers:
             alpha = sigmoid(lp.omega)
@@ -142,7 +139,6 @@ class TestKl:
     def test_sampled_mode_is_unbiased_for_analytic(self):
         st = make_state(seed=12, widths=(3, 2, 2))
         st.layers[0].omega[...] = 0.6
-        st.bump_version()
         analytic = kl_state(st)
         rng = RngStream(30, 2)
         n = 20_000
@@ -175,7 +171,6 @@ class TestHyperprior:
             lp.b_beta[...] = 3.0
             lp.a_psi[...] = 1.5
             lp.b_psi[...] = 2.5
-        st.bump_version()
         expected = 0.0
         for lp in st.layers:
             expected += stats.invgamma.logpdf(lp.sigma2(), 2.0, scale=3.0)
@@ -206,7 +201,6 @@ class TestSaturatedPriorsRaiseNumericError:
         st = make_state(family, rank, seed=31, widths=(3, 2, 2))
         for lp in st.layers:
             getattr(lp, name)[...] = value
-        st.bump_version()
         return st
 
     @pytest.mark.parametrize("name,value", [("logit_psi", 40.0), ("log_sigma2", -800.0)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_state
+from slabnn.distributions import MVN_BLOCK_ELEMENTS
 from slabnn.errors import DomainError, ShapeError
 from slabnn.metrics import (EntropyCdf, MetricsReport, accuracy, entropy_cdf,
                             inclusion_correlation, layer_inclusion_means,
@@ -98,7 +99,6 @@ class TestInclusionCorrelation:
     def test_mf_draws_are_nearly_independent(self):
         st = make_state(seed=64, widths=(3, 2))
         st.layers[0].omega[...] = 0.0
-        st.bump_version()
         corr, constant = inclusion_correlation(st, 0, 6000, RngStream(7, 42))
         assert not np.any(constant)
         off = corr[~np.eye(corr.shape[0], dtype=bool)]
@@ -113,7 +113,6 @@ class TestInclusionCorrelation:
         lp.xi[...] = 0.0
         lp.factor[...] = 8.0
         lp.log_diag[...] = np.log(1e-6)
-        st.bump_version()
         corr, constant = inclusion_correlation(st, 0, 4000, RngStream(8, 42))
         live = ~constant
         assert np.sum(live) >= 2
@@ -125,11 +124,27 @@ class TestInclusionCorrelation:
         st = make_state(seed=66, widths=(3, 2))
         st.layers[0].omega[...] = 40.0  # always included
         st.layers[0].omega[0, 0] = 0.0
-        st.bump_version()
         corr, constant = inclusion_correlation(st, 0, 200, RngStream(9, 42))
         assert np.sum(~constant) == 1
         idx = np.nonzero(constant)[0]
         assert np.all(corr[idx, :] == 0.0) and np.all(corr[:, idx] == 0.0)
+
+    def test_mf_blocks_match_one_shot_draw(self):
+        # Mean field runs through the blocked loop of the correlated
+        # families; it must draw what one uniform call for every sample
+        # would, bit for bit, and leave the stream at the same place.
+        st = make_state(seed=67, widths=(3, 2))
+        lp = st.layers[0]
+        lp.omega[...] = np.random.default_rng(67).normal(size=lp.shape)
+        n_w = lp.n_weights
+        n_samples = 2 * (MVN_BLOCK_ELEMENTS // n_w) + 3  # two full blocks and 3 rows
+        rng, ref = RngStream(11, 42), RngStream(11, 42)
+        corr, constant = inclusion_correlation(st, 0, n_samples, rng)
+        u = ref.uniform(n_samples * n_w).reshape(n_samples, n_w)
+        draws = (u < sigmoid(lp.omega).reshape(-1)).astype(np.float64)
+        assert not np.any(constant)
+        np.testing.assert_array_equal(corr, np.corrcoef(draws, rowvar=False))
+        np.testing.assert_array_equal(rng.state_words(), ref.state_words())
 
     def test_fixed_dense_is_all_constant(self):
         st = make_state(prior=PriorConfig(fixed_dense=True), widths=(3, 2))

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ALL_FAMILIES, make_state
 from slabnn.distributions import (MVN_BLOCK_ELEMENTS, logit_normal_mean,
-                                  mvn_blocks, sample_mvn_logits)
+                                  mvn_blocks)
 from slabnn.errors import ConfigError, DomainError, ShapeError
 from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state,
                           marginal_inclusion, median_model,
@@ -115,7 +115,6 @@ class TestSampleNetwork:
     def test_hard_frequency_matches_alpha(self):
         st = make_state(seed=2)
         st.layers[0].omega[...] = 1.2  # alpha = sigmoid(1.2)
-        st.bump_version()
         rng = RngStream(8, 0)
         n = 4000
         count = np.zeros(st.layers[0].shape)
@@ -153,7 +152,6 @@ class TestSampleNetwork:
         st = make_state()
         for lp in st.layers:
             lp.rho[...] = -40.0  # tau = softplus(-40) ~ 4e-18
-        st.bump_version()
         net = sample_network(st, 0.1, "hard", RngStream(9, 9))
         for ls, lp in zip(net.layers, st.layers):
             np.testing.assert_allclose(ls.beta, lp.kappa, atol=1e-15)
@@ -163,7 +161,6 @@ class TestSampleNetwork:
         lp = st.layers[0]
         lp.kappa[...] = 1.5
         lp.rho[...] = softplus_inv(0.5)
-        st.bump_version()
         ls = sample_network(st, 0.1, "relaxed", RngStream(4, 2)).layers[0]
         np.testing.assert_allclose(ls.beta, 1.5 + 0.5 * ls.eps, atol=1e-15)
 
@@ -171,7 +168,6 @@ class TestSampleNetwork:
         # exp(-800) is 0.0, which training can reach: the draw stays valid.
         st = make_state(Family.MVN_LOWRANK, 0)
         st.layers[1].log_diag[...] = -800.0
-        st.bump_version()
         ls = sample_network(st, 0.1, "relaxed", RngStream(4, 2)).layers[1]
         np.testing.assert_array_equal(ls.logits.reshape(-1), st.layers[1].xi)
 
@@ -188,7 +184,6 @@ class TestInclusionSummaries:
     def test_mf_marginals_are_exact(self):
         st = make_state()
         st.layers[1].omega[...] = 0.8
-        st.bump_version()
         alpha = marginal_inclusion(st)
         np.testing.assert_allclose(alpha[1], sigmoid(0.8), atol=1e-15)
 
@@ -215,7 +210,6 @@ class TestInclusionSummaries:
                 for lp in st.layers:
                     lp.factor *= 20.0
                     lp.log_diag[...] = np.linspace(-9.0, 5.0, lp.n_weights)
-            st.bump_version()
             for a in marginal_inclusion(st):
                 np.testing.assert_array_equal(a, 0.5)
 
@@ -224,12 +218,11 @@ class TestInclusionSummaries:
         lp = st.layers[0]
         lp.xi[...] = np.linspace(-2.0, 2.0, lp.xi.size)
         lp.log_diag[...] = np.log(1e-12)
-        st.bump_version()
         alpha = marginal_inclusion(st, n_mc=50, rng=RngStream(2, 6))
         np.testing.assert_allclose(alpha[0].reshape(-1), sigmoid(lp.xi), atol=1e-5)
 
     def test_alpha_follows_in_place_edit(self):
-        # No version bump: nothing may serve alpha from before the edit.
+        # Nothing may serve alpha from before an in-place edit.
         st = make_state(Family.MVN_FULL)
         a1 = marginal_inclusion(st, n_mc=500, rng=RngStream(3, 7))
         lp = st.layers[0]
@@ -244,7 +237,6 @@ class TestInclusionSummaries:
         st = make_state()
         st.layers[0].omega[...] = 0.0  # alpha exactly 1/2
         st.layers[1].omega[...] = 0.2
-        st.bump_version()
         masks = median_model(st)
         np.testing.assert_array_equal(masks[0], 0.0)
         np.testing.assert_array_equal(masks[1], 1.0)
@@ -252,7 +244,6 @@ class TestInclusionSummaries:
     def test_posterior_mean_weights(self):
         st = make_state()
         st.layers[0].omega[...] = -0.4
-        st.bump_version()
         weights = posterior_mean_weights(st)
         np.testing.assert_allclose(
             weights[0], sigmoid(-0.4) * st.layers[0].kappa, atol=1e-15)
@@ -276,7 +267,6 @@ def _random_mvn_state(family, rank, widths, seed=11):
             lp.chol_raw[np.diag_indices(lp.n_weights)] += softplus_inv(0.8)
         else:
             lp.log_diag[...] = gen.normal(scale=0.3, size=lp.n_weights)
-    st.bump_version()
     return st
 
 
@@ -302,10 +292,13 @@ def _loop_logit_draws(state, n_mc, rng):
 
 
 def _blocked_logit_draws(state, n_mc, rng):
-    """The same draws from ``sample_mvn_logits`` over ``mvn_blocks``."""
-    return [np.concatenate([sample_mvn_logits(lp.xi, rng, rows, **lp.logit_cov())[0]
-                            for rows in mvn_blocks(n_mc, lp.n_weights + lp.rank)])
-            for lp in state.layers]
+    """The same draws from each layer's ``logit_sampler`` over ``mvn_blocks``."""
+    out = []
+    for lp in state.layers:
+        draw = lp.logit_sampler()
+        out.append(np.concatenate([draw(rng, rows)[0]
+                                   for rows in mvn_blocks(n_mc, lp.n_weights + lp.rank)]))
+    return out
 
 
 class TestExactInclusion:
@@ -370,18 +363,20 @@ class TestBatchedMonteCarlo:
         for lp, ls in zip(st.layers, net.layers):
             if family is Family.MVN_FULL:
                 eps = ref.std_normal(lp.n_weights)
-                np.testing.assert_array_equal(ls.eps_full, eps)
+                (got,) = ls.noise
+                np.testing.assert_array_equal(got, eps)
                 expected = lp.xi + lp.chol() @ eps
             else:
+                got1, got2 = ls.noise
                 expected = lp.xi.copy()
                 if rank > 0:
                     eps1 = ref.std_normal(rank)
-                    np.testing.assert_array_equal(ls.eps_factor, eps1)
+                    np.testing.assert_array_equal(got1, eps1)
                     expected += lp.factor @ eps1
                 else:
-                    assert ls.eps_factor is None
+                    assert got1 is None
                 eps2 = ref.std_normal(lp.n_weights)
-                np.testing.assert_array_equal(ls.eps_diag, eps2)
+                np.testing.assert_array_equal(got2, eps2)
                 expected += np.sqrt(lp.diag()) * eps2
             np.testing.assert_array_equal(ls.logits.reshape(-1), expected)
             ref.uniform(lp.n_weights)     # nu

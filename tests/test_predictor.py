@@ -24,6 +24,8 @@ class TestPredictionMode:
             PredictionMode("sim", "map")
         with pytest.raises(ConfigError):
             PredictionMode("sim", "sim", replicates=0)
+        with pytest.raises(ConfigError, match="gamma=sim with beta=mea"):
+            PredictionMode("sim", "mea")
         assert PredictionMode("med", "mea").deterministic
         assert not PredictionMode("med", "sim").deterministic
 
@@ -70,7 +72,6 @@ class TestPredict:
         st = make_state(Family.MVN_FULL, seed=55)
         st.layers[0].xi[...] = np.linspace(-2.0, 2.0, st.layers[0].n_weights)
         st.layers[1].xi[...] = 1.0
-        st.bump_version()
         x = _features()
         for gamma in ("med", "all"):
             free = predict(st, x, PredictionMode(gamma, "mea"))
@@ -96,7 +97,6 @@ class TestPredict:
         st.layers[0].rho[...] = -40.0  # slab frozen at kappa
         st.layers[1].rho[...] = -40.0
         st.layers[1].omega[...] = 3.0
-        st.bump_version()
         x = _features()
         sim = predict(st, x, PredictionMode("med", "sim", 3), rng=RngStream(4, 99))
         mea = predict(st, x, PredictionMode("med", "mea"))
@@ -119,7 +119,6 @@ class TestPredict:
         for lp, w in zip(dense.layers, weights):
             lp.kappa[...] = w
             lp.rho[...] = -40.0
-        dense.bump_version()
         net = sample_network(dense, 0.0, "hard", RngStream(9, 9))
         from slabnn.numkernel import log_softmax
         logits, _ = forward_logits(net, x)
@@ -172,7 +171,6 @@ class TestDensity:
     def test_median_mode_density_matches_mask(self):
         st = make_state(seed=60)
         st.layers[0].omega[...] = np.linspace(-1, 1, 15).reshape(5, 3)
-        st.bump_version()
         res = predict(st, _features(), PredictionMode("med", "mea"))
         mask = median_model(st)
         expected = sum(float(m.sum()) for m in mask) / sum(m.size for m in mask)

@@ -191,7 +191,6 @@ class TestRunPhase:
     def test_median_fixed_posttrain_freezes_structure(self):
         st = make_state(seed=49, widths=(3, 2))
         st.layers[0].omega[...] = np.linspace(-2, 2, 8).reshape(4, 2)
-        st.bump_version()
         masks_before = median_model(st)
         ds = synth_clusters(n=40, p=3, n_classes=2, seed=4)
         data = Batch(ds.features, ds.labels, n_total=ds.n)
