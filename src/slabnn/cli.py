@@ -504,7 +504,7 @@ def _network_metrics(state, eval_ds, mode, threshold, seed, run_id, has_labels):
                                          restrict_to_classified=True)
         report.doubt_classified = doubt.n_classified
     report.density = density_level(result.masks)
-    report.layer_rho = layer_inclusion_means(marginal_inclusion(state))
+    report.layer_rho = layer_inclusion_means(result.alpha_hat or marginal_inclusion(state))
     return result, doubt, report
 
 
@@ -652,7 +652,7 @@ def cmd_eval(args) -> int:
 
     report = MetricsReport(run_id=os.path.basename(args.checkpoint), seed=args.seed)
     report.density = density_level(result.masks)
-    report.layer_rho = layer_inclusion_means(marginal_inclusion(state))
+    report.layer_rho = layer_inclusion_means(result.alpha_hat or marginal_inclusion(state))
     report.extra["median_entropy_in"] = cdf_in.median
     if has_labels:
         doubt = classify_with_doubt(result.probs, args.threshold)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, ShapeError
-from .numkernel import as_vector, sigmoid
+from .numkernel import as_vector, logit, sigmoid, xlogy
 
 __all__ = [
     "HyperParams",
@@ -74,7 +74,7 @@ def concrete_from_logits(logit_alpha, nu, delta):
     if np.any(nu_arr <= 0.0) or np.any(nu_arr >= 1.0):
         raise DomainError("nu must lie in the open interval (0, 1)")
     la = np.asarray(logit_alpha, dtype=np.float64)
-    out = sigmoid((la - special.logit(nu_arr)) / np.asarray(delta, dtype=np.float64))
+    out = sigmoid((la - logit(nu_arr)) / np.asarray(delta, dtype=np.float64))
     return _scalarize(out, logit_alpha, nu, delta)
 
 
@@ -90,7 +90,7 @@ def concrete_transform(nu, alpha, delta):
     alpha_arr = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha_arr <= 0.0) or np.any(alpha_arr >= 1.0):
         raise DomainError("alpha must lie in the open interval (0, 1)")
-    return concrete_from_logits(special.logit(alpha_arr), nu, delta)
+    return concrete_from_logits(logit(alpha_arr), nu, delta)
 
 
 def kl_gaussian(kappa, tau, sigma2):
@@ -124,7 +124,9 @@ def kl_bernoulli(alpha, psi):
         raise DomainError("alpha must lie in [0, 1]")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError("psi must lie in the open interval (0, 1)")
-    out = special.xlogy(a, a / p) + special.xlogy(1.0 - a, (1.0 - a) / (1.0 - p))
+    q = 1.0 - a
+    out = xlogy(a, a / p)
+    out += xlogy(q, q / (1.0 - p))
     return _scalarize(out, alpha, psi)
 
 
@@ -152,7 +154,7 @@ def logpdf_beta(x, a, b):
         special.gammaln(aa + ba)
         - special.gammaln(aa)
         - special.gammaln(ba)
-        + special.xlogy(aa - 1.0, xa)
+        + xlogy(aa - 1.0, xa)
         + special.xlog1py(ba - 1.0, -xa)
     )
     return _scalarize(out, x, a, b)

@@ -388,7 +388,8 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
         d_weights = _backprop_loglik(sampled, batch, tape, scale)
         acc_value -= _accumulate_backward(state, sampled, d_weights, bundle,
                                           with_structure, with_priors, kl_mode)
-    bundle.scale(1.0 / M)
+    if M > 1:
+        bundle.scale(1.0 / M)
     value = acc_value / M
     if with_priors:
         _add_hyperprior_grads(state, bundle)

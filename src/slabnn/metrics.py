@@ -14,12 +14,11 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .distributions import mvn_blocks
 from .errors import DomainError, ShapeError
 from .model import VariationalState
-from .numkernel import RngStream, sigmoid
+from .numkernel import RngStream, sigmoid, xlogy
 
 __all__ = [
     "accuracy",
@@ -111,7 +110,7 @@ def entropy_cdf(probs) -> EntropyCdf:
     bad = np.nonzero(np.abs(sums - 1.0) > 1e-8)[0]
     if bad.size:
         raise DomainError(f"row {bad[0]} does not sum to 1 (got {sums[bad[0]]!r})")
-    ent = -np.sum(special.xlogy(p, p), axis=1)
+    ent = -np.sum(xlogy(p, p), axis=1)
     return EntropyCdf(values=np.sort(ent))
 
 

@@ -3,9 +3,21 @@
 All numeric state in this package is plain numpy float64 with C (row
 major) layout; the helpers here enforce that convention for vectors and
 provide the numerically careful primitives the rest of the code builds
-on: a shift-by-max log-softmax, the logistic function, softplus with its
-inverse, and ``RngStream``, a Philox-backed stream keyed by
-``(seed, stream_id)`` whose state can be serialized exactly.
+on: a shift-by-max log-softmax, the logistic function and its inverse,
+softplus with its inverse, log-sigmoid, ``xlogy``, and ``RngStream``, a
+Philox-backed stream keyed by ``(seed, stream_id)`` whose state can be
+serialized exactly.
+
+The per-weight transcendentals (``sigmoid``, ``softplus``,
+``log_sigmoid``, ``logit``, ``xlogy``) are the one copy of each formula
+in the package.  Each is a short chain of numpy's vectorised
+``exp``/``log``/``log1p`` ufuncs, mostly in place on one fresh output
+array.  scipy's ``expit``, ``logit`` and ``xlogy`` and numpy's
+two-argument log-sum-exp use the same formulas but loop one element at a
+time through the C math library, several times slower on the arrays a
+training step makes.  Each kernel keeps its reference's values at +/-inf
+and NaN and its scalar-in, scalar-out behaviour, and raises no
+floating-point warning.
 
 Determinism notes
 -----------------
@@ -15,6 +27,13 @@ bit-identical within a process.  Random draws depend only on the stream
 key and position: distinct ``stream_id`` values yield independent
 sequences for the same seed, and a saved state restores the exact
 position so that subsequent draws continue the original sequence.
+
+``exp``, ``log`` and ``log1p`` run numpy's CPU-dispatched SIMD loops,
+whose last bits can differ from the C math library's and between
+instruction sets (AVX-512 against AVX2, say).  As with BLAS, results
+therefore repeat exactly for one machine and numpy build, not across
+them; the kernels stay within a few units in the last place of the
+scalar references (``tests/test_numkernel.py``).
 """
 
 from __future__ import annotations
@@ -28,9 +47,11 @@ from .errors import DomainError, NumericError, ShapeError
 __all__ = [
     "as_vector",
     "sigmoid",
+    "logit",
     "softplus",
     "softplus_inv",
     "log_sigmoid",
+    "xlogy",
     "log_softmax",
     "RngStream",
 ]
@@ -48,14 +69,46 @@ def as_vector(values, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _fresh(x) -> np.ndarray:
+    # A new float64 array (0-d for a scalar) for an in-place ufunc chain.
+    return np.empty(np.shape(x), dtype=np.float64)
+
+
 def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), overflow safe."""
-    return special.expit(x)
+    """Logistic function 1 / (1 + exp(-x)).
+
+    exp(-x) overflows to inf below x = -709.78, where the result is
+    then 0 rather than a subnormal; 0 maps to exactly 1/2.
+    """
+    out = np.negative(x, out=_fresh(x))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)[()]
+
+
+def logit(p):
+    """Inverse of sigmoid, log(p / (1 - p)); -inf at 0, inf at 1, NaN outside [0, 1].
+
+    Near p = 1/2 the quotient's rounding is about eps in absolute terms,
+    so the result is accurate to about eps there, not relative to it.
+    """
+    out = np.subtract(1.0, p, out=_fresh(p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(p, out, out=out)
+        np.log(out, out=out)
+    return out[()]
 
 
 def softplus(x):
-    """log(1 + exp(x)) computed without overflow."""
-    return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
+    """log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|)), without overflow."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.abs(x, out=_fresh(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out[()]
 
 
 def softplus_inv(y):
@@ -69,7 +122,20 @@ def softplus_inv(y):
 
 def log_sigmoid(x):
     """log(sigmoid(x)) = -softplus(-x), stable for large |x|."""
-    return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
+    return -softplus(np.negative(x, dtype=np.float64))
+
+
+def xlogy(x, y):
+    """x * log(y), taken as 0 where x == 0 and y is not NaN (so 0 * log 0 = 0)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(np.broadcast_shapes(x.shape, np.shape(y)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(y, out=out)
+        np.multiply(x, out, out=out)
+    zero = x == 0.0
+    if np.any(zero):
+        out = np.where(zero & ~np.isnan(y), 0.0, out)
+    return out[()]
 
 
 def log_softmax(logits) -> np.ndarray:

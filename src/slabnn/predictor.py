@@ -88,6 +88,7 @@ class PredictiveResult:
     probs: np.ndarray                # (n, classes), rows sum to 1
     replicate_probs: np.ndarray      # (R, n, classes) or None for deterministic modes
     masks: list                      # per replicate: list of per-layer 0/1 masks
+    alpha_hat: list = None           # marginal_inclusion(state) as used; None for sim/sim
 
 
 @dataclass
@@ -156,7 +157,8 @@ def predict(state: VariationalState, features, mode: PredictionMode,
             weights = [m * layer.kappa for m, layer in zip(mask, state.layers)]
             masks = [mask]
         probs = _forward_probs_from_weights(state, weights, x)
-        return PredictiveResult(probs=probs, replicate_probs=None, masks=masks)
+        return PredictiveResult(probs=probs, replicate_probs=None, masks=masks,
+                                alpha_hat=alpha_hat)
 
     # Sampled slabs: one derived stream per replicate.
     mask = median_model(state, alpha_hat=alpha_hat) if mode.gamma == "med" else None
@@ -178,7 +180,7 @@ def predict(state: VariationalState, features, mode: PredictionMode,
         rep_masks.append(used)
     stacked = np.stack(rep_probs, axis=0)
     return PredictiveResult(probs=stacked.mean(axis=0), replicate_probs=stacked,
-                            masks=rep_masks)
+                            masks=rep_masks, alpha_hat=alpha_hat)
 
 
 def classify_with_doubt(probs, threshold: float = DOUBT_THRESHOLD) -> DoubtDecisions:

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import write_tensors
-from slabnn.checkpoint import read_manifest
+from slabnn import cli, predictor
+from slabnn.checkpoint import read_manifest, save_checkpoint
 from slabnn.cli import load_config, main
 from slabnn.errors import ConfigError
+from slabnn.model import Family, NetworkSpec, PriorConfig, init_state, marginal_inclusion
+from slabnn.numkernel import RngStream
 
 GOOD_CONFIG = """\
 [dataset]
@@ -324,6 +327,26 @@ class TestEvalCommand:
         assert code == 2
         assert "gamma=sim with beta=mea" in err
         assert not out.exists()
+
+    def test_alpha_hat_computed_once(self, trained, tmp_path, capsys, monkeypatch):
+        # predict's alpha_hat (med rule) is reused for the report's layer_rho.
+        spec = NetworkSpec((4, 3, 2))
+        state = init_state(spec, PriorConfig(), Family.MVN_FULL, RngStream(3, 0))
+        ckpt = tmp_path / "full.lbnn"
+        save_checkpoint(ckpt, state)
+        calls = []
+
+        def counting(st, *args, **kwargs):
+            calls.append(1)
+            return marginal_inclusion(st, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "marginal_inclusion", counting)
+        monkeypatch.setattr(predictor, "marginal_inclusion", counting)
+        code, _, _ = _run_main(
+            ["eval", str(ckpt), "--csv", str(trained["csv"]), "--gamma", "med",
+             "--beta", "sim", "-R", "3", "--out", str(tmp_path / "ev")], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_identical_ood_dataset_gives_identical_cdf(self, trained,
                                                        tmp_path, capsys):

@@ -1,13 +1,30 @@
 """Numeric primitives: transforms and the counter-based stream."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import special
 
-from scipy.special import logit
-
+from slabnn.distributions import kl_bernoulli
 from slabnn.errors import DomainError, NumericError, ShapeError
-from slabnn.numkernel import (RngStream, as_vector, log_sigmoid, log_softmax, sigmoid,
-                              softplus, softplus_inv)
+from slabnn.numkernel import (RngStream, as_vector, log_sigmoid, log_softmax, logit, sigmoid,
+                              softplus, softplus_inv, xlogy)
+
+EPS = np.finfo(float).eps
+N_HALF = 500_000  # each accuracy test checks about 10**6 seeded inputs
+
+
+def _ulps(got, ref):
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+def _wide_inputs():
+    # Half spread evenly over [-700, 700] (mostly the saturated tails),
+    # half N(0, 10**2) (the transition region).
+    rng = RngStream(2024, 0)
+    return np.concatenate([(rng.uniform(N_HALF) - 0.5) * 1400.0,
+                           rng.std_normal(N_HALF) * 10.0])
 
 
 def test_sigmoid_logit_round_trip():
@@ -20,7 +37,75 @@ def test_sigmoid_logit_round_trip():
     tail = np.linspace(16.0, 30.0, 15)
     recon = logit(sigmoid(tail))
     # absolute error bounded by eps / (1 - p) ~ eps * e^x
-    assert np.all(np.abs(recon - tail) < 4.0 * np.finfo(float).eps * np.exp(tail))
+    assert np.all(np.abs(recon - tail) < 4.0 * EPS * np.exp(tail))
+
+
+@pytest.mark.parametrize("kernel, reference", [
+    (sigmoid, special.expit),
+    (softplus, lambda v: np.logaddexp(0.0, v)),
+    (log_sigmoid, lambda v: -np.logaddexp(0.0, -v)),
+], ids=["sigmoid", "softplus", "log_sigmoid"])
+def test_kernels_within_8_ulp_of_scalar_references(kernel, reference):
+    x = _wide_inputs()
+    assert np.max(_ulps(kernel(x), reference(x))) <= 8.0
+
+
+def test_logit_matches_scipy_on_stream_uniforms():
+    u = RngStream(2024, 1).uniform(2 * N_HALF)
+    ref = special.logit(u)
+    # scipy switches to a log1p form near 1/2, where the quotient form is
+    # accurate to eps absolute only; elsewhere the bound is relative.
+    assert np.all(np.abs(logit(u) - ref) <= 8.0 * EPS * np.maximum(1.0, np.abs(ref)))
+
+
+def test_xlogy_and_kl_bernoulli_within_8_ulp():
+    a = RngStream(2024, 2).uniform(2 * N_HALF)
+    p = RngStream(2024, 3).uniform(2 * N_HALF)
+    y = a / p
+    assert np.max(_ulps(xlogy(a, y), special.xlogy(a, y))) <= 8.0
+    first = special.xlogy(a, a / p)
+    second = special.xlogy(1.0 - a, (1.0 - a) / (1.0 - p))
+    # Where alpha is near psi the two terms cancel, so the error is
+    # measured in units of the larger term, whose rounding the sum inherits.
+    scale = np.maximum(np.abs(first), np.abs(second))
+    err = np.abs(kl_bernoulli(a, p) - (first + second))
+    assert np.max(err / np.spacing(scale)) <= 8.0
+    ends = np.array([0.0, 1.0])
+    np.testing.assert_array_equal(
+        kl_bernoulli(ends, 0.25),
+        special.xlogy(ends, ends / 0.25) + special.xlogy(1.0 - ends, (1.0 - ends) / 0.75))
+
+
+def test_exact_values_and_special_inputs():
+    assert logit(0.5) == 0.0
+    specials = np.array([np.inf, -np.inf, np.nan, 0.0])
+    np.testing.assert_array_equal(sigmoid(specials), special.expit(specials))
+    with np.errstate(invalid="ignore"):  # the reference warns at +/-inf
+        np.testing.assert_array_equal(softplus(specials), np.logaddexp(0.0, specials))
+        np.testing.assert_array_equal(log_sigmoid(specials), -np.logaddexp(0.0, -specials))
+    probs = np.array([0.0, 1.0, 0.5, 2.0, -1.0, np.inf, -np.inf, np.nan])
+    np.testing.assert_array_equal(logit(probs), special.logit(probs))
+    xs = np.array([0.0, 0.0, 0.0, 2.0, 2.0, np.nan])
+    ys = np.array([0.0, np.nan, np.inf, 0.0, -1.0, 1.0])
+    np.testing.assert_array_equal(xlogy(xs, ys), special.xlogy(xs, ys))
+
+
+def test_scalars_in_scalars_out_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (750.0, -750.0, np.inf, -np.inf):
+            for kernel in (sigmoid, softplus, log_sigmoid):
+                out = kernel(v)
+                assert np.ndim(out) == 0 and isinstance(out, float)
+                assert out == kernel(np.array([v]))[0]
+        for v in (0.0, 1.0, 0.25):
+            out = logit(v)
+            assert np.ndim(out) == 0 and isinstance(out, float)
+        out = xlogy(0.0, 0.0)
+        assert np.ndim(out) == 0 and out == 0.0
+        sigmoid(np.array([750.0, -750.0]))
+        logit(np.array([0.0, 1.0, 2.0]))
+        xlogy(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 
 
 def test_sigmoid_known_values():
