@@ -2,8 +2,12 @@
 
 Training runs are described by an INI file.  Every key has a default
 matching the stock experimental setup, so a minimal config only names
-the data and the architecture.  Unknown sections or keys are rejected,
-and validation reports every problem at once (exit code 2).
+the data and the architecture.  Keys a section omits take the defaults
+of the library object the section builds (``PhaseConfig``,
+``PriorConfig`` with ``HyperParams``, ``PredictionMode``), whose own
+checks then validate the keys it sets; the defaults below are theirs.
+Numbers must be finite.  Unknown sections or keys are rejected, and
+validation reports every problem at once (exit code 2).
 
 Config schema (defaults in parentheses)::
 
@@ -75,6 +79,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import os
 import struct
 import sys
@@ -89,10 +94,11 @@ from .metrics import (MetricsReport, accuracy, entropy_cdf,
 from .model import (Family, NetworkSpec, PriorConfig, family_problems,
                     marginal_inclusion)
 from .numkernel import RngStream
-from .predictor import (PredictionMode, classify_with_doubt, density_level,
-                        export_predictions_csv, predict)
-from .trainer import (GROUPS, PhaseConfig, default_phases, live_groups, train,
-                      validate_schedule)
+from .predictor import (BETA_RULES, DOUBT_THRESHOLD, GAMMA_RULES, PredictionMode,
+                        classify_with_doubt, density_level, export_predictions_csv,
+                        predict)
+from .trainer import (GROUPS, PHASE_NAMES, PhaseConfig, default_phases, live_groups,
+                      train, validate_schedule)
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -104,7 +110,6 @@ STREAM_PREDICT = 999
 STREAM_METRICS_ALPHA = 998
 
 _FORMATS = ("csv", "idx", "synth_logistic", "synth_clusters")
-_FAMILY_NAMES = {f.value: f for f in Family}
 
 _KNOWN_KEYS = {
     "dataset": {
@@ -126,76 +131,93 @@ _PHASE_KEYS = {"epochs", "batch_size", "draws", "delta", "kl_mode",
 _BOOL_STATES = configparser.ConfigParser.BOOLEAN_STATES
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+def _boolean(token: str) -> bool:
+    return _BOOL_STATES[token.lower()]
+
+
+def _int_list(token: str) -> tuple:
+    return tuple(int(tok) for tok in token.split(","))
+
+
+def _label_column(token: str):
+    return None if token == "none" else int(token)
+
+
+# Problem text for a value each parser above rejects.
+_MEANING = {int: "not an integer", _finite: "not a finite number",
+            _boolean: "not a boolean", _int_list: "not a comma list of integers",
+            _label_column: "not an integer or 'none'"}
+
+
 class _SectionReader:
     """Typed access to one section's raw strings, collecting problems."""
 
     def __init__(self, section: str, raw: dict, problems: list):
         self.section = section
-        self.raw = dict(raw)
+        self.raw = raw
         self.problems = problems
 
-    def _fail(self, key, message):
-        self.problems.append(f"[{self.section}] {key}: {message}")
+    def note(self, message):
+        self.problems.append(f"[{self.section}] {message}")
+
+    def fail(self, key, message):
+        self.note(f"{key}: {message}")
 
     def has(self, key) -> bool:
         return key in self.raw
 
-    def string(self, key, default=None, choices=None, required=False):
+    def get(self, key, parse=str, default=None, required=False, choices=None):
+        """``parse`` of the key's stripped value; ``default`` when unset or rejected."""
         if key not in self.raw:
             if required:
-                self._fail(key, "required key is missing")
+                self.fail(key, "required key is missing")
             return default
-        value = self.raw[key].strip()
+        token = self.raw[key].strip()
+        try:
+            value = parse(token)
+        except (KeyError, ValueError):
+            self.fail(key, f"{_MEANING[parse]}: {token!r}")
+            return default
         if choices is not None and value not in choices:
-            self._fail(key, f"must be one of {', '.join(choices)}; got {value!r}")
+            self.fail(key, f"must be one of {', '.join(choices)}; got {token!r}")
             return default
         return value
 
-    def integer(self, key, default=None, minimum=None, required=False):
-        if key not in self.raw:
-            if required:
-                self._fail(key, "required key is missing")
-            return default
-        try:
-            value = int(self.raw[key].strip())
-        except ValueError:
-            self._fail(key, f"not an integer: {self.raw[key]!r}")
-            return default
-        if minimum is not None and value < minimum:
-            self._fail(key, f"must be at least {minimum}")
+    def integer(self, key, minimum, default=None):
+        value = self.get(key, int, default)
+        if value is not None and value < minimum:
+            self.fail(key, f"must be at least {minimum}")
             return default
         return value
 
-    def floating(self, key, default=None, required=False):
-        if key not in self.raw:
-            if required:
-                self._fail(key, "required key is missing")
-            return default
-        try:
-            return float(self.raw[key].strip())
-        except ValueError:
-            self._fail(key, f"not a number: {self.raw[key]!r}")
-            return default
+    def path(self, key, required=False):
+        """A data file path, resolved as the module docstring says and checked to exist."""
+        path = self.get(key, required=required)
+        if path is not None:
+            path = _resolve_path(path)
+            if not os.path.exists(path):
+                self.fail(key, f"file not found: {path}")
+        return path
 
-    def boolean(self, key, default=False):
-        if key not in self.raw:
-            return default
-        token = self.raw[key].strip().lower()
-        if token not in _BOOL_STATES:
-            self._fail(key, f"not a boolean: {self.raw[key]!r}")
-            return default
-        return _BOOL_STATES[token]
+    def keywords(self, **parsers) -> dict:
+        """Parsed values of just the keys the section sets, for a library constructor."""
+        parsed = {key: self.get(key, parse) for key, parse in parsers.items()}
+        return {key: value for key, value in parsed.items() if value is not None}
 
-    def int_list(self, key, default=None, required=False):
-        if key not in self.raw:
-            if required:
-                self._fail(key, "required key is missing")
-            return default
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, or None with its error filed under this section."""
         try:
-            return tuple(int(tok) for tok in self.raw[key].split(","))
-        except ValueError:
-            self._fail(key, f"not a comma list of integers: {self.raw[key]!r}")
-            return default
+            return make(*args, **kwargs)
+        except SlabnnError as exc:
+            self.note(exc)
+            return None
 
 
 def _resolve_path(path: str) -> str:
@@ -223,77 +245,50 @@ class RunConfig:
     run_id: str
 
 
-def _dataset_config(reader: _SectionReader, problems: list) -> dict:
-    fmt = reader.string("format", choices=_FORMATS, required=True)
+def _dataset_config(rd: _SectionReader) -> dict:
+    fmt = rd.get("format", choices=_FORMATS, required=True)
     out = {"format": fmt}
     if fmt == "csv":
-        path = reader.string("path", required=True)
-        if path is not None:
-            path = _resolve_path(path)
-            if not os.path.exists(path):
-                problems.append(f"[dataset] path: file not found: {path}")
-        out["path"] = path
-        token = reader.string("label_column", default="-1")
-        if token == "none":
-            out["label_column"] = None
-        else:
-            try:
-                out["label_column"] = int(token)
-            except ValueError:
-                problems.append(f"[dataset] label_column: not an integer or 'none': {token!r}")
-                out["label_column"] = -1
-        out["has_header"] = reader.boolean("has_header")
-        out["delimiter"] = reader.string("delimiter", default=",")
-        if out["delimiter"] is not None and len(out["delimiter"]) != 1:
-            problems.append("[dataset] delimiter: must be a single character")
+        out["path"] = rd.path("path", required=True)
+        out["label_column"] = rd.get("label_column", _label_column, default=-1)
+        out["has_header"] = rd.get("has_header", _boolean, default=False)
+        out["delimiter"] = rd.get("delimiter", default=",")
+        if len(out["delimiter"]) != 1:
+            rd.fail("delimiter", "must be a single character")
     elif fmt == "idx":
-        for key in ("train_images", "train_labels"):
-            path = reader.string(key, required=True)
-            if path is not None:
-                path = _resolve_path(path)
-                if not os.path.exists(path):
-                    problems.append(f"[dataset] {key}: file not found: {path}")
-            out[key] = path
-        given = [k for k in ("test_images", "test_labels") if reader.has(k)]
-        if len(given) == 1:
-            problems.append("[dataset] test_images and test_labels must come together")
-        for key in ("test_images", "test_labels"):
-            path = reader.string(key)
-            if path is not None:
-                path = _resolve_path(path)
-                if not os.path.exists(path):
-                    problems.append(f"[dataset] {key}: file not found: {path}")
-            out[key] = path
+        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+            out[key] = rd.path(key, required=key.startswith("train"))
+        if rd.has("test_images") != rd.has("test_labels"):
+            rd.note("test_images and test_labels must come together")
     elif fmt == "synth_logistic":
-        out["n"] = reader.integer("n", default=2000, minimum=1)
-        out["p"] = reader.integer("p", default=20, minimum=1)
-        out["k_true"] = reader.integer("k_true", default=5, minimum=0)
-        out["coef_scale"] = reader.floating("coef_scale", default=2.0)
-        out["data_seed"] = reader.integer("data_seed", default=0, minimum=0)
+        out["n"] = rd.integer("n", 1, default=2000)
+        out["p"] = rd.integer("p", 1, default=20)
+        out["k_true"] = rd.integer("k_true", 0, default=5)
+        out["coef_scale"] = rd.get("coef_scale", _finite, default=2.0)
+        out["data_seed"] = rd.integer("data_seed", 0, default=0)
         if out["k_true"] is not None and out["p"] is not None and out["k_true"] > out["p"]:
-            problems.append("[dataset] k_true: must not exceed p")
+            rd.fail("k_true", "must not exceed p")
     else:
-        out["n"] = reader.integer("n", default=600, minimum=1)
-        out["p"] = reader.integer("p", default=8, minimum=1)
-        out["classes"] = reader.integer("classes", default=3, minimum=2)
-        out["separation"] = reader.floating("separation", default=3.0)
-        out["spread"] = reader.floating("spread", default=1.0)
-        out["shift"] = reader.floating("shift", default=0.0)
-        out["data_seed"] = reader.integer("data_seed", default=0, minimum=0)
+        out["n"] = rd.integer("n", 1, default=600)
+        out["p"] = rd.integer("p", 1, default=8)
+        out["classes"] = rd.integer("classes", 2, default=3)
+        out["separation"] = rd.get("separation", _finite, default=3.0)
+        out["spread"] = rd.get("spread", _finite, default=1.0)
+        out["shift"] = rd.get("shift", _finite, default=0.0)
+        out["data_seed"] = rd.integer("data_seed", 0, default=0)
 
-    out["standardize"] = reader.boolean("standardize")
-    has_train_n = reader.has("train_n")
-    has_test_n = reader.has("test_n")
-    if has_train_n != has_test_n:
-        problems.append("[dataset] train_n and test_n must come together")
-    out["train_n"] = reader.integer("train_n", minimum=1)
-    out["test_n"] = reader.integer("test_n", minimum=0)
-    out["split_seed"] = reader.integer("split_seed", default=0, minimum=0)
+    out["standardize"] = rd.get("standardize", _boolean, default=False)
+    split = rd.has("train_n") or rd.has("test_n")
+    if rd.has("train_n") != rd.has("test_n"):
+        rd.note("train_n and test_n must come together")
+    out["train_n"] = rd.integer("train_n", 1)
+    out["test_n"] = rd.integer("test_n", 0)
+    out["split_seed"] = rd.integer("split_seed", 0, default=0)
     if fmt == "idx":
-        if out.get("test_images") and (has_train_n or has_test_n):
-            problems.append("[dataset] a test IDX pair and a split cannot be combined")
+        if out["test_images"] and split:
+            rd.note("a test IDX pair and a split cannot be combined")
         if out["standardize"]:
-            problems.append("[dataset] standardize: IDX pixels are consumed pre-scaled")
+            rd.fail("standardize", "IDX pixels are consumed pre-scaled")
     return out
 
 
@@ -301,158 +296,102 @@ def load_config(path: str) -> RunConfig:
     """Parse and validate a run config; raises ConfigError listing every problem."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
 
     problems = []
-    sections = {}
-    phase_sections = {}
+    readers = {}
     for name in parser.sections():
-        if name.startswith("phase:"):
-            phase_name = name[len("phase:"):]
-            phase_sections[phase_name] = dict(parser.items(name))
-            unknown = set(phase_sections[phase_name]) - _PHASE_KEYS
-            for key in sorted(unknown):
-                problems.append(f"[{name}] unknown key {key!r}")
-        elif name in _KNOWN_KEYS:
-            sections[name] = dict(parser.items(name))
-            unknown = set(sections[name]) - _KNOWN_KEYS[name]
-            for key in sorted(unknown):
-                problems.append(f"[{name}] unknown key {key!r}")
-        else:
+        known = _PHASE_KEYS if name.startswith("phase:") else _KNOWN_KEYS.get(name)
+        if known is None:
             problems.append(f"unknown section [{name}]")
-
+            continue
+        raw = dict(parser.items(name))
+        problems.extend(f"[{name}] unknown key {key!r}" for key in sorted(set(raw) - known))
+        readers[name] = _SectionReader(name, raw, problems)
     for required in ("dataset", "model"):
-        if required not in sections:
+        if required not in readers:
             problems.append(f"missing required section [{required}]")
-            sections[required] = {}
 
-    ds_reader = _SectionReader("dataset", sections["dataset"], problems)
-    dataset = _dataset_config(ds_reader, problems)
+    def reader(name):
+        return readers.get(name) or _SectionReader(name, {}, problems)
 
-    model = _SectionReader("model", sections.get("model", {}), problems)
-    widths = model.int_list("widths", required=True)
-    acts_token = model.string("activations")
-    family_name = model.string("family", default="mf", choices=tuple(_FAMILY_NAMES))
-    family = _FAMILY_NAMES.get(family_name, Family.MF)
-    rank = model.integer("rank", default=0, minimum=0)
-    fixed_dense = model.boolean("fixed_dense")
-    init_tau = model.floating("init_tau", default=0.05)
-    if init_tau is not None and init_tau <= 0.0:
-        problems.append("[model] init_tau: must be positive")
+    dataset = _dataset_config(reader("dataset"))
 
+    model = reader("model")
+    widths = model.get("widths", _int_list, required=True)
+    family = Family(model.get("family", default=Family.MF.value,
+                              choices=[f.value for f in Family]))
+    rank = model.get("rank", int, default=0)
+    init_tau = model.get("init_tau", _finite, default=0.05)
+    if init_tau <= 0.0:
+        model.fail("init_tau", "must be positive")
     spec = None
     if widths is not None:
-        activations = None
-        if acts_token is not None:
-            tokens = tuple(t.strip() for t in acts_token.split(","))
-            activations = tokens * (len(widths) - 2) if len(tokens) == 1 else tokens
-        try:
-            spec = NetworkSpec(widths=widths, activations=activations)
-        except ConfigError as exc:
-            problems.append(f"[model] {exc}")
-    problems.extend(f"[model] {p}" for p in family_problems(family, rank, spec))
+        acts = model.get("activations")
+        if acts is not None:
+            acts = tuple(t.strip() for t in acts.split(","))
+            acts = acts * (len(widths) - 2) if len(acts) == 1 else acts
+        spec = model.build(NetworkSpec, widths, acts)
+    for problem in family_problems(family, rank, spec):
+        model.note(problem)
 
-    pr = _SectionReader("prior", sections.get("prior", {}), problems)
-    prior = None
-    try:
-        prior = PriorConfig(
-            sigma2=pr.floating("sigma2", default=1.0),
-            psi=pr.floating("psi", default=0.5),
-            hyper=HyperParams(
-                a_beta=pr.floating("a_beta", default=2.0),
-                b_beta=pr.floating("b_beta", default=1.0),
-                a_psi=pr.floating("a_psi", default=1.0),
-                b_psi=pr.floating("b_psi", default=1.0),
-            ),
-            learn_sigma2=pr.boolean("learn_sigma2", default=True),
-            learn_psi=pr.boolean("learn_psi", default=True),
-            learn_hyper=pr.boolean("learn_hyper", default=True),
-            fixed_dense=fixed_dense,
-        )
-    except (ConfigError, TypeError) as exc:
-        problems.append(f"[prior] {exc}")
+    pr = reader("prior")
+    hyper = pr.build(HyperParams, **pr.keywords(
+        a_beta=_finite, b_beta=_finite, a_psi=_finite, b_psi=_finite))
+    prior = pr.build(PriorConfig, hyper=hyper or HyperParams(),
+                     **model.keywords(fixed_dense=_boolean), **pr.keywords(
+                         sigma2=_finite, psi=_finite, learn_sigma2=_boolean,
+                         learn_psi=_boolean, learn_hyper=_boolean))
 
     phases = []
     if prior is not None:
+        declared = {name[len("phase:"):]: rd for name, rd in readers.items()
+                    if name.startswith("phase:")}
+        phases = [] if declared else default_phases(family)
+        stock = {p.name: p.lr for p in default_phases(
+            family, pretrain_epochs=1, train_epochs=1, posttrain_epochs=1)}
         live = live_groups(family, prior)
-        if not phase_sections:
-            phases = default_phases(family)
-        else:
-            defaults = {p.name: p for p in default_phases(
-                family, pretrain_epochs=1, train_epochs=1, posttrain_epochs=1)}
-            for phase_name, raw in phase_sections.items():
-                if phase_name not in defaults:
-                    problems.append(
-                        f"[phase:{phase_name}] unknown phase; use pretrain, train or posttrain"
-                    )
+        for name, rd in declared.items():
+            lr = dict(stock.get(name, {}))
+            for group in GROUPS:
+                value = rd.get(f"lr_{group}", _finite)
+                if value is None:
                     continue
-                rd = _SectionReader(f"phase:{phase_name}", raw, problems)
-                lr = dict(defaults[phase_name].lr)
-                for group in GROUPS:
-                    key = f"lr_{group}"
-                    if not rd.has(key):
-                        continue
-                    value = rd.floating(key)
-                    if value is None:
-                        continue
-                    if group not in live and value != 0.0:
-                        problems.append(
-                            f"[phase:{phase_name}] {key}: group has no movable "
-                            f"parameters under this model configuration"
-                        )
-                        continue
+                if group not in live and value != 0.0:
+                    rd.fail(f"lr_{group}", "group has no movable parameters "
+                                           "under this model configuration")
+                else:
                     lr[group] = value
-                kwargs = dict(
-                    epochs=rd.integer("epochs", default=0, minimum=0, required=True),
-                    lr=lr,
-                    batch_size=rd.integer("batch_size", default=100, minimum=1),
-                    draws=rd.integer("draws", default=1, minimum=1),
-                    delta=rd.floating("delta", default=0.1),
-                    kl_mode=rd.string("kl_mode", default="analytic",
-                                      choices=("analytic", "sampled")),
-                    gamma_policy=rd.string("gamma_policy", default="resample",
-                                           choices=("resample", "median_fixed")),
-                )
-                try:
-                    phases.append(PhaseConfig(phase_name, **kwargs))
-                except ConfigError as exc:
-                    problems.append(f"[phase:{phase_name}] {exc}")
-            order = {"pretrain": 0, "train": 1, "posttrain": 2}
-            phases.sort(key=lambda p: order[p.name])
-            for problem in validate_schedule(phases):
-                problems.append(f"schedule: {problem}")
+            phase = rd.build(PhaseConfig, name, rd.get("epochs", int, 0, required=True),
+                             lr, **rd.keywords(batch_size=int, draws=int, delta=_finite,
+                                               kl_mode=str, gamma_policy=str))
+            if phase is not None:
+                phases.append(phase)
+        phases.sort(key=lambda p: PHASE_NAMES.index(p.name))
+        problems.extend(f"schedule: {p}" for p in validate_schedule(phases))
 
-    pd = _SectionReader("predict", sections.get("predict", {}), problems)
-    gamma = pd.string("gamma", default="sim", choices=("sim", "all", "med"))
-    beta = pd.string("beta", default="sim", choices=("sim", "mea"))
-    replicates = pd.integer("replicates", default=10, minimum=1)
-    threshold = pd.floating("threshold", default=0.95)
-    if threshold is not None and not (0.0 <= threshold < 1.0):
-        problems.append("[predict] threshold: must lie in [0, 1)")
-    predict_mode = None
-    try:
-        predict_mode = PredictionMode(gamma or "sim", beta or "sim", replicates or 1)
-    except (ConfigError, SlabnnError) as exc:
-        problems.append(f"[predict] {exc}")
-    if predict_mode is not None and gamma == "all" and beta == "sim" and not fixed_dense:
-        problems.append("[predict] gamma=all with beta=sim needs fixed_dense = true")
+    pd = reader("predict")
+    threshold = pd.get("threshold", _finite, default=DOUBT_THRESHOLD)
+    if not 0.0 <= threshold < 1.0:
+        pd.fail("threshold", "must lie in [0, 1)")
+    predict_mode = pd.build(PredictionMode, **pd.keywords(
+        gamma=str, beta=str, replicates=int))
+    if predict_mode is not None and prior is not None:
+        pd.build(predict_mode.check, prior.fixed_dense)
 
-    rn = _SectionReader("run", sections.get("run", {}), problems)
-    seeds = rn.int_list("seeds", default=(1,))
-    if seeds is not None:
-        if not seeds:
-            problems.append("[run] seeds: need at least one seed")
-        elif len(set(seeds)) != len(seeds):
-            problems.append("[run] seeds: duplicate seeds")
-        elif any(s < 0 for s in seeds):
-            problems.append("[run] seeds: seeds must be nonnegative")
-    output_dir = rn.string("output_dir", default="runs")
-    stem = os.path.splitext(os.path.basename(path))[0]
-    run_id = rn.string("run_id", default=stem)
+    rn = reader("run")
+    seeds = rn.get("seeds", _int_list, default=(1,))
+    if len(set(seeds)) != len(seeds):
+        rn.fail("seeds", "duplicate seeds")
+    elif min(seeds) < 0:
+        rn.fail("seeds", "seeds must be nonnegative")
+    output_dir = rn.get("output_dir", default="runs")
+    run_id = rn.get("run_id", default=os.path.splitext(os.path.basename(path))[0])
 
     if problems:
         raise ConfigError("\n".join(problems))
@@ -491,21 +430,26 @@ def _build_datasets(ds: dict):
     return train_ds, (test_ds if test_ds.n else train_ds), has_labels
 
 
-def _network_metrics(state, eval_ds, mode, threshold, seed, run_id, has_labels):
-    """Predict on the eval set and assemble the per-run report."""
-    rng = RngStream(seed, STREAM_PREDICT)
-    result = predict(state, eval_ds.features, mode, rng=rng)
+def _predict(state, data, mode, seed):
+    return predict(state, data.features, mode, rng=RngStream(seed, STREAM_PREDICT))
+
+
+def _report(result, data, has_labels, threshold, run_id, seed, state=None):
+    """(report, doubt decisions) of one prediction run.
+
+    Accuracies need labels; ``layer_rho`` is filled when ``state`` is given.
+    """
     doubt = classify_with_doubt(result.probs, threshold)
-    plain = classify_with_doubt(result.probs, 0.0)
-    report = MetricsReport(run_id=run_id, seed=seed)
+    report = MetricsReport(run_id=run_id, seed=seed, density=density_level(result.masks))
+    if state is not None:
+        report.layer_rho = layer_inclusion_means(result.alpha_hat or marginal_inclusion(state))
     if has_labels:
-        report.all_class_accuracy = accuracy(plain.decisions, eval_ds.labels)
-        report.doubt_accuracy = accuracy(doubt.decisions, eval_ds.labels,
+        plain = classify_with_doubt(result.probs, 0.0)
+        report.all_class_accuracy = accuracy(plain.decisions, data.labels)
+        report.doubt_accuracy = accuracy(doubt.decisions, data.labels,
                                          restrict_to_classified=True)
         report.doubt_classified = doubt.n_classified
-    report.density = density_level(result.masks)
-    report.layer_rho = layer_inclusion_means(result.alpha_hat or marginal_inclusion(state))
-    return result, doubt, report
+    return report, doubt
 
 
 def _stable_copy(report: MetricsReport) -> MetricsReport:
@@ -538,9 +482,9 @@ def cmd_train(args) -> int:
                              rank=cfg.rank, init_tau=cfg.init_tau,
                              checkpoint_dir=seed_dir)
         trace.to_jsonl(os.path.join(seed_dir, "trace.jsonl"))
-        result, doubt, report = _network_metrics(
-            state, eval_ds, cfg.predict_mode, cfg.threshold, seed, cfg.run_id,
-            has_labels)
+        result = _predict(state, eval_ds, cfg.predict_mode, seed)
+        report, doubt = _report(result, eval_ds, has_labels, cfg.threshold,
+                                cfg.run_id, seed, state)
         report.epoch_time_s = trace.mean_epoch_seconds()
         export_predictions_csv(os.path.join(seed_dir, "predictions.csv"),
                                result, doubt)
@@ -576,16 +520,11 @@ def _data_from_flags(args, prefix="") -> tuple:
             f"--{prefix.replace('_', '-')}images with matching labels"
         )
     if csv_path is not None:
-        token = args.label_column
-        if token == "none":
-            column = None
-        else:
-            try:
-                column = int(token)
-            except ValueError:
-                raise ConfigError(
-                    f"--label-column must be an integer or 'none', got {token!r}"
-                ) from None
+        try:
+            column = _label_column(args.label_column)
+        except ValueError:
+            raise ConfigError(f"--label-column must be an integer or 'none', "
+                              f"got {args.label_column!r}") from None
         data = dataio.load_csv(_resolve_path(csv_path), label_column=column,
                                has_header=args.has_header,
                                delimiter=args.delimiter,
@@ -597,34 +536,27 @@ def _data_from_flags(args, prefix="") -> tuple:
     return data, True
 
 
-def _mode_from_flags(args) -> PredictionMode:
-    return PredictionMode(args.gamma, args.beta, args.replicates)
+def _prelude(args) -> tuple:
+    """(mode, state, data, has_labels, predictions) for predict and eval.
+
+    The mode flags are checked before any file is read; flags left unset
+    take ``PredictionMode``'s defaults.
+    """
+    flags = {k: getattr(args, k) for k in ("gamma", "beta", "replicates")}
+    mode = PredictionMode(**{k: v for k, v in flags.items() if v is not None})
+    state = ckpt.load_checkpoint(args.checkpoint).state
+    data, has_labels = _data_from_flags(args)
+    return mode, state, data, has_labels, _predict(state, data, mode, args.seed)
 
 
 def cmd_predict(args) -> int:
-    mode = _mode_from_flags(args)
-    stored = ckpt.load_checkpoint(args.checkpoint)
-    data, has_labels = _data_from_flags(args)
-    state = stored.state
-    if data.p != state.spec.widths[0]:
-        print(f"error: checkpoint expects {state.spec.widths[0]} features, "
-              f"data has {data.p}", file=sys.stderr)
-        return 1
-    rng = RngStream(args.seed, STREAM_PREDICT)
-    result = predict(state, data.features, mode, rng=rng)
-    doubt = classify_with_doubt(result.probs, args.threshold)
+    mode, _, data, has_labels, result = _prelude(args)
+    report, doubt = _report(result, data, has_labels, args.threshold,
+                            os.path.basename(args.checkpoint), args.seed)
     export_predictions_csv(args.out, result, doubt)
     print(f"[predict] mode={mode.gamma}/{mode.beta} replicates={mode.replicates} "
           f"rows={data.n} wrote {args.out}")
     if has_labels:
-        plain = classify_with_doubt(result.probs, 0.0)
-        report = MetricsReport(run_id=os.path.basename(args.checkpoint),
-                               seed=args.seed)
-        report.all_class_accuracy = accuracy(plain.decisions, data.labels)
-        report.doubt_accuracy = accuracy(doubt.decisions, data.labels,
-                                         restrict_to_classified=True)
-        report.doubt_classified = doubt.n_classified
-        report.density = density_level(result.masks)
         metrics_path = args.metrics_out
         if metrics_path is None:
             metrics_path = os.path.join(os.path.dirname(args.out) or ".",
@@ -636,41 +568,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    mode = _mode_from_flags(args)
-    stored = ckpt.load_checkpoint(args.checkpoint)
-    state = stored.state
-    data, has_labels = _data_from_flags(args)
-    if data.p != state.spec.widths[0]:
-        print(f"error: checkpoint expects {state.spec.widths[0]} features, "
-              f"data has {data.p}", file=sys.stderr)
-        return 1
+    mode, state, data, has_labels, result = _prelude(args)
+    report, _ = _report(result, data, has_labels, args.threshold,
+                        os.path.basename(args.checkpoint), args.seed, state)
     os.makedirs(args.out, exist_ok=True)
-    rng = RngStream(args.seed, STREAM_PREDICT)
-    result = predict(state, data.features, mode, rng=rng)
     cdf_in = entropy_cdf(result.probs)
     cdf_in.to_csv(os.path.join(args.out, "entropy_in.csv"))
-
-    report = MetricsReport(run_id=os.path.basename(args.checkpoint), seed=args.seed)
-    report.density = density_level(result.masks)
-    report.layer_rho = layer_inclusion_means(result.alpha_hat or marginal_inclusion(state))
     report.extra["median_entropy_in"] = cdf_in.median
-    if has_labels:
-        doubt = classify_with_doubt(result.probs, args.threshold)
-        plain = classify_with_doubt(result.probs, 0.0)
-        report.all_class_accuracy = accuracy(plain.decisions, data.labels)
-        report.doubt_accuracy = accuracy(doubt.decisions, data.labels,
-                                         restrict_to_classified=True)
-        report.doubt_classified = doubt.n_classified
 
     if args.ood_csv is not None or args.ood_images is not None:
         ood, _ = _data_from_flags(args, prefix="ood_")
-        if ood.p != state.spec.widths[0]:
-            print(f"error: checkpoint expects {state.spec.widths[0]} features, "
-                  f"out-of-domain data has {ood.p}", file=sys.stderr)
-            return 1
-        rng_ood = RngStream(args.seed, STREAM_PREDICT)
-        result_ood = predict(state, ood.features, mode, rng=rng_ood)
-        cdf_ood = entropy_cdf(result_ood.probs)
+        cdf_ood = entropy_cdf(_predict(state, ood, mode, args.seed).probs)
         cdf_ood.to_csv(os.path.join(args.out, "entropy_ood.csv"))
         report.extra["median_entropy_ood"] = cdf_ood.median
         print(f"[eval] median entropy in-domain={cdf_in.median!r} "
@@ -740,10 +648,10 @@ def _add_data_flags(sub, ood: bool = False):
 
 
 def _add_mode_flags(sub):
-    sub.add_argument("--gamma", choices=("sim", "all", "med"), default="sim")
-    sub.add_argument("--beta", choices=("sim", "mea"), default="sim")
-    sub.add_argument("-R", "--replicates", type=int, default=10)
-    sub.add_argument("--threshold", type=float, default=0.95)
+    sub.add_argument("--gamma", choices=GAMMA_RULES)
+    sub.add_argument("--beta", choices=BETA_RULES)
+    sub.add_argument("-R", "--replicates", type=int)
+    sub.add_argument("--threshold", type=float, default=DOUBT_THRESHOLD)
     sub.add_argument("--seed", type=int, default=0)
 
 

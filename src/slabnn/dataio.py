@@ -169,40 +169,44 @@ def load_csv(path, label_column: int = -1, has_header: bool = False,
     reads an unlabeled table: every column is a feature and the labels
     come back all zero with an empty name tuple.  Feature cells must
     parse as numbers; ragged rows and parse failures raise
-    ``FormatError`` naming the line.  Optional standardization centers
-    and rescales each feature column (population standard deviation)
+    ``FormatError`` naming the line; text that does not decode, or that
+    the csv module rejects (a field over its size limit), raises it
+    naming the file.  Optional standardization centers and rescales each feature column (population standard deviation)
     and records the parameters on the dataset.
     """
     rows = []
     labels_raw = []
-    with open(path, "r", newline="") as fh:
-        reader = _csv.reader(fh, delimiter=delimiter)
-        width = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if has_header and line_no == 1:
-                continue
-            if width is None:
-                width = len(row)
-                if width < (2 if label_column is not None else 1):
-                    raise FormatError(f"{path}: line {line_no}: too few columns")
-            elif len(row) != width:
-                raise FormatError(
-                    f"{path}: line {line_no}: expected {width} columns, got {len(row)}"
-                )
-            if label_column is None:
-                feat_cells = row
-            else:
-                col = label_column if label_column >= 0 else width + label_column
-                if not (0 <= col < width):
-                    raise FormatError(f"{path}: label column {label_column} out of range")
-                labels_raw.append(row[col].strip())
-                feat_cells = row[:col] + row[col + 1:]
-            try:
-                rows.append([float(cell) for cell in feat_cells])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {line_no}: {exc}") from None
+    try:
+        with open(path, "r", newline="") as fh:
+            reader = _csv.reader(fh, delimiter=delimiter)
+            width = None
+            for line_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if has_header and line_no == 1:
+                    continue
+                if width is None:
+                    width = len(row)
+                    if width < (2 if label_column is not None else 1):
+                        raise FormatError(f"{path}: line {line_no}: too few columns")
+                elif len(row) != width:
+                    raise FormatError(
+                        f"{path}: line {line_no}: expected {width} columns, got {len(row)}"
+                    )
+                if label_column is None:
+                    feat_cells = row
+                else:
+                    col = label_column if label_column >= 0 else width + label_column
+                    if not (0 <= col < width):
+                        raise FormatError(f"{path}: label column {label_column} out of range")
+                    labels_raw.append(row[col].strip())
+                    feat_cells = row[:col] + row[col + 1:]
+                try:
+                    rows.append([float(cell) for cell in feat_cells])
+                except ValueError as exc:
+                    raise FormatError(f"{path}: line {line_no}: {exc}") from None
+    except (UnicodeDecodeError, _csv.Error) as exc:
+        raise FormatError(f"{path}: unreadable text: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no data rows")
     mapping = {}

@@ -56,8 +56,8 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("a_beta", "b_beta", "a_psi", "b_psi"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"hyperparameter {name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise DomainError(f"hyperparameter {name} must be positive and finite")
 
 
 def concrete_from_logits(logit_alpha, nu, delta):

@@ -139,8 +139,8 @@ class PriorConfig:
     fixed_dense: bool = False
 
     def __post_init__(self):
-        if self.sigma2 <= 0.0:
-            raise ConfigError("prior sigma2 must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ConfigError("prior sigma2 must be positive and finite")
         if not (0.0 < self.psi < 1.0):
             raise ConfigError("prior psi must lie in the open interval (0, 1)")
 

@@ -112,10 +112,10 @@ def softplus(x):
 
 
 def softplus_inv(y):
-    """Inverse of softplus for y > 0: log(expm1(y))."""
+    """Inverse of softplus for finite y > 0: log(expm1(y))."""
     arr = np.asarray(y, dtype=np.float64)
-    if np.any(arr <= 0.0):
-        raise DomainError("softplus_inv requires y > 0")
+    if not np.all((arr > 0.0) & (arr < np.inf)):
+        raise DomainError("softplus_inv requires finite y > 0")
     out = np.log(np.expm1(arr))
     return float(out) if arr.ndim == 0 else out
 

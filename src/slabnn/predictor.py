@@ -59,11 +59,14 @@ DOUBT_THRESHOLD = 0.95
 
 @dataclass(frozen=True)
 class PredictionMode:
-    """(gamma_rule, beta_rule, replicates); see module docstring."""
+    """(gamma_rule, beta_rule, replicates); see module docstring.
 
-    gamma: str
-    beta: str
-    replicates: int = 1
+    The defaults are the fully Bayesian sim/sim readout with 10 replicates.
+    """
+
+    gamma: str = "sim"
+    beta: str = "sim"
+    replicates: int = 10
 
     def __post_init__(self):
         if self.gamma not in GAMMA_RULES:
@@ -75,6 +78,12 @@ class PredictionMode:
         if self.gamma == "sim" and self.beta == "mea":
             raise ConfigError("gamma=sim with beta=mea is not a prediction mode; "
                               "use med/mea or all/mea")
+
+    def check(self, fixed_dense: bool):
+        """Raise ConfigError unless a state with this ``fixed_dense`` flag runs the mode."""
+        if self.gamma == "all" and self.beta == "sim" and not fixed_dense:
+            raise ConfigError("gamma=all with beta=sim needs fixed_dense = true: it keeps "
+                              "every connection while sampling slabs")
 
     @property
     def deterministic(self) -> bool:
@@ -136,11 +145,7 @@ def predict(state: VariationalState, features, mode: PredictionMode,
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != state.spec.widths[0]:
         raise ShapeError(f"features must be (n, {state.spec.widths[0]}), got {x.shape}")
-    if mode.gamma == "all" and mode.beta == "sim" and not state.prior.fixed_dense:
-        raise ConfigError(
-            "all/sim keeps every connection while sampling slabs, which this "
-            "model family only defines for fixed-dense states"
-        )
+    mode.check(state.prior.fixed_dense)
     if mode.beta == "sim" and rng is None:
         raise DomainError("this prediction mode needs an rng")
 

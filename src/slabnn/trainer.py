@@ -34,8 +34,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from .elbo import Batch, GradientBundle, elbo_gradient
 from .errors import ConfigError, NumericError
-from .model import (Family, NetworkSpec, PriorConfig, VariationalState, init_state,
-                    marginal_inclusion, median_model)
+from .model import (Family, LayerParams, NetworkSpec, PriorConfig, VariationalState,
+                    init_state, marginal_inclusion, median_model)
 from .numkernel import RngStream
 
 __all__ = [
@@ -140,8 +140,8 @@ class PhaseConfig:
             problems.append(f"{self.name}: batch_size must be positive")
         if self.draws < 1:
             problems.append(f"{self.name}: draws must be at least 1")
-        if self.delta <= 0.0:
-            problems.append(f"{self.name}: delta must be positive")
+        if not 0.0 < self.delta < np.inf:
+            problems.append(f"{self.name}: delta must be positive and finite")
         if self.kl_mode not in ("analytic", "sampled"):
             problems.append(f"{self.name}: unknown kl_mode {self.kl_mode!r}")
         if self.gamma_policy not in ("resample", "median_fixed"):
@@ -153,8 +153,9 @@ class PhaseConfig:
         for group, value in self.lr.items():
             if group not in GROUPS:
                 problems.append(f"{self.name}: unknown step-size group {group!r}")
-            elif value < 0.0:
-                problems.append(f"{self.name}: step size for {group} must be nonnegative")
+            elif not 0.0 <= value < np.inf:
+                problems.append(f"{self.name}: step size for {group} must be "
+                                f"nonnegative and finite")
         if self.name != "pretrain":
             for group in _PRETRAIN_ONLY:
                 if self.lr.get(group, 0.0) != 0.0:
@@ -173,25 +174,21 @@ class PhaseConfig:
 def live_groups(family: Family, prior: PriorConfig) -> set:
     """Step-size groups with any movable parameter under this model.
 
+    The family's groups are those of its parameters (``PARAM_GROUP``);
     fixed_dense freezes the inclusion structure and the prior inclusion
     probability; ``learn_sigma2``, ``learn_psi`` and ``learn_hyper``
     freeze their groups.  ``train`` drops the step size of every other
     group.
     """
-    live = {"weights"}
-    if not prior.fixed_dense:
-        if family is Family.MF:
-            live.add("omega")
-        else:
-            live.update(("xi", "cov"))
-        if prior.learn_psi:
-            live.add("psi")
-        if prior.learn_hyper:
-            live.add("psi_hyper")
-    if prior.learn_sigma2:
-        live.add("sigma2")
-    if prior.learn_hyper:
-        live.add("beta_hyper")
+    live = {PARAM_GROUP[name] for name in LayerParams.param_shapes(family, (1, 1))}
+    if prior.fixed_dense:
+        live -= {*_STRUCTURE, "psi", "psi_hyper"}
+    if not prior.learn_psi:
+        live.discard("psi")
+    if not prior.learn_hyper:
+        live -= {"psi_hyper", "beta_hyper"}
+    if not prior.learn_sigma2:
+        live.discard("sigma2")
     return live
 
 

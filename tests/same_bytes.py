@@ -18,18 +18,31 @@ the hyperprior, ``elbo_gradient`` in pretrain and train under both KL
 modes, and ``predict`` in all four modes.  Values that come with an rng
 also hash the stream position it was left at.
 
+The CLI section runs ``slabnn train`` on one INI config per family
+(mean field, mvn_full, and low rank at r=2; pretrain, a sampled-KL
+train and a median_fixed posttrain; seeds 5 and 6), then ``predict`` in
+all four modes, ``eval`` with ``--ood-csv`` and ``--corr-layer``, and
+``inspect`` on each family's final checkpoint.  It hashes every file
+the commands write and every stdout and exit code, with the scratch
+directory replaced by ``<work>`` and the ``epoch_seconds=`` timing
+dropped.
+
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import re
 import sys
 import tempfile
 
 import numpy as np
 
+from slabnn.cli import main as cli_main
 from slabnn.dataio import synth_clusters
 from slabnn.elbo import Batch, elbo_estimate, elbo_gradient
 from slabnn.metrics import inclusion_correlation
@@ -144,6 +157,104 @@ def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
     return out
 
 
+CLI_CONFIG = """\
+[dataset]
+format = synth_clusters
+n = 200
+p = 6
+classes = 3
+separation = 1.0
+data_seed = 5
+train_n = 150
+test_n = 50
+
+[model]
+widths = 6,5,3
+family = {family}
+rank = {rank}
+
+[phase:pretrain]
+epochs = 2
+batch_size = 50
+
+[phase:train]
+epochs = 2
+batch_size = 50
+kl_mode = sampled
+
+[phase:posttrain]
+epochs = 1
+batch_size = 50
+gamma_policy = median_fixed
+
+{predict}
+[run]
+seeds = 5,6
+output_dir = {out}
+"""
+
+# name -> (family, rank, [predict] section; mvn_full takes every default)
+CLI_RUNS = {
+    "mf": ("mf", 0, "[predict]\ngamma = med\nbeta = sim\nreplicates = 3\nthreshold = 0.9\n"),
+    "full": ("mvn_full", 0, ""),
+    "lowrank2": ("mvn_lowrank", 2, "[predict]\ngamma = all\nbeta = mea\n"),
+}
+
+
+def _write_csv(path, data):
+    with open(path, "w") as fh:
+        for row, label in zip(data.features, data.labels):
+            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+
+
+def cli_digests(workdir, codes) -> dict:
+    """Digests of the CLI runs; ``codes`` collects each command's exit code."""
+    out = {}
+
+    def run(tag, *argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main([str(a) for a in argv])
+        text = re.sub(r" epoch_seconds=[0-9.]+", "", buf.getvalue())
+        codes[tag] = code
+        out[f"cli/{tag}/stdout"] = _digest(f"exit={code}\n", text.replace(workdir, "<work>"))
+
+    eval_csv = os.path.join(workdir, "eval.csv")
+    ood_csv = os.path.join(workdir, "ood.csv")
+    _write_csv(eval_csv, synth_clusters(60, WIDTHS[0], WIDTHS[-1], separation=1.0,
+                                        seed=SEED + 1))
+    _write_csv(ood_csv, synth_clusters(60, WIDTHS[0], WIDTHS[-1], separation=1.0,
+                                       shift=3.0, seed=SEED + 1))
+    for name, (family, rank, predict_section) in CLI_RUNS.items():
+        cfg = os.path.join(workdir, f"{name}.ini")
+        with open(cfg, "w") as fh:
+            fh.write(CLI_CONFIG.format(family=family, rank=rank, predict=predict_section,
+                                       out=os.path.join(workdir, "runs")))
+        run(f"{name}/train", "train", cfg)
+        ckpt = os.path.join(workdir, "runs", name, "seed5", "checkpoint_final.lbnn")
+        for gamma, beta in MODES:
+            pred = os.path.join(workdir, f"predict_{name}_{gamma}_{beta}")
+            os.makedirs(pred)
+            run(f"{name}/predict/{gamma}_{beta}", "predict", ckpt, "--csv", eval_csv,
+                "--gamma", gamma, "--beta", beta, "-R", 3, "--seed", 7,
+                "--out", os.path.join(pred, "predictions.csv"))
+        pred = os.path.join(workdir, f"predict_{name}_flag_defaults")
+        os.makedirs(pred)
+        run(f"{name}/predict/flag_defaults", "predict", ckpt, "--csv", eval_csv,
+            "--out", os.path.join(pred, "predictions.csv"))
+        run(f"{name}/eval", "eval", ckpt, "--csv", eval_csv, "--ood-csv", ood_csv,
+            "--corr-layer", 0, "--corr-samples", 200, "--seed", 7,
+            "--out", os.path.join(workdir, f"eval_{name}"))
+        run(f"{name}/inspect", "inspect", ckpt)
+    for root, _, files in os.walk(workdir):
+        for fname in files:
+            path = os.path.join(root, fname)
+            with open(path, "rb") as fh:
+                blob = fh.read().replace(workdir.encode(), b"<work>")
+            out["cli/files/" + os.path.relpath(path, workdir)] = _digest(blob)
+    return out
+
+
 def main() -> int:
     data = synth_clusters(200, WIDTHS[0], WIDTHS[-1], separation=1.0, seed=SEED)
     digests = {}
@@ -151,6 +262,13 @@ def main() -> int:
         for name, (family, rank, prior, phases) in RUNS.items():
             digests.update(run_digests(name, family, rank, prior, phases, data,
                                        workdir))
+    codes = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        digests.update(cli_digests(workdir, codes))
+    failed = sorted(tag for tag, code in codes.items() if code != 0)
+    if failed:
+        print(f"CLI commands failed: {failed}", file=sys.stderr)
+        return 1
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

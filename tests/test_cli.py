@@ -83,6 +83,37 @@ seeds = 1
         joined = "\n".join(lines)
         assert "n" in joined and "widths" in joined and "family" in joined
 
+    def test_library_and_reader_problems_listed_together(self, tmp_path, capsys):
+        # HyperParams raises DomainError; it is filed with the reader's problems
+        text = GOOD_CONFIG.replace("n = 90", "n = -5") + "\n[prior]\na_beta = -1\n"
+        cfg, _ = _write_config(tmp_path, text)
+        code, _, err = _run_main(["train", str(cfg)], capsys)
+        assert code == 2
+        assert "config error: [dataset] n:" in err
+        assert "config error: [prior] hyperparameter a_beta" in err
+
+    @pytest.mark.parametrize("old,new", [
+        ("separation = 4.0", "separation = inf"),
+        ("[model]\n", "[model]\ninit_tau = nan\n"),
+        ("[model]\n", "[prior]\nsigma2 = nan\n\n[model]\n"),
+        ("lr_weights = 0.01", "lr_weights = inf"),
+        ("lr_weights = 0.01", "lr_weights = 0.01\ndelta = nan"),
+        ("replicates = 3", "replicates = 3\nthreshold = nan"),
+    ])
+    def test_non_finite_numbers_exit_two(self, tmp_path, capsys, old, new):
+        cfg, out = _write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+        code, _, err = _run_main(["train", str(cfg)], capsys)
+        assert code == 2
+        assert "not a finite number" in err
+        assert not out.exists()
+
+    def test_undecodable_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(GOOD_CONFIG.encode().replace(b"smoke", b"sm\xffke"))
+        code, _, err = _run_main(["train", str(cfg)], capsys)
+        assert code == 2
+        assert "config error: cannot parse" in err and "bad.ini" in err
+
     def test_unknown_key_and_section_rejected(self, tmp_path, capsys):
         text = GOOD_CONFIG + "\n[extras]\nfoo = 1\n"
         text = text.replace("[model]\nwidths = 4,3,2",

@@ -153,6 +153,18 @@ class TestCsv:
         with pytest.raises(FormatError, match="line 2"):
             load_csv(path)
 
+    def test_undecodable_bytes_name_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"1.0,2.0,0\n\xff.0,4.0,1\n")
+        with pytest.raises(FormatError, match="d.csv"):
+            load_csv(path)
+
+    def test_field_over_csv_limit_names_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,2.0,0\n" + "3" * 140_000 + ",4.0,1\n")
+        with pytest.raises(FormatError, match="d.csv"):
+            load_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")

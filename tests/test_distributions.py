@@ -147,8 +147,11 @@ class TestLogDensities:
             logpdf_inv_gamma(-1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             logpdf_beta(1.5, 2.0, 2.0)
-        with pytest.raises(DomainError):
-            HyperParams(a_beta=0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                HyperParams(a_beta=bad)
+            with pytest.raises(DomainError):
+                HyperParams(b_psi=bad)
 
 
 class TestMvnLogits:

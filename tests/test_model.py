@@ -73,10 +73,17 @@ class TestInit:
             init_state(spec, PriorConfig(), Family.MVN_FULL, RngStream(0, 0))
 
     def test_prior_values_must_sit_in_hyperprior_support(self):
-        with pytest.raises(ConfigError):
-            PriorConfig(sigma2=-1.0)
-        with pytest.raises(ConfigError):
-            PriorConfig(psi=1.0)
+        for sigma2 in (-1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                PriorConfig(sigma2=sigma2)
+        for psi in (1.0, np.nan):
+            with pytest.raises(ConfigError):
+                PriorConfig(psi=psi)
+
+    def test_init_tau_must_be_finite_and_positive(self):
+        for tau in (0.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                make_state(init_tau=tau)
 
     def test_lowrank_rank_zero_is_diagonal(self):
         st = make_state(Family.MVN_LOWRANK, rank=0)

@@ -121,6 +121,9 @@ def test_softplus_inverse_and_large_arguments():
     # softplus(700) = 700 to double precision
     assert sp[-1] == 700.0
     np.testing.assert_allclose(softplus_inv(softplus(x[1:4])), x[1:4], atol=1e-12)
+    for y in (0.0, -1.0, np.nan, np.inf, [1.0, np.nan]):
+        with pytest.raises(DomainError):
+            softplus_inv(y)
 
 
 def test_log_sigmoid_matches_log_of_sigmoid():

@@ -46,8 +46,12 @@ class TestPhaseConfig:
         assert validate_schedule([]) == ["schedule needs at least one phase"]
 
     def test_parameter_ranges(self):
-        with pytest.raises(ConfigError):
-            PhaseConfig("train", epochs=1, lr={"weights": 0.1}, delta=0.0)
+        for delta in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                PhaseConfig("train", epochs=1, lr={"weights": 0.1}, delta=delta)
+        for step in (-0.1, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                PhaseConfig("train", epochs=1, lr={"weights": step})
         with pytest.raises(ConfigError):
             PhaseConfig("train", epochs=1, lr={"weights": 0.1}, draws=0)
         with pytest.raises(ConfigError):
