@@ -12,9 +12,10 @@ Layout, all multi-byte values little-endian:
         uint64  dims[rank]
         float64 data, C order
 
-Every field of the variational state is stored as a named tensor
+Tensor names are unique.  Every field of the variational state is stored as a named tensor
 (scalars as length-1 tensors), along with small "meta/..." tensors that
-encode the network shape, family, prior switches and phase counters,
+encode the network shape, family, prior switches and phase counters
+(``meta/flags[0]`` marks the bias row every weight matrix has: always 1),
 and "rng/..." tensors holding random stream positions as raw uint64
 words bit-cast to float64 (floats cannot carry 64-bit integers exactly,
 the bit-cast round-trips).  Saving is atomic (temp file plus rename)
@@ -81,7 +82,7 @@ def _meta_tensors(state: VariationalState, counters: dict) -> list:
         ("meta/activations",
          np.array([ACTIVATIONS.index(a) for a in spec.activations], dtype=np.float64)),
         ("meta/flags", np.array([
-            1.0 if spec.include_bias else 0.0,
+            1.0,  # bias row: every weight matrix has one
             float(_FAMILY_CODES[state.family]),
             float(state.rank),
             1.0 if prior.fixed_dense else 0.0,
@@ -179,6 +180,8 @@ def read_manifest(path):
         except UnicodeDecodeError:
             raise FormatError(f"tensor name at byte offset {rd.off - name_len} "
                               "is not utf-8") from None
+        if name in tensors:
+            raise FormatError(f"duplicate tensor {name} at byte offset {rd.off - name_len}")
         rank = rd.u32("tensor rank")
         if rank > 8:
             raise FormatError(
@@ -222,7 +225,8 @@ def load_checkpoint(path) -> CheckpointData:
         raise FormatError(f"unknown activation code in {act_codes}")
     activations = tuple(ACTIVATIONS[c] for c in act_codes)
     flags = _counts(tensors, "meta/flags", 7)
-    include_bias = bool(flags[0])
+    if flags[0] != 1:
+        raise FormatError(f"meta/flags[0] marks the bias row and must be 1, got {flags[0]}")
     family = _FAMILY_FROM_CODE.get(flags[1])
     if family is None:
         raise FormatError(f"unknown family code {flags[1]}")
@@ -240,8 +244,7 @@ def load_checkpoint(path) -> CheckpointData:
             learn_sigma2=bool(flags[4]), learn_psi=bool(flags[5]),
             learn_hyper=bool(flags[6]), fixed_dense=bool(flags[3]),
         )
-        spec = NetworkSpec(widths=widths, activations=activations,
-                           include_bias=include_bias)
+        spec = NetworkSpec(widths=widths, activations=activations)
     except (ConfigError, DomainError) as exc:
         raise FormatError(f"checkpoint model description is invalid: {exc}") from None
     if rank != 0 and family is not Family.MVN_LOWRANK:

@@ -81,7 +81,6 @@ import configparser
 import dataclasses
 import math
 import os
-import struct
 import sys
 
 from . import checkpoint as ckpt
@@ -92,7 +91,7 @@ from .metrics import (MetricsReport, accuracy, entropy_cdf,
                       inclusion_correlation, layer_inclusion_means,
                       summarize_runs)
 from .model import (Family, NetworkSpec, PriorConfig, family_problems,
-                    marginal_inclusion)
+                    marginal_inclusion, memory_problems)
 from .numkernel import RngStream
 from .predictor import (BETA_RULES, DOUBT_THRESHOLD, GAMMA_RULES, PredictionMode,
                         classify_with_doubt, density_level, export_predictions_csv,
@@ -276,6 +275,10 @@ def _dataset_config(rd: _SectionReader) -> dict:
         out["spread"] = rd.get("spread", _finite, default=1.0)
         out["shift"] = rd.get("shift", _finite, default=0.0)
         out["data_seed"] = rd.integer("data_seed", 0, default=0)
+    if out.get("n") and out.get("p"):
+        n, p = out["n"], out["p"]
+        for problem in memory_problems(8 * n * p, f"n: {n} x {p} features"):
+            rd.note(problem)
 
     out["standardize"] = rd.get("standardize", _boolean, default=False)
     split = rd.has("train_n") or rd.has("test_n")
@@ -603,17 +606,15 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     tensors = ckpt.read_manifest(args.checkpoint)
-    with open(args.checkpoint, "rb") as fh:
-        header = fh.read(12)
-    version, n_tensors = struct.unpack("<II", header[4:12])
     size = os.path.getsize(args.checkpoint)
     print(f"file: {args.checkpoint} ({size} bytes)")
-    print(f"format: {ckpt.MAGIC.decode()} version {version}, {n_tensors} tensors")
+    print(f"format: {ckpt.MAGIC.decode()} version {ckpt.FORMAT_VERSION}, "
+          f"{len(tensors)} tensors")
     stored = ckpt.load_checkpoint(args.checkpoint)
     state = stored.state
     spec = state.spec
     print(f"spec: widths={list(spec.widths)} activations={list(spec.activations)} "
-          f"bias={spec.include_bias} family={state.family.value} rank={state.rank} "
+          f"bias=True family={state.family.value} rank={state.rank} "
           f"fixed_dense={state.prior.fixed_dense}")
     print("counters: " + " ".join(f"{k}={v}" for k, v in sorted(stored.counters.items())))
     if stored.rng_words:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .numkernel import RngStream, sigmoid
 
 __all__ = [
@@ -171,9 +171,13 @@ def load_csv(path, label_column: int = -1, has_header: bool = False,
     parse as numbers; ragged rows and parse failures raise
     ``FormatError`` naming the line; text that does not decode, or that
     the csv module rejects (a field over its size limit), raises it
-    naming the file.  Optional standardization centers and rescales each feature column (population standard deviation)
-    and records the parameters on the dataset.
+    naming the file.  A ``delimiter`` that is not one character raises
+    ``ConfigError``.  Optional standardization centers and rescales each
+    feature column (population standard deviation) and records the
+    parameters on the dataset.
     """
+    if len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
     rows = []
     labels_raw = []
     try:

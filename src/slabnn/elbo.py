@@ -13,10 +13,13 @@ weight because the spike components cancel:
     KL = kl_bernoulli(alpha, psi) + alpha * kl_gaussian(kappa, tau, sigma2),
 
 with alpha exact under the mean-field family and evaluated at the
-sampled alpha for the correlated families.  Both terms, and the
-hyperprior log densities, come from the kernels in ``distributions``;
-one per-layer helper serves the KL value and its gradient.  A fully
-sampled log-ratio estimate of the KL is kept behind
+sampled alpha for the correlated families.  A fixed draw, one whose
+layers have ``logits is None`` (a fixed_dense state or a mask such as
+the median model's), has no indicator mass term and no structure
+gradient; ``sample_network`` decides which draws are fixed.  Both
+terms, and the hyperprior log densities, come from the kernels in
+``distributions``; one per-layer helper serves the KL value and its
+gradient.  A fully sampled log-ratio estimate of the KL is kept behind
 ``kl_mode="sampled"`` and cross-checked against the analytic form in
 the tests; its indicator mass is evaluated at the rounded relaxed draw,
 so its pathwise gradient at fixed noise omits the score contribution of
@@ -100,9 +103,9 @@ class GradientBundle:
     """Per-parameter gradient arrays mirroring ``VariationalState``.
 
     ``layers[l][name]`` matches the state array of the same name; the
-    entry is None for parameter groups the current phase or indicator
-    mode does not differentiate (structure parameters under fixed
-    indicators, prior and hyperprior parameters outside pre-training).
+    entry is None for parameter groups the current phase or draw does
+    not differentiate (structure parameters of a fixed draw, prior and
+    hyperprior parameters outside pre-training).
     """
 
     def __init__(self, state: VariationalState, with_structure: bool, with_priors: bool):
@@ -157,10 +160,7 @@ def forward_logits(sampled: SampledNetwork, features: np.ndarray):
     n_trans = spec.n_transitions
     for t in range(n_trans):
         w = sampled.layers[t].effective
-        if spec.include_bias:
-            pre = z @ w[1:, :] + w[0, :]
-        else:
-            pre = z @ w
+        pre = z @ w[1:, :] + w[0, :]
         if not np.all(np.isfinite(pre)):
             raise NumericError(f"non-finite activations at transition {t}")
         tape.append({"z_in": z, "pre": pre})
@@ -197,14 +197,10 @@ def _backprop_loglik(sampled: SampledNetwork, batch: Batch, tape, scale: float):
     for t in range(spec.n_transitions - 1, -1, -1):
         z_in = tape[t]["z_in"]
         w = sampled.layers[t].effective
-        if spec.include_bias:
-            dw = np.empty_like(w)
-            dw[0, :] = dpre.sum(axis=0)
-            dw[1:, :] = z_in.T @ dpre
-            dz = dpre @ w[1:, :].T
-        else:
-            dw = z_in.T @ dpre
-            dz = dpre @ w.T
+        dw = np.empty_like(w)
+        dw[0, :] = dpre.sum(axis=0)
+        dw[1:, :] = z_in.T @ dpre
+        dz = dpre @ w[1:, :].T
         d_weights[t] = dw
         if t > 0:
             # Derivative of the hidden activation; relu uses 1[pre > 0].
@@ -221,6 +217,12 @@ def _sigma2(layer, l: int) -> float:
     return sigma2
 
 
+def _tau(tau, l: int) -> np.ndarray:
+    if np.any(tau <= 0.0):
+        raise NumericError(f"slab sd underflowed to zero in layer {l}")
+    return tau
+
+
 def _psi(layer, l: int) -> float:
     psi = layer.psi()
     if not 0.0 < psi < 1.0:
@@ -231,12 +233,10 @@ def _psi(layer, l: int) -> float:
 def _analytic_kl(l: int, layer, tau, alpha, fixed: bool):
     """Closed-form KL of one layer; returns (value, per-weight Gaussian KL).
 
-    ``fixed`` marks indicators held by a mask or by fixed_dense: the
-    slab terms are weighted by alpha and no indicator mass is added.
+    ``fixed`` marks fixed indicators: the slab terms are weighted by
+    alpha and no indicator mass is added.
     """
-    if np.any(tau <= 0.0):
-        raise NumericError(f"slab sd underflowed to zero in layer {l}")
-    kl_g = kl_gaussian(layer.kappa, tau, _sigma2(layer, l))
+    kl_g = kl_gaussian(layer.kappa, _tau(tau, l), _sigma2(layer, l))
     if fixed:
         return float(np.sum(alpha * kl_g)), kl_g
     bern = kl_bernoulli(alpha, _psi(layer, l))
@@ -249,15 +249,15 @@ def _sampled_kl(l: int, layer, ls):
     Returns (slab part, indicator part, rounded indicators g); callers
     add the two parts in that order.  The variational slab density is
     evaluated at its own draw, so (beta - kappa) / tau is the stored eps.
+    A fixed draw has no indicator part.
     """
-    if np.any(ls.tau <= 0.0):
-        raise NumericError(f"slab sd underflowed to zero in layer {l}")
+    tau = _tau(ls.tau, l)
     sigma2 = _sigma2(layer, l)
     g = np.rint(ls.gamma_tilde)
-    log_q = -_HALF_LOG_2PI - np.log(ls.tau) - 0.5 * ls.eps**2
+    log_q = -_HALF_LOG_2PI - np.log(tau) - 0.5 * ls.eps**2
     log_p = -_HALF_LOG_2PI - 0.5 * np.log(sigma2) - ls.beta**2 / (2.0 * sigma2)
     slab = float(np.sum(g * (log_q - log_p)))
-    if ls.fixed_indicators:
+    if ls.logits is None:
         return slab, 0.0, g
     lp = layer.logit_psi[0]
     mass = (g * (log_sigmoid(ls.logits) - log_sigmoid(lp))
@@ -292,7 +292,7 @@ def kl_state(state: VariationalState, sampled: SampledNetwork = None,
             total += mass
             continue
         if ls is not None:
-            alpha, fixed = ls.alpha, ls.fixed_indicators
+            alpha, fixed = ls.alpha, ls.logits is None
         elif state.prior.fixed_dense:
             alpha, fixed = 1.0, True
         elif state.family is Family.MF:
@@ -327,7 +327,6 @@ def elbo_estimate(state: VariationalState, batch: Batch, M: int, delta: float,
     """
     if M < 1:
         raise DomainError("M must be at least 1")
-    _check_batch(state, batch)
     scale = batch.n_total / batch.size
     acc = 0.0
     for _ in range(M):
@@ -342,16 +341,6 @@ def elbo_estimate(state: VariationalState, batch: Batch, M: int, delta: float,
     return value
 
 
-def _check_batch(state: VariationalState, batch: Batch):
-    if batch.features.shape[1] != state.spec.widths[0]:
-        raise ShapeError(
-            f"batch features have width {batch.features.shape[1]}, "
-            f"the network expects {state.spec.widths[0]}"
-        )
-    if np.any(batch.labels >= state.spec.n_classes):
-        raise DomainError(f"labels must be below the class count {state.spec.n_classes}")
-
-
 def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
                   rng: RngStream, phase: str = "train", kl_mode: str = "analytic",
                   fixed_masks=None):
@@ -363,7 +352,8 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
     parameters at fixed noise.  ``phase="pretrain"`` also fills the
     prior and hyperprior gradient entries (the differentiated objective
     is then estimate + hyperprior log densities); other phases leave
-    them as None.
+    them as None.  A fixed draw (see ``sample_network``) leaves the
+    structure entries None.
 
     Returns ``(value, GradientBundle)`` where value is the plain ELBO
     estimate (hyperprior terms are part of the gradient objective only,
@@ -375,19 +365,19 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
         raise DomainError(f"unknown phase {phase!r}")
     if kl_mode not in ("analytic", "sampled"):
         raise DomainError(f"kl mode must be 'analytic' or 'sampled', got {kl_mode!r}")
-    _check_batch(state, batch)
-    with_structure = not state.prior.fixed_dense and fixed_masks is None
     with_priors = phase == "pretrain"
-    bundle = GradientBundle(state, with_structure, with_priors)
+    bundle = None
     scale = batch.n_total / batch.size
     acc_value = 0.0
     for _ in range(M):
         sampled = sample_network(state, delta, "relaxed", rng, fixed_masks=fixed_masks)
+        if bundle is None:
+            bundle = GradientBundle(state, sampled.layers[0].logits is not None,
+                                    with_priors)
         loglik, tape = forward(sampled, batch)
         acc_value += scale * float(np.sum(loglik))
         d_weights = _backprop_loglik(sampled, batch, tape, scale)
-        acc_value -= _accumulate_backward(state, sampled, d_weights, bundle,
-                                          with_structure, with_priors, kl_mode)
+        acc_value -= _accumulate_backward(state, sampled, d_weights, bundle, kl_mode)
     if M > 1:
         bundle.scale(1.0 / M)
     value = acc_value / M
@@ -399,9 +389,12 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
     return value, bundle
 
 
-def _accumulate_backward(state, sampled, d_weights, bundle, with_structure,
-                         with_priors, kl_mode):
-    """Route likelihood and KL gradients into the bundle; returns the KL value."""
+def _accumulate_backward(state, sampled, d_weights, bundle, kl_mode):
+    """Route likelihood and KL gradients into the bundle; returns the KL value.
+
+    Structure gradients go in for drawn indicators (``ls.logits`` set),
+    prior gradients when the bundle carries them (pre-training).
+    """
     kl_value = 0.0
     for l, layer in enumerate(state.layers):
         ls = sampled.layers[l]
@@ -409,28 +402,26 @@ def _accumulate_backward(state, sampled, d_weights, bundle, with_structure,
         dw = d_weights[l]
         tau = ls.tau
         sig_rho = sigmoid(layer.rho)
+        drawn = ls.logits is not None
+        with_priors = grads["logit_psi"] is not None
         # Likelihood path through W = gamma * beta, beta = kappa + tau * eps.
         dbeta = dw * ls.gamma_tilde
         grads["kappa"] += dbeta
         grads["rho"] += dbeta * ls.eps * sig_rho
-        dlogit = None
-        if with_structure:
+        if drawn:
             # d gamma / d logit_alpha for the Concrete relaxation.
             dgamma = dw * ls.beta
             dlogit = dgamma * ls.gamma_tilde * (1.0 - ls.gamma_tilde) / sampled.delta
         sigma2 = layer.sigma2()
         psi = layer.psi()
         if kl_mode == "analytic":
-            value, kl_g = _analytic_kl(l, layer, tau, ls.alpha, ls.fixed_indicators)
+            value, kl_g = _analytic_kl(l, layer, tau, ls.alpha, not drawn)
             kl_value += value
             alpha = ls.alpha
             grads["kappa"] -= alpha * layer.kappa / sigma2
             grads["rho"] -= alpha * (tau / sigma2 - 1.0 / tau) * sig_rho
-            if not ls.fixed_indicators:
-                if dlogit is not None:
-                    dlogit -= alpha * (1.0 - alpha) * (
-                        (ls.logits - layer.logit_psi[0]) + kl_g
-                    )
+            if drawn:
+                dlogit -= alpha * (1.0 - alpha) * ((ls.logits - layer.logit_psi[0]) + kl_g)
                 if with_priors:
                     grads["logit_psi"] += np.sum(alpha) - alpha.size * psi
             if with_priors:
@@ -443,16 +434,15 @@ def _accumulate_backward(state, sampled, d_weights, bundle, with_structure,
             kl_value += mass
             grads["kappa"] -= g * ls.beta / sigma2
             grads["rho"] += g * (1.0 / tau - ls.beta * ls.eps / sigma2) * sig_rho
-            if not ls.fixed_indicators:
-                if dlogit is not None:
-                    dlogit += ls.alpha - g
+            if drawn:
+                dlogit += ls.alpha - g
                 if with_priors:
                     grads["logit_psi"] += float(np.sum(g)) - g.size * psi
             if with_priors:
                 grads["log_sigma2"] -= float(
                     np.sum(g * (0.5 - ls.beta**2 / (2.0 * sigma2)))
                 )
-        if dlogit is not None:
+        if drawn:
             layer.route_logit_grad(dlogit, ls.noise, grads)
     return kl_value
 

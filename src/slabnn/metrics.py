@@ -53,18 +53,18 @@ def accuracy(decisions, labels, restrict_to_classified: bool = False):
     return float(np.mean(d == y))
 
 
-def layer_inclusion_means(alpha_hat, include_bias: bool = True) -> tuple:
+def layer_inclusion_means(alpha_hat) -> tuple:
     """Mean inclusion probability per layer over slope entries.
 
-    The bias row (row 0 of each matrix when present) is excluded from
-    the normalizer; a fixed-dense model gives exactly 1.0 everywhere.
+    The bias row (row 0 of each matrix) is excluded from the
+    normalizer; a fixed-dense model gives exactly 1.0 everywhere.
     """
     out = []
     for a in alpha_hat:
         mat = np.ascontiguousarray(a, dtype=np.float64)
         if mat.ndim != 2:
             raise ShapeError("alpha_hat entries must be matrices")
-        slopes = mat[1:, :] if include_bias else mat
+        slopes = mat[1:, :]
         if slopes.size == 0:
             raise ShapeError("a layer has no slope entries")
         out.append(float(np.mean(slopes)))

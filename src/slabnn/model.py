@@ -20,6 +20,11 @@ inclusion side:
 shapes, initial values, logit sampler, exact inclusion probabilities and
 logit-gradient routing.  ``family_problems`` holds the rank and size rules.
 
+The indicators of a draw are either sampled from that family or held
+fixed (a fixed_dense state, or a mask such as the median model's);
+``sample_network`` alone decides which, and records a fixed draw as
+``SampledLayer.logits is None``.
+
 Per layer the state also carries the point-estimated prior slab
 variance ``log_sigma2`` and prior inclusion probability ``logit_psi``
 together with their hyperprior shapes, all updated only during the
@@ -34,6 +39,8 @@ shape-(1,) arrays so every parameter is a mutable numpy buffer.
 from __future__ import annotations
 
 import enum
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +59,7 @@ __all__ = [
     "SampledLayer",
     "SampledNetwork",
     "family_problems",
+    "memory_problems",
     "init_state",
     "sample_network",
     "marginal_inclusion",
@@ -60,10 +68,6 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("relu", "identity")
-
-# Ceiling on per-layer weight count for the full-covariance family; its
-# Cholesky factor is quadratic in that count.
-MVN_FULL_WEIGHT_CAP = 10_000
 
 
 class Family(enum.Enum):
@@ -74,17 +78,17 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Widths of every layer, hidden activations, bias convention.
+    """Widths of every layer and hidden activations.
 
     ``widths`` runs from the input dimension to the class count and
     needs at least two entries (a single transition is the linear
     softmax classifier).  ``activations`` has one entry per hidden
-    layer, so ``len(widths) - 2`` of them.
+    layer, so ``len(widths) - 2`` of them.  Every weight matrix carries
+    a bias row, row 0.
     """
 
     widths: tuple
     activations: tuple = None  # defaults to relu on every hidden layer
-    include_bias: bool = True
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.widths)
@@ -116,7 +120,7 @@ class NetworkSpec:
 
     def d_in(self, layer: int) -> int:
         """Rows of the layer's weight matrix (input width plus bias row)."""
-        return self.widths[layer] + (1 if self.include_bias else 0)
+        return self.widths[layer] + 1
 
     def weight_shape(self, layer: int) -> tuple:
         return (self.d_in(layer), self.widths[layer + 1])
@@ -321,9 +325,8 @@ class SampledLayer:
     effective: np.ndarray      # gamma_tilde * beta, the weights used by forward
     eps: np.ndarray            # slab noise
     tau: np.ndarray            # softplus(rho) at draw time
-    logits: np.ndarray = None  # inclusion logits, matrix view (absent when fixed)
+    logits: np.ndarray = None  # inclusion logits, matrix view; None marks a fixed draw
     noise: tuple = ()          # logit noise of this draw (see LayerParams.logit_sampler)
-    fixed_indicators: bool = False # True when gamma came from a mask or fixed_dense
 
 
 @dataclass
@@ -335,12 +338,25 @@ class SampledNetwork:
     delta: float
 
 
+def memory_problems(nbytes: int, what: str) -> list:
+    """``[message]`` when ``nbytes`` exceeds physical memory, else ``[]``."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes <= have:
+        return []
+    return [f"{what} need about {nbytes} bytes, over the {have} bytes of physical memory"]
+
+
 def family_problems(family: Family, rank: int, spec: NetworkSpec) -> list:
     """Messages for each broken family rule; empty when the choice is valid.
 
-    Only the low-rank family takes a rank (nonnegative), and mvn_full
-    takes at most ``MVN_FULL_WEIGHT_CAP`` weights per layer of ``spec``
-    (unchecked when ``spec`` is None).
+    Only the low-rank family takes a rank (nonnegative).  Given a
+    ``spec`` (None skips this), a training step's arrays must fit in
+    physical memory.  The estimate is 8 bytes per entry of five arrays
+    per parameter (state, epoch snapshot, two ADAM moments, gradient)
+    plus three temporaries the size of the largest parameter: ADAM's,
+    and under mvn_full the n_w x n_w ``chol()`` and ``np.outer`` /
+    ``np.tril`` pair of ``route_logit_grad``.  Sizes are exact Python
+    ints, so absurd widths fail here and not in numpy.
     """
     problems = []
     if family is Family.MVN_LOWRANK and rank < 0:
@@ -348,13 +364,11 @@ def family_problems(family: Family, rank: int, spec: NetworkSpec) -> list:
     if family is not Family.MVN_LOWRANK and rank != 0:
         problems.append(f"rank: only meaningful with family = mvn_lowrank, "
                         f"got {rank} with family = {family.value}")
-    if family is Family.MVN_FULL and spec is not None:
-        for l in range(spec.n_transitions):
-            if spec.n_weights(l) > MVN_FULL_WEIGHT_CAP:
-                problems.append(
-                    f"family: layer {l} has {spec.n_weights(l)} weights; mvn_full "
-                    f"is capped at {MVN_FULL_WEIGHT_CAP} per layer"
-                )
+    if spec is not None:
+        sizes = [math.prod(dims) for l in range(spec.n_transitions) for dims in
+                 LayerParams.param_shapes(family, spec.weight_shape(l), rank).values()]
+        problems += memory_problems(8 * (5 * sum(sizes) + 3 * max(sizes)),
+                                    f"widths: the {family.value} parameters and a step's arrays")
     return problems
 
 
@@ -398,12 +412,15 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
     or "hard" (exact Bernoulli indicators, the delta -> 0 limit used by
     prediction).  ``fixed_masks`` freezes the indicators to the given
     0/1 matrices and skips all structure noise, which is how the
-    median-fixed fine-tuning phase conditions on a mask.
+    median-fixed fine-tuning phase conditions on a mask; a fixed_dense
+    state without masks is held at all-ones masks.  This is the one
+    place that decides whether indicators are drawn or fixed, and a
+    fixed draw is recorded only as ``logits is None`` on every layer.
 
     Noise draw order per layer is fixed and documented: structure noise
     first (full: eps, low rank: eps1 then eps2, mean field: none), then
-    the uniform nu matrix, then the slab eps matrix.  fixed_dense states
-    and fixed masks skip the structure and nu draws entirely.
+    the uniform nu matrix, then the slab eps matrix.  Fixed draws skip
+    the structure and nu draws entirely.
 
     Invariant: ``effective = gamma_tilde * beta`` holds exactly, entry
     by entry, for every layer.
@@ -412,6 +429,8 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
         raise DomainError(f"mode must be 'relaxed' or 'hard', got {mode!r}")
     if mode == "relaxed" and delta <= 0.0:
         raise DomainError("relaxed sampling requires a positive temperature delta")
+    if fixed_masks is None and state.prior.fixed_dense:
+        fixed_masks = [np.ones(layer.shape) for layer in state.layers]
     if fixed_masks is not None and len(fixed_masks) != state.n_transitions:
         raise ShapeError("fixed_masks must provide one mask per transition")
     layers = []
@@ -420,18 +439,12 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
         n_w = layer.n_weights
         logits_mat = None
         noise = ()
-        fixed = False
         if fixed_masks is not None:
             mask = np.asarray(fixed_masks[l], dtype=np.float64)
             if mask.shape != shape:
                 raise ShapeError(f"mask for layer {l} must have shape {shape}")
             alpha = mask.copy()
             gamma = mask.copy()
-            fixed = True
-        elif state.prior.fixed_dense:
-            alpha = np.ones(shape)
-            gamma = np.ones(shape)
-            fixed = True
         else:
             block, noise = layer.logit_sampler()(rng, 1)
             noise = tuple(None if e is None else e[0] for e in noise)
@@ -448,7 +461,6 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
         layers.append(SampledLayer(
             alpha=alpha, gamma_tilde=gamma, beta=beta, effective=gamma * beta,
             eps=eps, tau=tau, logits=logits_mat, noise=noise,
-            fixed_indicators=fixed,
         ))
     return SampledNetwork(layers=layers, spec=state.spec, delta=float(delta))
 

@@ -17,6 +17,12 @@ fixed-dense states and is rejected otherwise.  sim/mea is not a mode
 and ``PredictionMode`` rejects it.  Prediction never uses
 the Concrete relaxation: indicators are exact Bernoulli draws.
 
+The two mean modes are one computation, ``posterior_mean_weights``,
+given alpha_hat (all/mea) or the median mask (med/mea).  The sampled
+modes are one replicate loop: med/sim passes the median mask to
+``sample_network`` and all/sim relies on its fixed_dense all-ones
+masks, so neither draws indicators.
+
 Replicate r consumes stream (seed, stream_id + 1 + r) derived from the
 passed rng's key, so the first replicates of an R=1 and an R=10 call
 with the same rng are identical.  The inclusion probabilities are exact
@@ -120,15 +126,8 @@ class DoubtDecisions:
         return int(np.sum(self.decisions < 0))
 
 
-def _forward_probs_from_weights(state, weights, features):
-    """Softmax probabilities of a deterministic weight assignment."""
-    layers = [
-        SampledLayer(alpha=np.ones_like(w), gamma_tilde=np.ones_like(w), beta=w,
-                     effective=w, eps=np.zeros_like(w), tau=np.zeros_like(w),
-                     fixed_indicators=True)
-        for w in weights
-    ]
-    net = SampledNetwork(layers=layers, spec=state.spec, delta=0.0)
+def _probs(net: SampledNetwork, features) -> np.ndarray:
+    """Softmax class probabilities of one network on a design block."""
     logits, _ = forward_logits(net, features)
     return np.exp(log_softmax(logits))
 
@@ -149,40 +148,27 @@ def predict(state: VariationalState, features, mode: PredictionMode,
     if mode.beta == "sim" and rng is None:
         raise DomainError("this prediction mode needs an rng")
 
-    alpha_hat = None
-    if mode.gamma == "med" or (mode.gamma == "all" and mode.beta == "mea"):
-        alpha_hat = marginal_inclusion(state)
+    alpha_hat = marginal_inclusion(state) if mode.gamma == "med" or mode.deterministic else None
+    mask = median_model(state, alpha_hat=alpha_hat) if mode.gamma == "med" else None
 
-    if mode.beta == "mea":
-        if mode.gamma == "all":
-            weights = posterior_mean_weights(state, alpha_hat=alpha_hat)
-            masks = [[np.ones(layer.shape) for layer in state.layers]]
-        else:
-            mask = median_model(state, alpha_hat=alpha_hat)
-            weights = [m * layer.kappa for m, layer in zip(mask, state.layers)]
-            masks = [mask]
-        probs = _forward_probs_from_weights(state, weights, x)
-        return PredictiveResult(probs=probs, replicate_probs=None, masks=masks,
+    if mode.beta == "mea":  # med/mea is the posterior mean with the mask as alpha_hat
+        weights = posterior_mean_weights(state, alpha_hat=mask or alpha_hat)
+        layers = [SampledLayer(alpha=None, gamma_tilde=None, beta=w, effective=w,
+                               eps=None, tau=None) for w in weights]
+        net = SampledNetwork(layers=layers, spec=state.spec, delta=0.0)
+        masks = [mask or [np.ones(layer.shape) for layer in state.layers]]
+        return PredictiveResult(probs=_probs(net, x), replicate_probs=None, masks=masks,
                                 alpha_hat=alpha_hat)
 
-    # Sampled slabs: one derived stream per replicate.
-    mask = median_model(state, alpha_hat=alpha_hat) if mode.gamma == "med" else None
+    # Sampled slabs: one derived stream per replicate; the median mask is
+    # held fixed and shared by every replicate's record.
     rep_probs = []
     rep_masks = []
     for r in range(mode.replicates):
         sub = RngStream(rng.seed, rng.stream_id + 1 + r)
-        if mode.gamma == "med":
-            net = sample_network(state, 0.0, "hard", sub, fixed_masks=mask)
-            used = mask
-        elif mode.gamma == "all":  # fixed_dense only, checked above
-            net = sample_network(state, 0.0, "hard", sub)
-            used = [np.ones(layer.shape) for layer in state.layers]
-        else:
-            net = sample_network(state, 0.0, "hard", sub)
-            used = [lay.gamma_tilde.copy() for lay in net.layers]
-        logits, _ = forward_logits(net, x)
-        rep_probs.append(np.exp(log_softmax(logits)))
-        rep_masks.append(used)
+        net = sample_network(state, 0.0, "hard", sub, fixed_masks=mask)
+        rep_probs.append(_probs(net, x))
+        rep_masks.append(mask or [lay.gamma_tilde for lay in net.layers])
     stacked = np.stack(rep_probs, axis=0)
     return PredictiveResult(probs=stacked.mean(axis=0), replicate_probs=stacked,
                             masks=rep_masks, alpha_hat=alpha_hat)

@@ -133,7 +133,7 @@ def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
     net = sample_network(state, 0.1, "relaxed", rng)
     out[f"{name}/sample_network"] = _digest(
         [(ls.alpha, ls.gamma_tilde, ls.beta, ls.effective, ls.eps, ls.tau,
-          ls.logits, ls.fixed_indicators) for ls in net.layers], rng)
+          ls.logits, ls.logits is None) for ls in net.layers], rng)
 
     batch = Batch(data.features[:50], data.labels[:50], n_total=data.n)
     for kl_mode in ("analytic", "sampled"):

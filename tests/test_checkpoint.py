@@ -16,7 +16,6 @@ from slabnn.numkernel import RngStream
 def _assert_states_identical(a, b):
     assert a.spec.widths == b.spec.widths
     assert a.spec.activations == b.spec.activations
-    assert a.spec.include_bias == b.spec.include_bias
     assert a.family == b.family
     assert a.rank == b.rank
     assert a.prior == b.prior
@@ -142,6 +141,14 @@ class TestFormatErrors:
         with pytest.raises(FormatError, match="name at byte offset 16 is not utf-8"):
             read_manifest(path)
 
+    def test_duplicate_name_rejected(self, tmp_path):
+        name = b"meta/widths"
+        tensor = struct.pack("<I", len(name)) + name + struct.pack("<IQd", 1, 1, 2.0)
+        path = tmp_path / "dup.lbnn"
+        path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, 2) + 2 * tensor)
+        with pytest.raises(FormatError, match="duplicate tensor meta/widths at byte offset 51"):
+            read_manifest(path)
+
     def test_empty_tensor_with_overflowing_dims_rejected(self, tmp_path):
         # zero entries, so no bytes follow, but no array has these dims
         name = b"meta/widths"
@@ -153,6 +160,7 @@ class TestFormatErrors:
 
     @pytest.mark.parametrize("name,index,value", [
         ("meta/flags", 2, np.nan),
+        ("meta/flags", 0, 2.0),  # the bias-row flag is always 1
         ("meta/counters", 1, np.inf),
         ("meta/activations", 0, 7.0),
         ("meta/activations", 0, -1.0),
@@ -166,6 +174,18 @@ class TestFormatErrors:
         tensors[name][index] = value
         write_tensors(path, tensors)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_network_without_bias_rows_rejected(self, tmp_path):
+        path = tmp_path / "bias.lbnn"
+        save_checkpoint(path, make_state())
+        tensors = read_manifest(path)
+        tensors["meta/flags"][0] = 0.0
+        for name, arr in tensors.items():  # shapes consistent with no bias rows
+            if name.startswith("layer") and arr.ndim == 2:
+                tensors[name] = arr[1:]
+        write_tensors(path, tensors)
+        with pytest.raises(FormatError, match=r"meta/flags\[0\]"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("family,rank,widths,bad_tensor", [

@@ -165,8 +165,9 @@ output_dir = {out}
     @pytest.mark.parametrize("model_lines,expected", [
         ("widths = 4,3,2\nrank = 2", "config error: [model] rank:"),
         ("widths = 4,3,2\nfamily = mvn_full\nrank = 2", "config error: [model] rank:"),
-        # 201 * 100 weights in layer 0, over the full-covariance cap
-        ("widths = 200,100,2\nfamily = mvn_full", "config error: [model] family: layer 0"),
+        # 100001 * 100 weights in layer 0: an 8e14-byte Cholesky factor
+        ("widths = 100000,100,2\nfamily = mvn_full", "config error: [model] widths: the mvn_full"),
+        ("widths = 4,12345678901234567890,2", "config error: [model] widths: the mf"),
     ])
     def test_family_rules_exit_two(self, tmp_path, capsys, model_lines, expected):
         text = GOOD_CONFIG.replace("widths = 4,3,2", model_lines)
@@ -175,6 +176,15 @@ output_dir = {out}
         code, _, err = _run_main(["train", str(cfg)], capsys)
         assert code == 2
         assert expected in err
+
+    def test_absurd_synthetic_size_exits_two(self, tmp_path, capsys):
+        text = GOOD_CONFIG.replace("n = 90", "n = 12345678901234567890")
+        cfg, out = _write_config(tmp_path, text)
+        code, _, err = _run_main(["train", str(cfg)], capsys)
+        assert code == 2
+        assert "config error: [dataset] n: 12345678901234567890 x 4 features" in err
+        assert "bytes" in err
+        assert not out.exists()
 
     def test_width_mismatch_exits_two(self, tmp_path, capsys):
         text = GOOD_CONFIG.replace("widths = 4,3,2", "widths = 7,3,2")
@@ -311,6 +321,14 @@ class TestPredictCommand:
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 1
         assert "features" in err
+
+    def test_bad_delimiter_exits_two(self, trained, tmp_path, capsys):
+        code, _, err = _run_main(
+            ["predict", str(trained["ckpt"]), "--csv", str(trained["csv"]),
+             "--delimiter", "ab", "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "delimiter" in err and "'ab'" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unlabeled_data_skips_metrics(self, trained, tmp_path, capsys):
         # without a label column every csv column is a feature

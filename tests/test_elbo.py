@@ -265,3 +265,7 @@ class TestEstimatorIdentities:
             elbo_estimate(st, make_batch(), 0, 0.1, RngStream(0, 2))
         with pytest.raises(DomainError):
             elbo_gradient(st, make_batch(), 1, 0.1, RngStream(0, 2), phase="warm")
+        with pytest.raises(ShapeError):
+            elbo_gradient(st, make_batch(n=4, p=5), 1, 0.1, RngStream(0, 2))
+        with pytest.raises(DomainError):
+            elbo_gradient(st, bad, 1, 0.1, RngStream(0, 2))

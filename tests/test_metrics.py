@@ -40,11 +40,6 @@ class TestLayerInclusionMeans:
         (rho,) = layer_inclusion_means([a0])
         assert rho == pytest.approx(0.5)  # mean of the four slope entries
 
-    def test_without_bias_all_rows_count(self):
-        a0 = np.array([[0.2, 0.4], [0.6, 0.8]])
-        (rho,) = layer_inclusion_means([a0], include_bias=False)
-        assert rho == pytest.approx(0.5)
-
     def test_fixed_dense_gives_one(self):
         st = make_state(prior=PriorConfig(fixed_dense=True))
         from slabnn.model import marginal_inclusion

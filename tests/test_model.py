@@ -21,10 +21,6 @@ class TestNetworkSpec:
         assert [spec.weight_shape(l) for l in range(3)] == [(5, 2), (3, 3), (4, 2)]
         assert [spec.n_weights(l) for l in range(3)] == [10, 9, 8]
 
-    def test_no_bias_variant(self):
-        spec = NetworkSpec((4, 3), include_bias=False)
-        assert spec.weight_shape(0) == (4, 3)
-
     def test_default_activations_are_relu(self):
         spec = NetworkSpec((4, 2, 3, 2))
         assert spec.activations == ("relu", "relu")
@@ -68,8 +64,9 @@ class TestInit:
         assert abs(sd1 - 1.0 / np.sqrt(100)) < 0.02
 
     def test_full_family_cap(self):
-        spec = NetworkSpec((200, 100, 2))  # 201*100 weights > 10000
-        with pytest.raises(ConfigError):
+        # 100001 * 100 weights: the Cholesky factor alone is 8e14 bytes
+        spec = NetworkSpec((100_000, 100, 2))
+        with pytest.raises(ConfigError, match="bytes"):
             init_state(spec, PriorConfig(), Family.MVN_FULL, RngStream(0, 0))
 
     def test_prior_values_must_sit_in_hyperprior_support(self):
@@ -138,7 +135,7 @@ class TestSampleNetwork:
             net = sample_network(st, 0.1, "relaxed", RngStream(1, 1))
             for ls in net.layers:
                 np.testing.assert_array_equal(ls.gamma_tilde, np.ones(ls.beta.shape))
-                assert ls.fixed_indicators
+                assert ls.logits is None
 
     def test_fixed_masks_condition_sampling(self):
         st = make_state()
