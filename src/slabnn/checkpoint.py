@@ -18,12 +18,17 @@ encode the network shape, family, prior switches and phase counters
 (``meta/flags[0]`` marks the bias row every weight matrix has: always 1),
 and "rng/..." tensors holding random stream positions as raw uint64
 words bit-cast to float64 (floats cannot carry 64-bit integers exactly,
-the bit-cast round-trips).  Saving is atomic (temp file plus rename)
-and byte-deterministic: the same state and streams always serialize to
+the bit-cast round-trips).  Parameters are stored in the layout
+``LayerParams.stored`` gives: a full-covariance ``layerNN/chol_raw``,
+packed in memory, is stored as its dense n x n square, and every entry
+of its strict upper triangle must be +0.0, bit for bit; the loader
+rejects any other value, naming the tensor and one offending
+(row, col).  Saving is atomic (temp file plus rename) and
+byte-deterministic: the same state and streams always serialize to
 identical bytes.  Loading checks every stored parameter shape against
 the one the stored model description implies before it allocates
 anything, then rebuilds the exact arrays, so a save/load round trip is
-bit-exact.
+bit-exact and a file the library wrote re-saves to the same bytes.
 """
 
 from __future__ import annotations
@@ -115,8 +120,8 @@ def save_checkpoint(path, state: VariationalState, rng_words: dict = None,
     rng_words = rng_words or {}
     counters = counters or {}
     tensors = _meta_tensors(state, counters)
-    for l, name, arr in state.param_items():
-        tensors.append((f"layer{l:02d}/{name}", arr))
+    for l, name, _ in state.param_items():
+        tensors.append((f"layer{l:02d}/{name}", state.layers[l].stored(name)))
     for label in sorted(rng_words):
         words = np.ascontiguousarray(rng_words[label], dtype=np.uint64)
         tensors.append((f"rng/{label}", words.view(np.float64)))
@@ -252,7 +257,7 @@ def load_checkpoint(path) -> CheckpointData:
     # Check every stored shape against the one the description implies
     # before allocating: absurd widths or ranks fail here, not in numpy.
     for l in range(spec.n_transitions):
-        shapes = LayerParams.param_shapes(family, spec.weight_shape(l), rank)
+        shapes = LayerParams.param_shapes(family, spec.weight_shape(l), rank, stored=True)
         for name, expected in shapes.items():
             stored = _require(tensors, f"layer{l:02d}/{name}")
             if stored.shape != expected:
@@ -261,8 +266,11 @@ def load_checkpoint(path) -> CheckpointData:
                     f"expected {expected}"
                 )
     state = VariationalState(spec, prior, family, rank)
-    for l, name, arr in state.param_items():
-        arr[...] = tensors[f"layer{l:02d}/{name}"]
+    for l, name, _ in state.param_items():
+        try:
+            state.layers[l].load_stored(name, tensors[f"layer{l:02d}/{name}"])
+        except DomainError as exc:
+            raise FormatError(f"tensor layer{l:02d}/{name}: {exc}") from None
     cnt = _counts(tensors, "meta/counters", 3)
     counters = {"phases_completed": cnt[0], "epochs": cnt[1], "steps": cnt[2]}
     rng_words = {}

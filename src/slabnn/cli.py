@@ -275,10 +275,12 @@ def _dataset_config(rd: _SectionReader) -> dict:
         out["spread"] = rd.get("spread", _finite, default=1.0)
         out["shift"] = rd.get("shift", _finite, default=0.0)
         out["data_seed"] = rd.integer("data_seed", 0, default=0)
-    if out.get("n") and out.get("p"):
-        n, p = out["n"], out["p"]
-        for problem in memory_problems(8 * n * p, f"n: {n} x {p} features"):
-            rd.note(problem)
+    p = out.get("p")
+    for key, what in (("n", "features"), ("classes", "class centres")):
+        if p and out.get(key):
+            for problem in memory_problems(8 * out[key] * p,
+                                           f"{key}: {out[key]} x {p} {what}"):
+                rd.note(problem)
 
     out["standardize"] = rd.get("standardize", _boolean, default=False)
     split = rd.has("train_n") or rd.has("test_n")

@@ -12,7 +12,13 @@ inclusion side:
   weight.
 * ``Family.MVN_FULL``: the layer's inclusion logits are jointly normal
   with mean ``xi`` and covariance given by a learned Cholesky factor
-  (lower triangle free, softplus on the diagonal).
+  (lower triangle free, softplus on the diagonal).  In memory its raw
+  values ``chol_raw`` are the packed lower triangle, n(n+1)/2 entries
+  in row-major order, so the parameter, its gradient, its ADAM moments
+  and its epoch snapshot carry no structural zeros; ``chol()`` unpacks
+  the dense factor once per call.  Checkpoints store it dense, n x n
+  with the strict upper triangle zero (``LayerParams.stored`` and
+  ``load_stored``; ``pack_lower`` and ``unpack_lower`` convert).
 * ``Family.MVN_LOWRANK``: same, with covariance F F^T + D for a learned
   dim x r factor and positive diagonal (rank 0 allowed).
 
@@ -39,6 +45,7 @@ shape-(1,) arrays so every parameter is a mutable numpy buffer.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -60,6 +67,8 @@ __all__ = [
     "SampledNetwork",
     "family_problems",
     "memory_problems",
+    "pack_lower",
+    "unpack_lower",
     "init_state",
     "sample_network",
     "marginal_inclusion",
@@ -68,6 +77,9 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("relu", "identity")
+
+# Parameters held in memory as a packed lower triangle (see module docstring).
+PACKED = frozenset({"chol_raw"})
 
 
 class Family(enum.Enum):
@@ -149,6 +161,40 @@ class PriorConfig:
             raise ConfigError("prior psi must lie in the open interval (0, 1)")
 
 
+@functools.lru_cache(maxsize=8)
+def _tril_layout(n: int) -> tuple:
+    """Read-only ``(tri, diag)`` of the packed n x n lower triangle.
+
+    ``tri`` is the boolean n x n lower-triangle mask: indexing a square
+    with it visits the packed entries in order.  ``diag`` holds the
+    packed positions of the diagonal.
+    """
+    tri = np.tri(n, dtype=bool)
+    diag = np.cumsum(np.arange(1, n + 1)) - 1
+    for arr in (tri, diag):
+        arr.setflags(write=False)
+    return tri, diag
+
+
+def pack_lower(square) -> np.ndarray:
+    """The lower triangle of a square matrix, diagonal included, packed row-major."""
+    square = np.asarray(square, dtype=np.float64)
+    if square.ndim != 2 or square.shape[0] != square.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {square.shape}")
+    return square[_tril_layout(square.shape[0])[0]]
+
+
+def unpack_lower(packed) -> np.ndarray:
+    """The square matrix whose packed lower triangle is ``packed``; zeros above."""
+    packed = np.asarray(packed, dtype=np.float64)
+    n = (math.isqrt(8 * packed.size + 1) - 1) // 2
+    if packed.ndim != 1 or n * (n + 1) // 2 != packed.size:
+        raise ShapeError(f"{packed.shape} is not a packed triangle")
+    out = np.zeros((n, n))
+    out[_tril_layout(n)[0]] = packed
+    return out
+
+
 class LayerParams:
     """Mutable parameter arrays of one transition; see module docstring."""
 
@@ -164,18 +210,20 @@ class LayerParams:
             getattr(self, name)[0] = 1.0
 
     @staticmethod
-    def param_shapes(family: Family, shape, rank: int = 0) -> dict:
+    def param_shapes(family: Family, shape, rank: int = 0, stored: bool = False) -> dict:
         """Every parameter's shape, in canonical order, without allocating.
 
-        Sizes are exact Python ints, so a reader can check stored
-        tensors against them before building anything.
+        ``stored`` gives the checkpoint layout, where a packed triangle
+        is its square.  Sizes are exact Python ints, so a reader can
+        check stored tensors against them before building anything.
         """
         rows, cols = shape
         n_w = rows * cols
         if family is Family.MF:
             own = {"omega": (rows, cols)}
         elif family is Family.MVN_FULL:
-            own = {"xi": (n_w,), "chol_raw": (n_w, n_w)}
+            own = {"xi": (n_w,),
+                   "chol_raw": (n_w, n_w) if stored else (n_w * (n_w + 1) // 2,)}
         else:
             own = {"xi": (n_w,), "factor": (n_w, rank), "log_diag": (n_w,)}
         return {"kappa": (rows, cols), "rho": (rows, cols), **own,
@@ -188,6 +236,27 @@ class LayerParams:
     def param_names(self) -> tuple:
         return tuple(self.param_shapes(self.family, self.shape, self.rank))
 
+    def stored(self, name: str) -> np.ndarray:
+        """Parameter ``name`` in its checkpoint layout: a packed triangle as its square."""
+        value = getattr(self, name)
+        return unpack_lower(value) if name in PACKED else value
+
+    def load_stored(self, name: str, value: np.ndarray):
+        """Set parameter ``name`` from a checkpoint-layout array of the stored shape.
+
+        A packed triangle's square must hold +0.0, bit for bit, at every
+        entry above the diagonal, so that ``stored`` gives the same bytes
+        back; otherwise ``DomainError`` names the first offending entry.
+        """
+        if name in PACKED:
+            above = np.flatnonzero(np.triu(value, 1).view(np.uint64))
+            if above.size:
+                row, col = divmod(int(above[0]), value.shape[1])
+                raise DomainError(f"entry ({row}, {col}) above the diagonal is "
+                                  f"{value[row, col]!r}, not +0.0")
+            value = pack_lower(value)
+        getattr(self, name)[...] = value
+
     def tau(self) -> np.ndarray:
         return softplus(self.rho)
 
@@ -198,11 +267,11 @@ class LayerParams:
         return float(sigmoid(self.logit_psi[0]))
 
     def chol(self) -> np.ndarray:
-        """Effective Cholesky factor: free lower triangle, softplus diagonal."""
+        """Dense effective Cholesky factor: free lower triangle, softplus diagonal."""
         if self.family is not Family.MVN_FULL:
             raise DomainError("chol() is only defined for the full-covariance family")
-        low = np.tril(self.chol_raw, -1)
-        low[np.diag_indices_from(low)] = softplus(np.diagonal(self.chol_raw))
+        low = unpack_lower(self.chol_raw)
+        np.fill_diagonal(low, softplus(self.chol_raw[_tril_layout(self.n_weights)[1]]))
         return low
 
     def diag(self) -> np.ndarray:
@@ -223,7 +292,7 @@ class LayerParams:
         diagonal makes up the rest of the unit variance (at least 0.05).
         """
         if self.family is Family.MVN_FULL:
-            self.chol_raw[np.diag_indices(self.n_weights)] = softplus_inv(1.0)
+            self.chol_raw[_tril_layout(self.n_weights)[1]] = softplus_inv(1.0)
         elif self.family is Family.MVN_LOWRANK:
             if self.rank > 0:
                 self.factor[...] = 0.1 * rng.std_normal(
@@ -266,10 +335,11 @@ class LayerParams:
         grads["xi"] += dvec
         if self.family is Family.MVN_FULL:
             (eps,) = noise
-            douter = np.outer(dvec, eps)
-            dl = np.tril(douter)
-            dl[np.diag_indices_from(dl)] = (np.diagonal(douter)
-                                            * sigmoid(np.diagonal(self.chol_raw)))
+            n = self.n_weights
+            tri, diag = _tril_layout(n)
+            dl = np.broadcast_to(eps, (n, n))[tri]  # row i: eps_0 .. eps_i
+            dl *= np.repeat(dvec, np.arange(1, n + 1))
+            dl[diag] *= sigmoid(self.chol_raw[diag])
             grads["chol_raw"] += dl
             return
         eps1, eps2 = noise
@@ -352,11 +422,13 @@ def family_problems(family: Family, rank: int, spec: NetworkSpec) -> list:
     Only the low-rank family takes a rank (nonnegative).  Given a
     ``spec`` (None skips this), a training step's arrays must fit in
     physical memory.  The estimate is 8 bytes per entry of five arrays
-    per parameter (state, epoch snapshot, two ADAM moments, gradient)
-    plus three temporaries the size of the largest parameter: ADAM's,
-    and under mvn_full the n_w x n_w ``chol()`` and ``np.outer`` /
-    ``np.tril`` pair of ``route_logit_grad``.  Sizes are exact Python
-    ints, so absurd widths fail here and not in numpy.
+    per parameter in its in-memory layout (state, epoch snapshot, two
+    ADAM moments, gradient; a packed triangle counts n(n+1)/2), plus
+    three temporaries the size of the largest parameter (ADAM's, or
+    the packed gradient of ``route_logit_grad``), plus the largest
+    square of a packed triangle: the dense n_w x n_w factor that
+    ``chol()`` and the checkpoint writer build.  Sizes are exact
+    Python ints, so absurd widths fail here and not in numpy.
     """
     problems = []
     if family is Family.MVN_LOWRANK and rank < 0:
@@ -365,9 +437,13 @@ def family_problems(family: Family, rank: int, spec: NetworkSpec) -> list:
         problems.append(f"rank: only meaningful with family = mvn_lowrank, "
                         f"got {rank} with family = {family.value}")
     if spec is not None:
-        sizes = [math.prod(dims) for l in range(spec.n_transitions) for dims in
-                 LayerParams.param_shapes(family, spec.weight_shape(l), rank).values()]
-        problems += memory_problems(8 * (5 * sum(sizes) + 3 * max(sizes)),
+        sizes, squares = [], [0]
+        for l in range(spec.n_transitions):
+            shape = spec.weight_shape(l)
+            sizes += map(math.prod, LayerParams.param_shapes(family, shape, rank).values())
+            stored = LayerParams.param_shapes(family, shape, rank, stored=True)
+            squares += [math.prod(dims) for name, dims in stored.items() if name in PACKED]
+        problems += memory_problems(8 * (5 * sum(sizes) + 3 * max(sizes) + max(squares)),
                                     f"widths: the {family.value} parameters and a step's arrays")
     return problems
 

@@ -45,6 +45,7 @@ __all__ = [
     "STREAM_SHUFFLE",
     "STREAM_SAMPLE",
     "STREAM_ALPHA",
+    "MAX_DRAWS",
     "PhaseConfig",
     "default_phases",
     "AdamMoments",
@@ -87,6 +88,10 @@ STREAM_ALPHA = 3
 
 HYPER_CLAMP = (1e-3, 1e3)
 
+# Upper bound on a phase's draws M.  Every step samples and backpropagates
+# M networks, so an absurd M would run without end; it fails validation.
+MAX_DRAWS = 1024
+
 _PRETRAIN_ONLY = ("sigma2", "psi", "psi_hyper", "beta_hyper")
 _STRUCTURE = ("omega", "xi", "cov")
 
@@ -107,11 +112,12 @@ class PhaseConfig:
     """One phase of the schedule.
 
     ``lr`` maps group names (see GROUPS) to nonnegative step sizes;
-    missing groups are frozen.  ``gamma_policy`` only matters for the
-    posttrain phase: "resample" keeps drawing indicators, while
-    "median_fixed" conditions every step on the median probability
-    mask computed at phase entry from the exact inclusion
-    probabilities.  ``alpha_mc`` is accepted (and must be at least 1)
+    missing groups are frozen.  ``draws`` is the number M of network
+    draws averaged per step, from 1 to ``MAX_DRAWS``.  ``gamma_policy``
+    only matters for the posttrain phase: "resample" keeps drawing
+    indicators, while "median_fixed" conditions every step on the
+    median probability mask computed at phase entry from the exact
+    inclusion probabilities.  ``alpha_mc`` is accepted (and must be at least 1)
     but not used.
     """
 
@@ -138,8 +144,9 @@ class PhaseConfig:
             problems.append(f"{self.name}: epochs must be nonnegative")
         if self.batch_size < 1:
             problems.append(f"{self.name}: batch_size must be positive")
-        if self.draws < 1:
-            problems.append(f"{self.name}: draws must be at least 1")
+        if not 1 <= self.draws <= MAX_DRAWS:
+            problems.append(f"{self.name}: draws must be between 1 and {MAX_DRAWS}, "
+                            f"got {self.draws}")
         if not 0.0 < self.delta < np.inf:
             problems.append(f"{self.name}: delta must be positive and finite")
         if self.kl_mode not in ("analytic", "sampled"):

@@ -9,7 +9,7 @@ from conftest import ALL_FAMILIES, make_state, write_tensors
 from slabnn.checkpoint import (FORMAT_VERSION, MAGIC, load_checkpoint, read_manifest,
                                save_checkpoint)
 from slabnn.errors import FormatError
-from slabnn.model import Family, PriorConfig
+from slabnn.model import Family, PriorConfig, unpack_lower
 from slabnn.numkernel import RngStream
 
 
@@ -55,6 +55,24 @@ class TestRoundTrip:
         p1, p2 = tmp_path / "x.lbnn", tmp_path / "y.lbnn"
         save_checkpoint(p1, st)
         save_checkpoint(p2, load_checkpoint(p1).state)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_mvn_full_resave_is_byte_identical(self, tmp_path):
+        # chol_raw is packed in memory and stored dense, zero above the diagonal.
+        st = make_state(Family.MVN_FULL, seed=21, widths=(5, 3, 2))
+        gen = np.random.default_rng(4)
+        for lp in st.layers:
+            lp.chol_raw += gen.normal(size=lp.chol_raw.shape)
+        p1, p2 = tmp_path / "x.lbnn", tmp_path / "y.lbnn"
+        save_checkpoint(p1, st)
+        for l, lp in enumerate(st.layers):
+            n = lp.n_weights
+            stored = read_manifest(p1)[f"layer{l:02d}/chol_raw"]
+            assert stored.shape == (n, n)
+            assert stored.tobytes() == unpack_lower(lp.chol_raw).tobytes()
+        loaded = load_checkpoint(p1).state
+        assert [lp.chol_raw.shape for lp in loaded.layers] == [(171,), (36,)]
+        save_checkpoint(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_prior_flags_survive(self, tmp_path):
@@ -174,6 +192,18 @@ class TestFormatErrors:
         tensors[name][index] = value
         write_tensors(path, tensors)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [1e-300, -0.0, np.nan])
+    def test_entry_above_cholesky_diagonal_rejected(self, tmp_path, value):
+        # A hand-edited strict upper triangle would not survive a re-save.
+        path = tmp_path / "upper.lbnn"
+        save_checkpoint(path, make_state(Family.MVN_FULL, widths=(2, 2)))
+        tensors = read_manifest(path)
+        tensors["layer00/chol_raw"][1, 4] = value
+        tensors["layer00/chol_raw"][2, 3] = 1.0
+        write_tensors(path, tensors)
+        with pytest.raises(FormatError, match=r"layer00/chol_raw: entry \(1, 4\) above"):
             load_checkpoint(path)
 
     def test_network_without_bias_rows_rejected(self, tmp_path):

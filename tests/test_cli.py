@@ -186,6 +186,16 @@ output_dir = {out}
         assert "bytes" in err
         assert not out.exists()
 
+    def test_absurd_class_count_exits_two(self, tmp_path, capsys):
+        text = GOOD_CONFIG.replace("classes = 2", "classes = 12345678901234567890")
+        cfg, out = _write_config(tmp_path, text)
+        code, _, err = _run_main(["train", str(cfg)], capsys)
+        assert code == 2
+        assert ("config error: [dataset] classes: 12345678901234567890 x 4 class centres"
+                in err)
+        assert "bytes" in err
+        assert not out.exists()
+
     def test_width_mismatch_exits_two(self, tmp_path, capsys):
         text = GOOD_CONFIG.replace("widths = 4,3,2", "widths = 7,3,2")
         cfg, _ = _write_config(tmp_path, text)

@@ -7,10 +7,10 @@ from conftest import ALL_FAMILIES, make_state
 from slabnn.distributions import (MVN_BLOCK_ELEMENTS, logit_normal_mean,
                                   mvn_blocks)
 from slabnn.errors import ConfigError, DomainError, ShapeError
-from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state,
-                          marginal_inclusion, median_model,
-                          posterior_mean_weights, sample_network)
-from slabnn.numkernel import RngStream, sigmoid, softplus_inv
+from slabnn.model import (Family, NetworkSpec, PriorConfig, family_problems, init_state,
+                          marginal_inclusion, median_model, pack_lower,
+                          posterior_mean_weights, sample_network, unpack_lower)
+from slabnn.numkernel import RngStream, sigmoid, softplus, softplus_inv
 
 
 class TestNetworkSpec:
@@ -68,6 +68,20 @@ class TestInit:
         spec = NetworkSpec((100_000, 100, 2))
         with pytest.raises(ConfigError, match="bytes"):
             init_state(spec, PriorConfig(), Family.MVN_FULL, RngStream(0, 0))
+
+    def test_full_family_byte_estimate(self, monkeypatch):
+        # One 3x2 layer, n_w = 6: kappa, rho, xi (6 each), the packed
+        # chol_raw (21) and six scalars make 45 entries.  Five copies,
+        # three temporaries of the largest (21) and the dense 6x6 factor:
+        # 8 * (5 * 45 + 3 * 21 + 36) = 2592 bytes.
+        st = make_state(Family.MVN_FULL, widths=(2, 2))
+        assert st.layers[0].chol_raw.shape == (21,)
+        message = ("widths: the mvn_full parameters and a step's arrays need about "
+                   "2592 bytes, over the 2591 bytes of physical memory")
+        for have, expected in ((2592, []), (2591, [message])):
+            monkeypatch.setattr("slabnn.model.os.sysconf",
+                                {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}.get)
+            assert family_problems(Family.MVN_FULL, 0, st.spec) == expected
 
     def test_prior_values_must_sit_in_hyperprior_support(self):
         for sigma2 in (-1.0, np.nan, np.inf):
@@ -208,8 +222,10 @@ class TestInclusionSummaries:
         for family, rank in ALL_FAMILIES:
             st = make_state(family, rank, seed=4)
             if family is Family.MVN_FULL:
-                st.layers[0].chol_raw[np.diag_indices(15)] = 2.0
-                st.layers[1].chol_raw[...] = np.tril(np.full((8, 8), 0.3))
+                square = unpack_lower(st.layers[0].chol_raw)
+                square[np.diag_indices(15)] = 2.0
+                st.layers[0].chol_raw[...] = pack_lower(square)
+                st.layers[1].chol_raw[...] = pack_lower(np.tril(np.full((8, 8), 0.3)))
             elif family is Family.MVN_LOWRANK:
                 for lp in st.layers:
                     lp.factor *= 20.0
@@ -267,8 +283,9 @@ def _random_mvn_state(family, rank, widths, seed=11):
     for lp in st.layers:
         lp.xi[...] = gen.normal(size=lp.xi.size)
         if family is Family.MVN_FULL:
-            lp.chol_raw[...] = np.tril(0.05 * gen.normal(size=lp.chol_raw.shape))
-            lp.chol_raw[np.diag_indices(lp.n_weights)] += softplus_inv(0.8)
+            square = np.tril(0.05 * gen.normal(size=(lp.n_weights, lp.n_weights)))
+            square[np.diag_indices(lp.n_weights)] += softplus_inv(0.8)
+            lp.chol_raw[...] = pack_lower(square)
         else:
             lp.log_diag[...] = gen.normal(scale=0.3, size=lp.n_weights)
     return st
@@ -391,8 +408,46 @@ class TestLayerParams:
     def test_chol_frozen_value(self):
         st = make_state(Family.MVN_FULL, widths=(1, 1))
         lp = st.layers[0]
-        lp.chol_raw[...] = [[softplus_inv(2.0), 7.0], [1.0, softplus_inv(2.0)]]
+        lp.chol_raw[...] = pack_lower([[softplus_inv(2.0), 7.0], [1.0, softplus_inv(2.0)]])
         np.testing.assert_allclose(lp.chol(), [[2.0, 0.0], [1.0, 2.0]], atol=1e-15)
+
+    def test_pack_round_trip(self):
+        square = np.arange(16.0).reshape(4, 4)
+        packed = pack_lower(square)
+        np.testing.assert_array_equal(packed, [0, 4, 5, 8, 9, 10, 12, 13, 14, 15])
+        np.testing.assert_array_equal(unpack_lower(packed), np.tril(square))
+        with pytest.raises(ShapeError):
+            pack_lower(np.zeros((3, 4)))
+        with pytest.raises(ShapeError):
+            unpack_lower(np.zeros(4))
+
+    def test_chol_matches_dense_construction(self):
+        # The dense form: np.tril below the diagonal, softplus on it.
+        st = _random_mvn_state(Family.MVN_FULL, 0, (30, 15, 2))
+        for lp in st.layers:
+            raw = unpack_lower(lp.chol_raw)
+            dense = np.tril(raw, -1)
+            dense[np.diag_indices_from(dense)] = softplus(np.diagonal(raw))
+            assert lp.chol().tobytes() == dense.tobytes()
+
+    def test_packed_logit_grad_matches_dense_rule(self):
+        # The dense form: tril(outer(dlogit, eps)), its diagonal scaled by
+        # sigmoid of the raw diagonal (the softplus derivative).
+        st = _random_mvn_state(Family.MVN_FULL, 0, (30, 15, 2))
+        net = sample_network(st, 0.1, "relaxed", RngStream(5, 8))
+        gen = np.random.default_rng(2)
+        for lp, ls in zip(st.layers, net.layers):
+            dlogit = gen.normal(size=lp.shape)
+            grads = {"xi": np.zeros_like(lp.xi), "chol_raw": np.zeros_like(lp.chol_raw)}
+            lp.route_logit_grad(dlogit, ls.noise, grads)
+            (eps,) = ls.noise
+            douter = np.outer(dlogit.reshape(-1), eps)
+            dense = np.tril(douter)
+            dense[np.diag_indices_from(dense)] = (
+                np.diagonal(douter) * sigmoid(np.diagonal(unpack_lower(lp.chol_raw))))
+            assert grads["chol_raw"].shape == (lp.n_weights * (lp.n_weights + 1) // 2,)
+            assert grads["chol_raw"].tobytes() == pack_lower(dense).tobytes()
+            assert unpack_lower(grads["chol_raw"]).tobytes() == dense.tobytes()
 
 
 class TestStateCopy:

@@ -13,7 +13,7 @@ from slabnn.elbo import Batch, elbo_gradient
 from slabnn.errors import ConfigError, NumericError
 from slabnn.model import Family, NetworkSpec, PriorConfig, init_state, median_model
 from slabnn.numkernel import RngStream, sigmoid
-from slabnn.trainer import (GROUPS, HYPER_CLAMP, PARAM_GROUP, STREAM_INIT,
+from slabnn.trainer import (GROUPS, HYPER_CLAMP, MAX_DRAWS, PARAM_GROUP, STREAM_INIT,
                             AdamMoments, PhaseConfig, TrainingAborted,
                             adam_step, default_phases, run_phase, train,
                             validate_schedule)
@@ -61,6 +61,16 @@ class TestPhaseConfig:
         with pytest.raises(ConfigError):
             PhaseConfig("posttrain", epochs=1, lr={"weights": 0.1},
                         gamma_policy="frozen")
+
+    def test_draws_bounded_above(self):
+        phase = PhaseConfig("train", epochs=1, lr={"weights": 0.1}, draws=MAX_DRAWS)
+        assert MAX_DRAWS >= 64
+        assert phase.validate() == []
+        phase.draws = 12345678901234567890
+        assert phase.validate() == [f"train: draws must be between 1 and {MAX_DRAWS}, "
+                                    f"got 12345678901234567890"]
+        with pytest.raises(ConfigError, match="draws"):
+            PhaseConfig("train", epochs=1, lr={"weights": 0.1}, draws=MAX_DRAWS + 1)
 
 
 class TestAdamStep:
