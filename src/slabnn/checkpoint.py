@@ -15,7 +15,8 @@ Layout, all multi-byte values little-endian:
 Tensor names are unique.  Every field of the variational state is stored as a named tensor
 (scalars as length-1 tensors), along with small "meta/..." tensors that
 encode the network shape, family, prior switches and phase counters
-(``meta/flags[0]`` marks the bias row every weight matrix has: always 1),
+(``meta/flags[0]`` marks the bias row every weight matrix has: always 1;
+``meta/flags[3..6]`` hold the prior switches as 0 or 1, nothing else),
 and "rng/..." tensors holding random stream positions as raw uint64
 words bit-cast to float64 (floats cannot carry 64-bit integers exactly,
 the bit-cast round-trips).  Parameters are stored in the layout
@@ -58,6 +59,8 @@ FORMAT_VERSION = 1
 
 _FAMILY_CODES = {Family.MF: 0, Family.MVN_FULL: 1, Family.MVN_LOWRANK: 2}
 _FAMILY_FROM_CODE = {v: k for k, v in _FAMILY_CODES.items()}
+# The PriorConfig switches stored as 0/1 in meta/flags[3..6], in order.
+_SWITCHES = ("fixed_dense", "learn_sigma2", "learn_psi", "learn_hyper")
 
 
 class CheckpointData:
@@ -90,10 +93,7 @@ def _meta_tensors(state: VariationalState, counters: dict) -> list:
             1.0,  # bias row: every weight matrix has one
             float(_FAMILY_CODES[state.family]),
             float(state.rank),
-            1.0 if prior.fixed_dense else 0.0,
-            1.0 if prior.learn_sigma2 else 0.0,
-            1.0 if prior.learn_psi else 0.0,
-            1.0 if prior.learn_hyper else 0.0,
+            *(1.0 if getattr(prior, switch) else 0.0 for switch in _SWITCHES),
         ])),
         ("meta/prior_init", np.array([
             prior.sigma2, prior.psi,
@@ -236,6 +236,9 @@ def load_checkpoint(path) -> CheckpointData:
     if family is None:
         raise FormatError(f"unknown family code {flags[1]}")
     rank = flags[2]
+    for i, switch in enumerate(_SWITCHES, start=3):
+        if flags[i] > 1:
+            raise FormatError(f"meta/flags[{i}] ({switch}) must be 0 or 1, got {flags[i]}")
     pri = _require(tensors, "meta/prior_init")
     if pri.shape != (6,):
         raise FormatError(f"meta/prior_init must have 6 entries, got {pri.shape}")
@@ -246,8 +249,7 @@ def load_checkpoint(path) -> CheckpointData:
             sigma2=float(pri[0]), psi=float(pri[1]),
             hyper=HyperParams(float(pri[2]), float(pri[3]), float(pri[4]),
                               float(pri[5])),
-            learn_sigma2=bool(flags[4]), learn_psi=bool(flags[5]),
-            learn_hyper=bool(flags[6]), fixed_dense=bool(flags[3]),
+            **{switch: flags[i] == 1 for i, switch in enumerate(_SWITCHES, start=3)},
         )
         spec = NetworkSpec(widths=widths, activations=activations)
     except (ConfigError, DomainError) as exc:

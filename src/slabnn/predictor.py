@@ -12,6 +12,12 @@ weights (second) are handled:
   fixed and slab weights are redrawn per replicate.
 * med/mea : the median mask applied to the slab means; deterministic.
 
+The median model runs as the sparse network it is: a layer whose mask
+keeps at most ``elbo.SPARSE_SHARE`` of its non-bias weights has its
+product formed from the kept weights only (``elbo.MaskedProducts``,
+built once per call).  Its probabilities equal the dense ones up to
+rounding; layers above the share stay dense, bit for bit.
+
 all/sim (every connection kept but slabs sampled) only makes sense for
 fixed-dense states and is rejected otherwise.  sim/mea is not a mode
 and ``PredictionMode`` rejects it.  Prediction never uses
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elbo import forward_logits
+from .elbo import MaskedProducts, forward_logits
 from .errors import ConfigError, DomainError, ShapeError
 from .model import (SampledLayer, SampledNetwork, VariationalState,
                     marginal_inclusion, median_model, posterior_mean_weights,
@@ -126,9 +132,9 @@ class DoubtDecisions:
         return int(np.sum(self.decisions < 0))
 
 
-def _probs(net: SampledNetwork, features) -> np.ndarray:
+def _probs(net: SampledNetwork, features, products: MaskedProducts = None) -> np.ndarray:
     """Softmax class probabilities of one network on a design block."""
-    logits, _ = forward_logits(net, features)
+    logits, _ = forward_logits(net, features, products=products)
     return np.exp(log_softmax(logits))
 
 
@@ -150,6 +156,7 @@ def predict(state: VariationalState, features, mode: PredictionMode,
 
     alpha_hat = marginal_inclusion(state) if mode.gamma == "med" or mode.deterministic else None
     mask = median_model(state, alpha_hat=alpha_hat) if mode.gamma == "med" else None
+    products = MaskedProducts(mask, x) if mask is not None else None
 
     if mode.beta == "mea":  # med/mea is the posterior mean with the mask as alpha_hat
         weights = posterior_mean_weights(state, alpha_hat=mask or alpha_hat)
@@ -157,8 +164,8 @@ def predict(state: VariationalState, features, mode: PredictionMode,
                                eps=None, tau=None) for w in weights]
         net = SampledNetwork(layers=layers, spec=state.spec, delta=0.0)
         masks = [mask or [np.ones(layer.shape) for layer in state.layers]]
-        return PredictiveResult(probs=_probs(net, x), replicate_probs=None, masks=masks,
-                                alpha_hat=alpha_hat)
+        return PredictiveResult(probs=_probs(net, x, products), replicate_probs=None,
+                                masks=masks, alpha_hat=alpha_hat)
 
     # Sampled slabs: one derived stream per replicate; the median mask is
     # held fixed and shared by every replicate's record.
@@ -167,7 +174,7 @@ def predict(state: VariationalState, features, mode: PredictionMode,
     for r in range(mode.replicates):
         sub = RngStream(rng.seed, rng.stream_id + 1 + r)
         net = sample_network(state, 0.0, "hard", sub, fixed_masks=mask)
-        rep_probs.append(_probs(net, x))
+        rep_probs.append(_probs(net, x, products))
         rep_masks.append(mask or [lay.gamma_tilde for lay in net.layers])
     stacked = np.stack(rep_probs, axis=0)
     return PredictiveResult(probs=stacked.mean(axis=0), replicate_probs=stacked,

@@ -18,6 +18,11 @@ the hyperprior, ``elbo_gradient`` in pretrain and train under both KL
 modes, and ``predict`` in all four modes.  Values that come with an rng
 also hash the stream position it was left at.
 
+The 6-5-3 masks never keep few enough weights for ``predict`` to run
+the median model sparse, so a constructed, untrained mean-field state
+at widths 784-16-3 adds ``predict`` med/sim (R=3) and med/mea on a
+median mask that keeps 125 of layer 0's 12,544 non-bias weights.
+
 The CLI section runs ``slabnn train`` on one INI config per family
 (mean field, mvn_full, and low rank at r=2; pretrain, a sampled-KL
 train and a median_fixed posttrain; seeds 5 and 6), then ``predict`` in
@@ -46,8 +51,8 @@ from slabnn.cli import main as cli_main
 from slabnn.dataio import synth_clusters
 from slabnn.elbo import Batch, elbo_estimate, elbo_gradient
 from slabnn.metrics import inclusion_correlation
-from slabnn.model import (Family, NetworkSpec, PriorConfig, marginal_inclusion,
-                          median_model, sample_network)
+from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state,
+                          marginal_inclusion, median_model, sample_network)
 from slabnn.numkernel import RngStream
 from slabnn.predictor import PredictionMode, predict
 from slabnn.trainer import default_phases, train
@@ -157,6 +162,27 @@ def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
     return out
 
 
+def sparse_digests() -> dict:
+    """Median-model predictions whose first-layer mask is 1% dense."""
+    state = init_state(NetworkSpec((784, 16, 3)), PriorConfig(), Family.MF,
+                       RngStream(SEED, 0))
+    first = state.layers[0]
+    first.omega[...] = -4.0
+    first.omega[0] = 4.0
+    flat = first.omega[1:].reshape(-1)
+    flat[RngStream(SEED, 1).permutation(flat.size)[:125]] = 4.0
+    first.kappa[...] *= 20.0
+    state.layers[1].omega[...] = 4.0
+    data = synth_clusters(200, 784, 3, separation=1.0, seed=SEED)
+    out = {}
+    for gamma, beta in MODES[2:]:
+        rng = RngStream(SEED, 999)
+        res = predict(state, data.features, PredictionMode(gamma, beta, 3), rng=rng)
+        out[f"sparse/predict/{gamma}_{beta}"] = _digest(
+            res.probs, res.replicate_probs, res.masks)
+    return out
+
+
 CLI_CONFIG = """\
 [dataset]
 format = synth_clusters
@@ -262,6 +288,7 @@ def main() -> int:
         for name, (family, rank, prior, phases) in RUNS.items():
             digests.update(run_digests(name, family, rank, prior, phases, data,
                                        workdir))
+    digests.update(sparse_digests())
     codes = {}
     with tempfile.TemporaryDirectory() as workdir:
         digests.update(cli_digests(workdir, codes))

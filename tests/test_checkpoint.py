@@ -194,6 +194,18 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("index,switch", [(3, "fixed_dense"), (4, "learn_sigma2"),
+                                              (5, "learn_psi"), (6, "learn_hyper")])
+    def test_switch_flags_are_zero_or_one(self, tmp_path, index, switch):
+        # A 2 would load as True and re-save as 1: not the same bytes.
+        path = tmp_path / "flags.lbnn"
+        save_checkpoint(path, make_state())
+        tensors = read_manifest(path)
+        tensors["meta/flags"][index] = 2.0
+        write_tensors(path, tensors)
+        with pytest.raises(FormatError, match=rf"meta/flags\[{index}\] \({switch}\)"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("value", [1e-300, -0.0, np.nan])
     def test_entry_above_cholesky_diagonal_rejected(self, tmp_path, value):
         # A hand-edited strict upper triangle would not survive a re-save.

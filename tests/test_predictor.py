@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, make_state
-from slabnn.errors import ConfigError, DomainError, ShapeError
-from slabnn.model import (Family, PriorConfig, median_model,
-                          posterior_mean_weights)
-from slabnn.numkernel import RngStream
+from slabnn import elbo
+from slabnn.errors import ConfigError, DomainError, NumericError, ShapeError
+from slabnn.model import (Family, PriorConfig, SampledLayer, SampledNetwork,
+                          median_model, posterior_mean_weights, sample_network)
+from slabnn.numkernel import RngStream, log_softmax
 from slabnn.predictor import (PredictionMode, classify_with_doubt,
                               density_level, export_predictions_csv, predict)
 
@@ -129,6 +130,103 @@ class TestPredict:
         st = make_state()
         with pytest.raises(ShapeError):
             predict(st, np.zeros((3, 7)), PredictionMode("med", "mea"))
+
+
+def _sparse_state(kept=125, seed=70, widths=(784, 16, 3)):
+    """MF state whose median mask keeps ``kept`` of layer 0's non-bias weights.
+
+    Layer 0's bias row and every later layer are kept whole; slab means
+    are scaled up so that the logits, and so the argmax, are far from ties.
+    """
+    st = make_state(seed=seed, widths=widths)
+    first = st.layers[0]
+    first.omega[...] = -4.0
+    first.omega[0] = 4.0
+    flat = first.omega[1:].reshape(-1)
+    flat[np.random.default_rng(seed).permutation(flat.size)[:kept]] = 4.0
+    first.kappa[...] *= 20.0
+    for layer in st.layers[1:]:
+        layer.omega[...] = 4.0
+    return st
+
+
+def _dense_probs(net, x):
+    logits, _ = elbo.forward_logits(net, x)
+    return np.exp(log_softmax(logits))
+
+
+def _mean_network(st, mask):
+    weights = posterior_mean_weights(st, alpha_hat=mask)
+    layers = [SampledLayer(alpha=None, gamma_tilde=None, beta=w, effective=w,
+                           eps=None, tau=None) for w in weights]
+    return SampledNetwork(layers=layers, spec=st.spec, delta=0.0)
+
+
+class TestSparseMedianModel:
+    """Below the share, the median rules multiply through the kept weights only."""
+
+    def _check_against_dense(self, st, x, exact):
+        mask = median_model(st)
+        compare = (np.testing.assert_array_equal if exact else
+                   lambda got, ref: np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12))
+        sim = predict(st, x, PredictionMode("med", "sim", 3), rng=RngStream(8, 99))
+        for r in range(3):
+            net = sample_network(st, 0.0, "hard", RngStream(8, 100 + r), fixed_masks=mask)
+            ref = _dense_probs(net, x)
+            compare(sim.replicate_probs[r], ref)
+            np.testing.assert_array_equal(np.argmax(sim.replicate_probs[r], axis=1),
+                                          np.argmax(ref, axis=1))
+        mea = predict(st, x, PredictionMode("med", "mea"))
+        ref = _dense_probs(_mean_network(st, mask), x)
+        compare(mea.probs, ref)
+        np.testing.assert_array_equal(np.argmax(mea.probs, axis=1), np.argmax(ref, axis=1))
+
+    def test_sparse_mask_matches_dense_forward(self):
+        st = _sparse_state()  # 125 of 12,544 weights: 1% dense
+        x = _features(n=200, p=784)
+        layers = elbo.MaskedProducts(median_model(st), x).layers
+        assert layers[0] is not None and layers[1] is None
+        self._check_against_dense(st, x, exact=False)
+
+    def test_fully_pruned_first_layer(self):
+        st = _sparse_state(kept=0)
+        st.layers[0].omega[...] = -4.0  # the bias row goes too
+        x = _features(n=50, p=784)
+        assert elbo.MaskedProducts(median_model(st), x).layers[0].live.size == 0
+        self._check_against_dense(st, x, exact=False)
+
+    def test_mask_above_share_stays_dense_bit_for_bit(self):
+        share = int(elbo.SPARSE_SHARE * 784 * 16)
+        st = _sparse_state(kept=share + 1)
+        x = _features(n=50, p=784)
+        assert elbo.MaskedProducts(median_model(st), x).layers == [None, None]
+        self._check_against_dense(st, x, exact=True)
+
+    def test_share_is_inclusive(self):
+        share = int(elbo.SPARSE_SHARE * 784 * 16)
+        x = _features(n=5, p=784)
+        assert elbo.MaskedProducts(median_model(_sparse_state(kept=share)), x).layers[0] \
+            is not None
+
+    def test_nan_in_dropped_column_still_raises(self):
+        # The dense product turns any non-finite feature into non-finite
+        # activations at transition 0; a product that skips the column
+        # must fail the same way.
+        st = _sparse_state()
+        x = _features(n=20, p=784)
+        dropped = np.flatnonzero(median_model(st)[0][1:].sum(axis=1) == 0)[0]
+        x[7, dropped] = np.nan
+        for mode in (PredictionMode("med", "sim", 2), PredictionMode("med", "mea")):
+            with pytest.raises(NumericError, match="transition 0"):
+                predict(st, x, mode, rng=RngStream(8, 99))
+
+    def test_products_bound_to_their_block(self):
+        st = _sparse_state()
+        x = _features(n=10, p=784)
+        products = elbo.MaskedProducts(median_model(st), x)
+        net = sample_network(st, 0.0, "hard", RngStream(1, 1), fixed_masks=median_model(st))
+        with pytest.raises(ShapeError, match="another design block"):
+            elbo.forward_logits(net, x.copy(), products=products)
 
 
 class TestDoubt:
