@@ -43,7 +43,7 @@ import numpy as np
 from .distributions import HyperParams
 from .errors import ConfigError, DomainError, FormatError
 from .model import (ACTIVATIONS, Family, LayerParams, NetworkSpec, PriorConfig,
-                    VariationalState)
+                    VariationalState, family_problems)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -254,8 +254,9 @@ def load_checkpoint(path) -> CheckpointData:
         spec = NetworkSpec(widths=widths, activations=activations)
     except (ConfigError, DomainError) as exc:
         raise FormatError(f"checkpoint model description is invalid: {exc}") from None
-    if rank != 0 and family is not Family.MVN_LOWRANK:
-        raise FormatError(f"rank {rank} is only meaningful for the low-rank family")
+    problems = family_problems(family, rank, None)
+    if problems:
+        raise FormatError(f"stored rank {rank} is invalid: {'; '.join(problems)}")
     # Check every stored shape against the one the description implies
     # before allocating: absurd widths or ranks fail here, not in numpy.
     for l in range(spec.n_transitions):

@@ -5,10 +5,11 @@ gamma decides whether the weight is present, and conditionally on
 gamma = 1 the weight is Gaussian.  The variational family mirrors that
 structure, so training needs a Concrete relaxation of the indicator
 and the two KL divergences that survive after the spike terms cancel,
-plus the log densities of the hyperpriors, a sampler for correlated
-inclusion logits and the mean inclusion probability of a Gaussian
-logit.  The objective, the model sampler and the metrics
-all call these kernels rather than restating them.  Every kernel is
+plus the log densities of the hyperpriors and the mean inclusion
+probability of a Gaussian logit.  The objective, the model sampler and
+the metrics all call these kernels rather than restating them; the
+correlated logits themselves are drawn by ``model.LayerParams``, the
+one place that knows the inclusion family.  Every kernel is
 ufunc-style: scalars in, scalar out; arrays broadcast; arguments
 outside the domain raise ``DomainError``.
 """
@@ -20,20 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, ShapeError
-from .numkernel import as_vector, logit, sigmoid, xlogy
+from .errors import DomainError
+from .numkernel import logit, sigmoid, xlogy
 
 __all__ = [
     "HyperParams",
-    "concrete_transform",
     "concrete_from_logits",
     "kl_gaussian",
     "kl_bernoulli",
     "logpdf_inv_gamma",
     "logpdf_beta",
-    "MVN_BLOCK_ELEMENTS",
-    "mvn_blocks",
-    "sample_mvn_logits",
     "logit_normal_mean",
 ]
 
@@ -64,7 +61,11 @@ def concrete_from_logits(logit_alpha, nu, delta):
     """Concrete relaxation evaluated from inclusion logits.
 
     gamma_tilde = sigmoid((logit_alpha - logit(nu)) / delta) with
-    nu uniform on (0, 1) and temperature delta > 0.  Working in logit
+    nu uniform on (0, 1) and temperature delta > 0.  Strictly
+    increasing in logit_alpha and decreasing in nu; as delta -> 0 the
+    output approaches the hard indicator 1[nu < alpha].  The derivative
+    with respect to logit_alpha is gamma_tilde * (1 - gamma_tilde) /
+    delta, which is what the gradient code uses.  Working in logit
     space keeps the kernel usable when sigmoid(logit_alpha) rounds to
     0 or 1 in floating point.
     """
@@ -76,21 +77,6 @@ def concrete_from_logits(logit_alpha, nu, delta):
     la = np.asarray(logit_alpha, dtype=np.float64)
     out = sigmoid((la - logit(nu_arr)) / np.asarray(delta, dtype=np.float64))
     return _scalarize(out, logit_alpha, nu, delta)
-
-
-def concrete_transform(nu, alpha, delta):
-    """Concrete relaxation gamma_tilde = sigmoid((logit(alpha) - logit(nu)) / delta).
-
-    Strictly increasing in alpha and decreasing in nu; as delta -> 0 the
-    output approaches the hard indicator 1[nu < alpha].  The derivative
-    with respect to logit(alpha) is gamma_tilde * (1 - gamma_tilde) / delta,
-    which is what the gradient code uses.  Both nu and alpha must lie in
-    the open interval (0, 1).
-    """
-    alpha_arr = np.asarray(alpha, dtype=np.float64)
-    if np.any(alpha_arr <= 0.0) or np.any(alpha_arr >= 1.0):
-        raise DomainError("alpha must lie in the open interval (0, 1)")
-    return concrete_from_logits(logit(alpha_arr), nu, delta)
 
 
 def kl_gaussian(kappa, tau, sigma2):
@@ -158,80 +144,6 @@ def logpdf_beta(x, a, b):
         + special.xlog1py(ba - 1.0, -xa)
     )
     return _scalarize(out, x, a, b)
-
-
-# Element budget of one block of Monte Carlo logit draws: 2**16 float64
-# values, 512 KB per block array.  Small enough that peak memory does
-# not grow with the draw count, large enough that a block of a
-# full-covariance layer is one matrix-matrix product.
-MVN_BLOCK_ELEMENTS = 2**16
-
-
-def mvn_blocks(n_draws: int, width: int):
-    """Row counts splitting ``n_draws`` draws of ``width`` values into blocks.
-
-    Each block holds at most ``MVN_BLOCK_ELEMENTS`` values, and at least
-    one row even when a single draw is wider than that.
-    """
-    rows = max(1, MVN_BLOCK_ELEMENTS // width)
-    for start in range(0, n_draws, rows):
-        yield min(rows, n_draws - start)
-
-
-def sample_mvn_logits(xi, rng, n, factor=None, diag=None, chol=None):
-    """A block of ``n`` draws of correlated inclusion logits, with their noise.
-
-    Two parametrizations are supported:
-
-    * low rank plus diagonal, covariance F F^T + D: pass ``factor``
-      (dim x r, r = 0 allowed via ``None`` or an empty matrix) and
-      ``diag`` (the diagonal of D, nonnegative: a variance that
-      underflowed to zero in training is a valid degenerate entry); a
-      draw is xi + F eps1 + sqrt(diag) * eps2.
-    * full covariance supplied as its lower-triangular Cholesky factor:
-      pass ``chol`` only; a draw is xi + L eps.
-
-    Row i of every returned array is draw i.  The noise is one
-    ``rng.std_normal(n * width)`` call split into rows of ``width``
-    values: a row is eps (width dim) on the Cholesky path, and eps1 (the
-    first r values) then eps2 (dim values) on the low-rank path.  Row i
-    therefore holds the same numbers, in the same order, as the i-th of
-    n single-draw calls, and the stream ends where they would leave it.
-    A block costs one matrix product, xi + eps L^T or xi + eps1 F^T.
-    Returns ``(logits, noise)``: logits ``(n, dim)``; noise ``(eps,)``
-    with eps ``(n, dim)`` on the Cholesky path, or ``(eps1, eps2)`` with
-    eps1 ``(n, r)`` (None when r = 0) and eps2 ``(n, dim)``.  The
-    gradient reuses the noise.
-    """
-    mean = as_vector(xi)
-    dim = mean.shape[0]
-    if chol is not None:
-        if factor is not None or diag is not None:
-            raise DomainError("pass either chol or (factor, diag), not both")
-        ch = np.ascontiguousarray(chol, dtype=np.float64)
-        if ch.shape != (dim, dim):
-            raise ShapeError(f"chol must be {dim}x{dim}, got {ch.shape}")
-        eps = rng.std_normal(n * dim).reshape(n, dim)
-        return mean + eps @ ch.T, (eps,)
-    if diag is None:
-        raise DomainError("the low-rank path requires a diagonal variance vector")
-    d = as_vector(diag, dim)
-    if np.any(d < 0.0):
-        raise DomainError("diagonal variances must be nonnegative")
-    r = 0
-    if factor is not None:
-        f = np.ascontiguousarray(factor, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] != dim:
-            raise ShapeError(f"factor must have {dim} rows, got shape {f.shape}")
-        r = f.shape[1]
-    z = rng.std_normal(n * (r + dim)).reshape(n, r + dim)
-    eps1 = z[:, :r] if r > 0 else None
-    eps2 = z[:, r:]
-    out = np.tile(mean, (n, 1))
-    if eps1 is not None:
-        out += eps1 @ f.T
-    out += np.sqrt(d) * eps2
-    return out, (eps1, eps2)
 
 
 # Fixed trapezoid rules of logit_normal_mean, step 0.5, nonnegative

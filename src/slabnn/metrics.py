@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import mvn_blocks
-from .errors import DomainError, ShapeError
-from .model import VariationalState
+from .errors import ConfigError, DomainError, ShapeError
+from .model import VariationalState, memory_problems
 from .numkernel import RngStream, sigmoid, xlogy
 
 __all__ = [
@@ -120,13 +119,18 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
 
     Draws ``n_samples`` hard indicator vectors (fresh inclusion
     probabilities per draw for the correlated families) and correlates
-    the flattened weight positions.  Every family draws in blocks
-    (``mvn_blocks``): per block, the block's logits from one
-    ``LayerParams.logit_sampler`` call (mean field draws nothing there),
-    then the block's uniforms, row by row.  Returns ``(corr, constant)``
-    where ``constant`` flags positions whose draws never varied; their
-    rows and columns are zero by convention (diagonal included),
-    non-constant positions have unit diagonal.
+    the flattened weight positions.  Every family draws in the blocks of
+    ``LayerParams.logit_blocks`` (mean field draws nothing there): per
+    block, its logits, then its uniforms, row by row.  Returns
+    ``(corr, constant)`` where ``constant`` flags positions whose draws
+    never varied; their rows and columns are zero by convention
+    (diagonal included), non-constant positions have unit diagonal.
+
+    Before any draw, raises ``ConfigError`` when the arrays would not
+    fit in physical memory: the n_samples x n_weights draw matrix and
+    three of its size (the deviations of ``std``, the live columns and
+    ``np.corrcoef``'s centred copy), plus two n_weights x n_weights
+    matrices (the result and ``np.corrcoef``'s).
     """
     if not (0 <= layer < state.n_transitions):
         raise DomainError(f"layer index {layer} out of range")
@@ -134,14 +138,17 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
         raise DomainError("need at least two samples to correlate")
     lp = state.layers[layer]
     n_w = lp.n_weights
+    problems = memory_problems(8 * (4 * n_samples * n_w + 2 * n_w * n_w),
+                               f"the layer {layer} inclusion correlations")
+    if problems:
+        raise ConfigError("; ".join(problems))
     if state.prior.fixed_dense:
         draws = np.ones((n_samples, n_w))
     else:
-        draw = lp.logit_sampler()
         draws = np.empty((n_samples, n_w))
         start = 0
-        for rows in mvn_blocks(n_samples, n_w + lp.rank):
-            logits = draw(rng, rows)[0]
+        for logits, _ in lp.logit_blocks(rng, n_samples):
+            rows = logits.shape[0]
             u = rng.uniform(rows * n_w).reshape(rows, n_w)
             draws[start:start + rows] = u < sigmoid(logits)
             start += rows

@@ -23,8 +23,9 @@ inclusion side:
   dim x r factor and positive diagonal (rank 0 allowed).
 
 ``LayerParams`` is the one place that knows the family: parameter
-shapes, initial values, logit sampler, exact inclusion probabilities and
-logit-gradient routing.  ``family_problems`` holds the rank and size rules.
+shapes, initial values, blocked logit draws, exact inclusion
+probabilities and logit-gradient routing.  ``family_problems`` holds the
+rank and size rules.
 
 The indicators of a draw are either sampled from that family or held
 fixed (a fixed_dense state, or a mask such as the median model's);
@@ -52,8 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (HyperParams, concrete_from_logits, logit_normal_mean,
-                            sample_mvn_logits)
+from .distributions import HyperParams, concrete_from_logits, logit_normal_mean
 from .errors import ConfigError, DomainError, ShapeError
 from .numkernel import RngStream, sigmoid, softplus, softplus_inv
 
@@ -80,6 +80,12 @@ ACTIVATIONS = ("relu", "identity")
 
 # Parameters held in memory as a packed lower triangle (see module docstring).
 PACKED = frozenset({"chol_raw"})
+
+# Values in one block of logit draws (``LayerParams.logit_blocks``):
+# 2**16 float64 values, 512 KB per block array.  Small enough that peak
+# memory does not grow with the draw count, large enough that a block of
+# a full-covariance layer is one matrix-matrix product.
+BLOCK_VALUES = 2**16
 
 
 class Family(enum.Enum):
@@ -301,20 +307,42 @@ class LayerParams:
             resid = 1.0 - np.sum(self.factor**2, axis=1)
             self.log_diag[...] = np.log(np.maximum(resid, 0.05))
 
-    def logit_sampler(self):
-        """``draw(rng, n) -> (logits (n, n_weights), noise)``, as ``sample_mvn_logits``.
+    def logit_blocks(self, rng: RngStream, n: int):
+        """Yield ``(logits, noise)`` blocks that hold ``n`` logit draws in order.
 
-        The covariance factor is built once per sampler.  Mean field
-        draws nothing: its rows are ``omega`` (read-only) and noise ``()``.
+        Row i of a block is one draw: ``logits`` (rows, n_weights) and
+        its ``noise`` row in the layout ``route_logit_grad`` reads, eps
+        (n_weights values) for the full family, eps1 (rank values) then
+        eps2 (n_weights values) for low rank.  A block's noise is one
+        ``rng.std_normal`` call of at most ``BLOCK_VALUES`` values (at
+        least one row), so the stream ends where n one-row calls leave
+        it, and a block costs one matrix product, xi + eps L^T or
+        xi + eps1 F^T.  The covariance factor is built once per call.
+        Mean field draws nothing: its logits are read-only rows of
+        ``omega``, its noise rows are empty, and its blocks split by
+        n_weights, the uniforms a caller draws per row.
         """
-        if self.family is Family.MF:
-            row = self.omega.reshape(1, -1)
-            return lambda rng, n: (np.broadcast_to(row, (n, self.n_weights)), ())
+        n_w = self.n_weights
+        r = self.rank
+        rows = max(1, BLOCK_VALUES // (n_w + r))
         if self.family is Family.MVN_FULL:
-            cov = {"chol": self.chol()}
-        else:
-            cov = {"factor": self.factor, "diag": self.diag()}
-        return lambda rng, n: sample_mvn_logits(self.xi, rng, n, **cov)
+            chol_t = self.chol().T
+        elif self.family is Family.MVN_LOWRANK:
+            sd = np.sqrt(self.diag())
+        for start in range(0, n, rows):
+            k = min(rows, n - start)
+            if self.family is Family.MF:
+                yield np.broadcast_to(self.omega.reshape(1, -1), (k, n_w)), np.empty((k, 0))
+                continue
+            noise = rng.std_normal(k * (n_w + r)).reshape(k, n_w + r)
+            if self.family is Family.MVN_FULL:
+                logits = self.xi + noise @ chol_t
+            else:
+                logits = np.tile(self.xi, (k, 1))
+                if r:
+                    logits += noise[:, :r] @ self.factor.T
+                logits += sd * noise[:, r:]
+            yield logits, noise
 
     def inclusion(self) -> np.ndarray:
         """Exact marginal inclusion probabilities alpha_hat, as a weight matrix.
@@ -326,26 +354,25 @@ class LayerParams:
             return sigmoid(self.omega)
         return logit_normal_mean(self.xi, self.logit_sd()).reshape(self.shape)
 
-    def route_logit_grad(self, dlogit: np.ndarray, noise: tuple, grads: dict):
-        """Add one draw's logit gradient, given its ``noise``, into ``grads``."""
+    def route_logit_grad(self, dlogit: np.ndarray, noise: np.ndarray, grads: dict):
+        """Add one draw's logit gradient, given its ``noise`` row, into ``grads``."""
         if self.family is Family.MF:
             grads["omega"] += dlogit
             return
         dvec = dlogit.reshape(-1)
         grads["xi"] += dvec
         if self.family is Family.MVN_FULL:
-            (eps,) = noise
             n = self.n_weights
             tri, diag = _tril_layout(n)
-            dl = np.broadcast_to(eps, (n, n))[tri]  # row i: eps_0 .. eps_i
+            dl = np.broadcast_to(noise, (n, n))[tri]  # row i: eps_0 .. eps_i
             dl *= np.repeat(dvec, np.arange(1, n + 1))
             dl[diag] *= sigmoid(self.chol_raw[diag])
             grads["chol_raw"] += dl
             return
-        eps1, eps2 = noise
-        if eps1 is not None:
-            grads["factor"] += np.outer(dvec, eps1)
-        grads["log_diag"] += dvec * eps2 * 0.5 * np.sqrt(self.diag())
+        r = self.rank
+        if r:
+            grads["factor"] += np.outer(dvec, noise[:r])
+        grads["log_diag"] += dvec * noise[r:] * 0.5 * np.sqrt(self.diag())
 
 
 class VariationalState:
@@ -396,7 +423,7 @@ class SampledLayer:
     eps: np.ndarray            # slab noise
     tau: np.ndarray            # softplus(rho) at draw time
     logits: np.ndarray = None  # inclusion logits, matrix view; None marks a fixed draw
-    noise: tuple = ()          # logit noise of this draw (see LayerParams.logit_sampler)
+    noise: np.ndarray = None   # logit noise row of this draw (see LayerParams.logit_blocks)
 
 
 @dataclass
@@ -514,7 +541,7 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
         shape = layer.shape
         n_w = layer.n_weights
         logits_mat = None
-        noise = ()
+        noise = None
         if fixed_masks is not None:
             mask = np.asarray(fixed_masks[l], dtype=np.float64)
             if mask.shape != shape:
@@ -522,8 +549,8 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
             alpha = mask.copy()
             gamma = mask.copy()
         else:
-            block, noise = layer.logit_sampler()(rng, 1)
-            noise = tuple(None if e is None else e[0] for e in noise)
+            [(block, noise)] = layer.logit_blocks(rng, 1)
+            noise = noise[0]
             logits_mat = block[0].reshape(shape)
             alpha = sigmoid(logits_mat)
             nu = rng.uniform(n_w).reshape(shape)

@@ -1,12 +1,11 @@
 """Dense float64 kernels and a reproducible counter-based random stream.
 
 All numeric state in this package is plain numpy float64 with C (row
-major) layout; the helpers here enforce that convention for vectors and
-provide the numerically careful primitives the rest of the code builds
-on: a shift-by-max log-softmax, the logistic function and its inverse,
-softplus with its inverse, log-sigmoid, ``xlogy``, and ``RngStream``, a
-Philox-backed stream keyed by ``(seed, stream_id)`` whose state can be
-serialized exactly.
+major) layout; the helpers here provide the numerically careful
+primitives the rest of the code builds on: a shift-by-max log-softmax,
+the logistic function and its inverse, softplus with its inverse,
+log-sigmoid, ``xlogy``, and ``RngStream``, a Philox-backed stream keyed
+by ``(seed, stream_id)`` whose state can be serialized exactly.
 
 The per-weight transcendentals (``sigmoid``, ``softplus``,
 ``log_sigmoid``, ``logit``, ``xlogy``) are the one copy of each formula
@@ -26,7 +25,11 @@ order for a given build, so repeated calls on the same inputs are
 bit-identical within a process.  Random draws depend only on the stream
 key and position: distinct ``stream_id`` values yield independent
 sequences for the same seed, and a saved state restores the exact
-position so that subsequent draws continue the original sequence.
+position so that subsequent draws continue the original sequence.  The
+blocked logit draws of ``model.LayerParams.logit_blocks`` take one
+``std_normal`` call per block and split it into rows, so a block holds
+the numbers of as many one-row draws, in order, and leaves the stream
+where they would.
 
 ``exp``, ``log`` and ``log1p`` run numpy's CPU-dispatched SIMD loops,
 whose last bits can differ from the C math library's and between
@@ -45,7 +48,6 @@ from scipy import special
 from .errors import DomainError, NumericError, ShapeError
 
 __all__ = [
-    "as_vector",
     "sigmoid",
     "logit",
     "softplus",
@@ -57,16 +59,6 @@ __all__ = [
 ]
 
 _U64 = np.uint64
-
-
-def as_vector(values, n: int | None = None) -> np.ndarray:
-    """Coerce ``values`` to a 1-D C-contiguous float64 array."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got ndim={arr.ndim}")
-    if n is not None and arr.shape[0] != n:
-        raise ShapeError(f"expected length {n}, got {arr.shape[0]}")
-    return arr
 
 
 def _fresh(x) -> np.ndarray:

@@ -217,19 +217,18 @@ def density_level(masks) -> float:
     return used / total
 
 
-def export_predictions_csv(path, result: PredictiveResult,
-                           decisions: DoubtDecisions = None):
-    """Write one row per observation: probabilities, decision, abstain flag."""
+def export_predictions_csv(path, result: PredictiveResult, decisions: DoubtDecisions):
+    """Write one row per observation: probabilities, decision, abstain flag.
+
+    ``classify_with_doubt(result.probs, 0.0)`` gives plain argmax rows.
+    """
     probs = result.probs
     n, c = probs.shape
     with open(path, "w") as fh:
         cols = ["row"] + [f"p_class{j}" for j in range(c)] + ["decision", "abstained"]
         fh.write(",".join(cols) + "\n")
         for i in range(n):
-            if decisions is None:
-                dec, flag = int(np.argmax(probs[i])), 0
-            else:
-                d = int(decisions.decisions[i])
-                dec, flag = (d, 0) if d >= 0 else (-1, 1)
+            d = int(decisions.decisions[i])
+            dec, flag = (d, 0) if d >= 0 else (-1, 1)
             row = [str(i)] + [repr(float(v)) for v in probs[i]] + [str(dec), str(flag)]
             fh.write(",".join(row) + "\n")

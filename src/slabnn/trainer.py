@@ -88,6 +88,9 @@ STREAM_ALPHA = 3
 
 HYPER_CLAMP = (1e-3, 1e3)
 
+# ADAM's moment decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 # Upper bound on a phase's draws M.  Every step samples and backpropagates
 # M networks, so an absurd M would run without end; it fails validation.
 MAX_DRAWS = 1024
@@ -262,8 +265,7 @@ class AdamMoments:
         self.t = 0
 
 
-def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMoments,
-              lr: dict, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMoments, lr: dict):
     """One ADAM ascent step with per-group step sizes.
 
     Moments update for every parameter whose gradient was computed;
@@ -272,8 +274,8 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
     their update.  Raises ``NumericError`` on non-finite gradients.
     """
     moments.t += 1
-    c1 = 1.0 - beta1**moments.t
-    c2 = 1.0 - beta2**moments.t
+    c1 = 1.0 - ADAM_BETA1**moments.t
+    c2 = 1.0 - ADAM_BETA2**moments.t
     for l, name, g in grads.items():
         if g is None:
             continue
@@ -281,21 +283,21 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
             raise NumericError(f"non-finite gradient for layer {l} parameter {name}")
         m = moments.m[(l, name)]
         v = moments.v[(l, name)]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         step = lr.get(PARAM_GROUP[name], 0.0)
         if step == 0.0:
             continue
         param = getattr(state.layers[l], name)
-        param += step * (m / c1) / (np.sqrt(v / c2) + eps)
+        param += step * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         if name in ("a_beta", "b_beta", "a_psi", "b_psi"):
             np.clip(param, HYPER_CLAMP[0], HYPER_CLAMP[1], out=param)
 
 
 def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
-              rng_sample: RngStream, rng_shuffle: RngStream, fixed_masks=None,
+              rng_sample: RngStream, rng_shuffle: RngStream,
               step_counter: list = None) -> list:
     """Run one phase in place; returns per-epoch trace records.
 
@@ -311,8 +313,8 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
     the run's step number (counted from 0 at phase entry without a
     ``step_counter``).
     """
-    if phase.name == "posttrain" and phase.gamma_policy == "median_fixed" \
-            and fixed_masks is None:
+    fixed_masks = None
+    if phase.name == "posttrain" and phase.gamma_policy == "median_fixed":
         # Called through this module's name: perfbench/spans.py traces it here.
         fixed_masks = median_model(state, alpha_hat=marginal_inclusion(state))
     moments = AdamMoments(state)
@@ -391,9 +393,10 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
     ``checkpoint_dir`` is given, byte-identical checkpoint files (one
     per completed phase plus ``checkpoint_final.lbnn``).
     On an aborted phase the rolled-back state is still checkpointed
-    before the abort propagates.  Groups outside ``live_groups(family,
-    prior)`` keep their parameters bit-identical whatever the phases'
-    step sizes say.
+    before the abort propagates, with counters of the completed epochs
+    only; the stream positions stay where the abort left them.  Groups
+    outside ``live_groups(family, prior)`` keep their parameters
+    bit-identical whatever the phases' step sizes say.
     """
     problems = validate_schedule(phases)
     if problems:
@@ -433,7 +436,7 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
         except TrainingAborted as exc:
             report.records.extend(exc.records)
             counters["epochs"] += len(exc.records)
-            counters["steps"] = steps[0]
+            counters["steps"] += len(exc.records) * len(range(0, data.size, phase.batch_size))
             write(phase.name)
             write("final")
             raise

@@ -15,8 +15,8 @@ ALL_FAMILIES = [(Family.MF, 0), (Family.MVN_FULL, 0),
 
 
 def make_state(family=Family.MF, rank=0, seed=3, widths=(4, 3, 2),
-               prior=None, init_tau=0.05):
-    spec = NetworkSpec(widths)
+               prior=None, init_tau=0.05, activations=None):
+    spec = NetworkSpec(widths, activations)
     prior = prior if prior is not None else PriorConfig()
     return init_state(spec, prior, family, RngStream(seed, 0),
                       rank=rank, init_tau=init_tau)

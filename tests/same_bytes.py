@@ -5,7 +5,12 @@ Run from a checkout::
     PYTHONPATH=src python tests/same_bytes.py > digests.json
 
 and compare the JSON of two commits: identical output means every
-checked output has the same bytes.  Five runs of ``train()`` with
+checked output has the same bytes.  ::
+
+    python tests/same_bytes.py --compare OLD.json NEW.json
+
+prints how many digests moved, their names, and every name present on
+one side only; it exits 1 when anything differs.  Five runs of ``train()`` with
 checkpoints on 200 ``synth_clusters(separation=1.0, seed=5)`` rows,
 widths 6-5-3, seed 5, cover each family and both indicator modes: mean
 field with a median_fixed posttrain, mean field fixed_dense, mvn_full
@@ -35,6 +40,7 @@ dropped.
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -281,7 +287,31 @@ def cli_digests(workdir, codes) -> dict:
     return out
 
 
-def main() -> int:
+def compare(old_path, new_path) -> int:
+    """Report the digests that differ between two JSON outputs; 1 if any do."""
+    with open(old_path) as fh:
+        old = json.load(fh)
+    with open(new_path) as fh:
+        new = json.load(fh)
+    shared = old.keys() & new.keys()
+    moved = sorted(name for name in shared if old[name] != new[name])
+    print(f"{len(moved)} of {len(shared)} shared digests moved")
+    for name in moved:
+        print(f"moved: {name}")
+    for path, only in ((old_path, old.keys() - new.keys()),
+                       (new_path, new.keys() - old.keys())):
+        for name in sorted(only):
+            print(f"only in {path}: {name}")
+    return 1 if moved or old.keys() != new.keys() else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Same-seed digests of every public output.")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD.json", "NEW.json"),
+                        help="compare two saved outputs instead of computing digests")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     data = synth_clusters(200, WIDTHS[0], WIDTHS[-1], separation=1.0, seed=SEED)
     digests = {}
     with tempfile.TemporaryDirectory() as workdir:

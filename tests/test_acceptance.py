@@ -28,12 +28,12 @@ from scipy.special import expit
 from slabnn.checkpoint import load_checkpoint, save_checkpoint
 from slabnn.dataio import (bayes_optimal_accuracy, load_idx, synth_clusters,
                            synth_logistic)
-from slabnn.distributions import concrete_transform, kl_gaussian
+from slabnn.distributions import concrete_from_logits, kl_gaussian
 from slabnn.elbo import Batch, elbo_estimate, elbo_gradient, kl_state
 from slabnn.metrics import accuracy, entropy_cdf
 from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state,
                           median_model, sample_network)
-from slabnn.numkernel import RngStream
+from slabnn.numkernel import RngStream, logit
 from slabnn.predictor import (PredictionMode, classify_with_doubt,
                               density_level, predict)
 from slabnn.trainer import PhaseConfig, train
@@ -220,7 +220,7 @@ def test_criterion_04_concrete_limit():
     gaps = []
     for a in (0.1, 0.5, 0.9):
         nu = rng.uniform(100_000)
-        gap = abs(float(np.mean(concrete_transform(nu, a, 0.01))) - a)
+        gap = abs(float(np.mean(concrete_from_logits(logit(a), nu, 0.01))) - a)
         assert gap < 0.02, f"alpha={a}: |mean - alpha| = {gap:.4f}"
         gaps.append(gap)
     state = init_state(NetworkSpec((499, 2)), PriorConfig(), Family.MF,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import write_tensors
-from slabnn import cli, predictor
+from slabnn import cli, dataio, predictor
 from slabnn.checkpoint import read_manifest, save_checkpoint
 from slabnn.cli import load_config, main
 from slabnn.errors import ConfigError
@@ -407,6 +407,15 @@ class TestEvalCommand:
         assert code == 0
         assert len(calls) == 1
 
+    def test_absurd_corr_samples_exit_two_without_csv(self, trained, tmp_path, capsys):
+        out = tmp_path / "ev_big"
+        code, _, err = _run_main(
+            ["eval", str(trained["ckpt"]), "--csv", str(trained["csv"]), "--out", str(out),
+             "--corr-layer", "0", "--corr-samples", "12345678901234567890"], capsys)
+        assert code == 2
+        assert err.startswith("config error: the layer 0 inclusion correlations need about ")
+        assert not (out / "correlation_layer0.csv").exists()
+
     def test_identical_ood_dataset_gives_identical_cdf(self, trained,
                                                        tmp_path, capsys):
         out = tmp_path / "ev2"
@@ -416,6 +425,77 @@ class TestEvalCommand:
         assert code == 0
         assert (out / "entropy_in.csv").read_bytes() == \
                (out / "entropy_ood.csv").read_bytes()
+
+
+FORMAT_RUN = """\
+[dataset]
+format = {fmt}
+{keys}
+[model]
+widths = 4,3,2
+
+[phase:train]
+epochs = 1
+batch_size = 10
+
+[run]
+seeds = 1
+output_dir = {out}
+run_id = fmt
+"""
+
+
+def _idx_pair(tmp_path, n):
+    """An IDX image/label pair of n rows with 4 features, and its dataset."""
+    gen = np.random.default_rng(n)
+    data = dataio.Dataset(np.round(gen.uniform(size=(n, 4)) * 255.0) / 255.0,
+                          gen.integers(0, 2, size=n), n_classes=2)
+    images, labels = tmp_path / f"images{n}.idx", tmp_path / f"labels{n}.idx"
+    dataio.write_idx(data, images, labels)
+    return data, images, labels
+
+
+class TestDataFormats:
+    @pytest.mark.parametrize("fmt", ["csv", "idx", "synth_logistic"])
+    def test_train_on_each_format(self, tmp_path, capsys, fmt):
+        data, images, labels = _idx_pair(tmp_path, 30)
+        if fmt == "csv":
+            path = tmp_path / "data.csv"
+            path.write_text("".join(",".join(map(repr, row.tolist())) + f",{label}\n"
+                                    for row, label in zip(data.features, data.labels)))
+            keys = f"path = {path}\n"
+        elif fmt == "idx":
+            keys = f"train_images = {images}\ntrain_labels = {labels}\n"
+        else:
+            keys = "n = 30\np = 4\nk_true = 2\ndata_seed = 4\n"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FORMAT_RUN.format(fmt=fmt, keys=keys, out=tmp_path / "out"))
+        code, stdout, _ = _run_main(["train", str(cfg)], capsys)
+        assert code == 0
+        assert "train_rows=30 eval_rows=30" in stdout
+        seed_dir = tmp_path / "out" / "fmt" / "seed1"
+        assert len((seed_dir / "predictions.csv").read_text().splitlines()) == 31
+        assert (seed_dir / "checkpoint_final.lbnn").exists()
+
+    def test_predict_and_eval_read_idx_flags(self, trained, tmp_path, capsys):
+        _, images, labels = _idx_pair(tmp_path, 12)
+        idx = ["--images", str(images), "--labels", str(labels)]
+        out = tmp_path / "preds.csv"
+        code, stdout, _ = _run_main(["predict", str(trained["ckpt"]), *idx,
+                                     "--out", str(out)], capsys)
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 13
+        assert "all_class_accuracy=" in stdout
+        ev = tmp_path / "ev"
+        code, _, _ = _run_main(["eval", str(trained["ckpt"]), *idx, "--ood-images",
+                                str(images), "--ood-labels", str(labels), "--out", str(ev)],
+                               capsys)
+        assert code == 0
+        assert (ev / "entropy_in.csv").read_bytes() == (ev / "entropy_ood.csv").read_bytes()
+        code, _, err = _run_main(["predict", str(trained["ckpt"]), "--images", str(images),
+                                  "--out", str(out)], capsys)
+        assert code == 2
+        assert "IDX input needs both images and labels paths" in err
 
 
 class TestInspectCommand:

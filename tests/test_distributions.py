@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from slabnn.distributions import (HyperParams, concrete_from_logits,
-                                  concrete_transform,
-                                  kl_bernoulli, kl_gaussian, logit_normal_mean,
-                                  logpdf_beta, logpdf_inv_gamma,
-                                  sample_mvn_logits)
+from slabnn.distributions import (HyperParams, concrete_from_logits, kl_bernoulli,
+                                  kl_gaussian, logit_normal_mean, logpdf_beta,
+                                  logpdf_inv_gamma)
 from scipy import integrate
-from scipy.special import expit, logit
+from scipy.special import expit
 
 from slabnn.errors import DomainError
-from slabnn.numkernel import RngStream, sigmoid
+from slabnn.numkernel import RngStream, logit, sigmoid
 
 LN2 = 0.6931471805599453
 
@@ -20,38 +18,31 @@ LN2 = 0.6931471805599453
 class TestConcrete:
     def test_frozen_value(self):
         # logit 0, nu 1/4, delta 1/2: sigmoid(2 ln 3) = 9/10
-        out = concrete_transform(np.array([0.25]), np.array([0.5]), 0.5)
+        out = concrete_from_logits(logit(np.array([0.5])), np.array([0.25]), 0.5)
         np.testing.assert_allclose(out, [0.9], atol=1e-12)
 
     def test_nu_equal_alpha_gives_half(self):
         # the kernel is sigmoid((logit a - logit nu) / delta)
-        out = concrete_transform(np.array([0.7]), np.array([0.7]), 0.3)
+        out = concrete_from_logits(logit(np.array([0.7])), np.array([0.7]), 0.3)
         np.testing.assert_allclose(out, [0.5], atol=1e-12)
 
     def test_low_temperature_approaches_indicator(self):
         nu = np.array([0.2, 0.9])
         alpha = np.array([0.6, 0.6])
-        out = concrete_transform(nu, alpha, 1e-3)
+        out = concrete_from_logits(logit(alpha), nu, 1e-3)
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
     def test_monotone_in_alpha(self):
         nu = np.full(5, 0.35)
         alphas = np.linspace(0.1, 0.9, 5)
-        out = concrete_transform(nu, alphas, 0.4)
+        out = concrete_from_logits(logit(alphas), nu, 0.4)
         assert np.all(np.diff(out) > 0.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            concrete_transform(np.array([0.0]), np.array([0.5]), 0.1)
+            concrete_from_logits(np.array([0.0]), np.array([0.0]), 0.1)
         with pytest.raises(DomainError):
-            concrete_transform(np.array([0.5]), np.array([0.5]), 0.0)
-
-    def test_logit_kernel_matches_probability_kernel(self):
-        nu = np.array([0.2, 0.5, 0.8])
-        alpha = np.array([0.3, 0.3, 0.3])
-        a = concrete_transform(nu, alpha, 0.25)
-        b = concrete_from_logits(logit(alpha), nu, 0.25)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+            concrete_from_logits(np.array([0.0]), np.array([0.5]), 0.0)
 
     def test_logit_kernel_survives_saturated_alpha(self):
         # sigmoid(40) rounds to 1.0; the logit-space kernel must not care
@@ -74,7 +65,7 @@ class TestConcrete:
         rng = RngStream(11, 0)
         nu = rng.uniform(200_000)
         for alpha in (0.1, 0.5, 0.9):
-            g = concrete_transform(nu, np.full_like(nu, alpha), 0.01)
+            g = concrete_from_logits(logit(np.full_like(nu, alpha)), nu, 0.01)
             se = np.sqrt(alpha * (1 - alpha) / nu.size)
             assert abs(g.mean() - alpha) < 0.003 + 5 * se
 
@@ -152,65 +143,6 @@ class TestLogDensities:
                 HyperParams(a_beta=bad)
             with pytest.raises(DomainError):
                 HyperParams(b_psi=bad)
-
-
-class TestMvnLogits:
-    def test_full_cholesky_kernel(self):
-        xi = np.array([1.0, -1.0])
-        chol = np.array([[2.0, 0.0], [1.0, 2.0]])
-
-        class _Fixed:
-            def std_normal(self, n):
-                return np.resize([1.0, -1.0, 0.0, 1.0, 2.0, 0.0], n)
-
-        out, (eps,) = sample_mvn_logits(xi, _Fixed(), 1, chol=chol)
-        np.testing.assert_allclose(out, [[3.0, -2.0]], atol=1e-15)
-        np.testing.assert_array_equal(eps, [[1.0, -1.0]])
-        # a block of three: row i is draw i, noise split by rows in order
-        out, (eps,) = sample_mvn_logits(xi, _Fixed(), 3, chol=chol)
-        np.testing.assert_allclose(out, [[3.0, -2.0], [1.0, 1.0], [5.0, 1.0]],
-                                   atol=1e-15)
-        np.testing.assert_array_equal(eps, [[1.0, -1.0], [0.0, 1.0], [2.0, 0.0]])
-
-    def test_lowrank_covariance_mc(self):
-        gen = np.random.default_rng(8)
-        factor = gen.normal(size=(4, 2)) * 0.7
-        diag = np.exp(gen.normal(size=4))
-        xi = gen.normal(size=4)
-        rng = RngStream(21, 0)
-        draws = sample_mvn_logits(xi, rng, 200, factor=factor, diag=diag)[0]
-        # 200 draws only check the mean; covariance accuracy is covered
-        # by the dedicated acceptance criterion
-        assert np.all(np.abs(draws.mean(axis=0) - xi) < 5 * np.sqrt(
-            (np.sum(factor**2, axis=1) + diag) / draws.shape[0]))
-
-    def test_diag_only_matches_scaled_normal(self):
-        xi = np.zeros(3)
-        diag = np.array([4.0, 9.0, 16.0])
-
-        class _Ones:
-            def std_normal(self, n):
-                return np.ones(n)
-
-        out, (eps1, eps2) = sample_mvn_logits(xi, _Ones(), 1, diag=diag)
-        np.testing.assert_allclose(out, [[2.0, 3.0, 4.0]], atol=1e-15)
-        assert eps1 is None
-        np.testing.assert_array_equal(eps2, np.ones((1, 3)))
-
-        class _Ramp:
-            def std_normal(self, n):
-                return np.arange(float(n))
-
-        # a block of three: the noise splits by rows in draw order
-        out, (eps1, eps2) = sample_mvn_logits(xi, _Ramp(), 3, diag=diag)
-        np.testing.assert_allclose(out, [[0.0, 3.0, 8.0], [6.0, 12.0, 20.0],
-                                         [12.0, 21.0, 32.0]], atol=1e-15)
-        assert eps1 is None
-        np.testing.assert_array_equal(eps2, np.arange(9.0).reshape(3, 3))
-        out, _ = sample_mvn_logits(xi, _Ones(), 1, diag=np.array([0.0, 1.0, 4.0]))
-        np.testing.assert_array_equal(out, [[0.0, 1.0, 2.0]])
-        with pytest.raises(DomainError):
-            sample_mvn_logits(xi, _Ones(), 1, diag=np.array([-1.0, 1.0, 4.0]))
 
 
 def _quad_logit_normal_mean(mean, sd):

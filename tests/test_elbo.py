@@ -57,19 +57,23 @@ class TestLikelihood:
         np.testing.assert_allclose(grads.get(0, "kappa"), expected, atol=1e-9)
 
 
-def _fd_check(family, rank, phase, kl_mode, seed=17, h=1e-5, rtol=1e-4):
+def _fd_check(family, rank, phase, kl_mode, seed=17, h=1e-5, rtol=1e-4,
+              prior=None, activations=None, fixed_masks=None):
     """Central differences over every differentiated parameter entry."""
-    st = make_state(family, rank, seed=seed, widths=(3, 2, 2))
+    st = make_state(family, rank, seed=seed, widths=(3, 2, 2), prior=prior,
+                    activations=activations)
     batch = make_batch(n=6, p=3, classes=2, seed=seed + 1)
     include_h = phase == "pretrain"
 
     def objective():
         return elbo_estimate(st, batch, 1, 0.1, RngStream(seed, 2),
-                             kl_mode=kl_mode, include_hyperprior=include_h)
+                             kl_mode=kl_mode, include_hyperprior=include_h,
+                             fixed_masks=fixed_masks)
 
     value, bundle = elbo_gradient(st, batch, 1, 0.1, RngStream(seed, 2),
-                                  phase=phase, kl_mode=kl_mode)
-    est = elbo_estimate(st, batch, 1, 0.1, RngStream(seed, 2), kl_mode=kl_mode)
+                                  phase=phase, kl_mode=kl_mode, fixed_masks=fixed_masks)
+    est = elbo_estimate(st, batch, 1, 0.1, RngStream(seed, 2), kl_mode=kl_mode,
+                        fixed_masks=fixed_masks)
     assert abs(value - est) < 1e-9 * (1 + abs(est))
     worst = 0.0
     for l, name, grad in bundle.items():
@@ -104,6 +108,23 @@ class TestGradientAgainstFiniteDifferences:
 
     def test_sampled_kl_mode(self):
         _fd_check(Family.MF, 0, "train", "sampled")
+
+    @pytest.mark.parametrize("family,rank", [(Family.MF, 0), (Family.MVN_FULL, 0),
+                                             (Family.MVN_LOWRANK, 2)])
+    def test_pretrain_sampled_kl_mode(self, family, rank):
+        _fd_check(family, rank, "pretrain", "sampled")
+
+    @pytest.mark.parametrize("kl_mode", ["analytic", "sampled"])
+    def test_fixed_mask(self, kl_mode):
+        masks = [np.ones((4, 2)), np.ones((3, 2))]
+        masks[0][1, 0] = masks[1][2, 1] = 0.0
+        _fd_check(Family.MF, 0, "pretrain", kl_mode, fixed_masks=masks)
+
+    def test_identity_activation(self):
+        _fd_check(Family.MF, 0, "train", "analytic", activations=("identity",))
+
+    def test_fixed_dense_pretrain(self):
+        _fd_check(Family.MF, 0, "pretrain", "analytic", prior=PriorConfig(fixed_dense=True))
 
     def test_fixed_masks_freeze_structure(self):
         st = make_state(seed=7, widths=(3, 2, 2))

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_state
-from slabnn.distributions import MVN_BLOCK_ELEMENTS
-from slabnn.errors import DomainError, ShapeError
+from slabnn.errors import ConfigError, DomainError, ShapeError
 from slabnn.metrics import (EntropyCdf, MetricsReport, accuracy, entropy_cdf,
                             inclusion_correlation, layer_inclusion_means,
                             summarize_runs)
-from slabnn.model import Family, PriorConfig
+from slabnn.model import BLOCK_VALUES, Family, PriorConfig
 from slabnn.numkernel import RngStream, sigmoid
 
 
@@ -132,7 +131,7 @@ class TestInclusionCorrelation:
         lp = st.layers[0]
         lp.omega[...] = np.random.default_rng(67).normal(size=lp.shape)
         n_w = lp.n_weights
-        n_samples = 2 * (MVN_BLOCK_ELEMENTS // n_w) + 3  # two full blocks and 3 rows
+        n_samples = 2 * (BLOCK_VALUES // n_w) + 3  # two full blocks and 3 rows
         rng, ref = RngStream(11, 42), RngStream(11, 42)
         corr, constant = inclusion_correlation(st, 0, n_samples, rng)
         u = ref.uniform(n_samples * n_w).reshape(n_samples, n_w)
@@ -146,6 +145,39 @@ class TestInclusionCorrelation:
         corr, constant = inclusion_correlation(st, 0, 50, RngStream(10, 42))
         assert np.all(constant)
         np.testing.assert_array_equal(corr, 0.0)
+
+    @staticmethod
+    def _physical_memory(monkeypatch, nbytes):
+        monkeypatch.setattr("slabnn.model.os.sysconf",
+                            {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}.get)
+
+    def test_bytes_bound_before_any_draw(self, monkeypatch):
+        # n_w = 8 weights, 10 samples: the draw matrix and three of its
+        # size plus two 8 x 8 matrices, 8 * (4 * 80 + 2 * 64) = 3584 bytes.
+        st = make_state(seed=68, widths=(3, 2))
+        self._physical_memory(monkeypatch, 3584)
+        inclusion_correlation(st, 0, 10, RngStream(12, 42))
+        self._physical_memory(monkeypatch, 3583)
+        rng, ref = RngStream(12, 42), RngStream(12, 42)
+        message = ("the layer 0 inclusion correlations need about 3584 bytes, "
+                   "over the 3583 bytes of physical memory")
+        with pytest.raises(ConfigError, match=message):
+            inclusion_correlation(st, 0, 10, rng)
+        # an absurd sample count fails the same way, not in numpy
+        big = 12345678901234567890
+        with pytest.raises(ConfigError, match=f"need about {8 * (4 * big * 8 + 128)} bytes"):
+            inclusion_correlation(st, 0, big, rng)
+        np.testing.assert_array_equal(rng.state_words(), ref.state_words())
+
+    def test_desk_scale_layer_zero_is_refused(self, monkeypatch):
+        # 784-64-32-10: layer 0 holds 785 x 64 = 50,240 weights, so the
+        # result alone is a 50,240 x 50,240 matrix (about 20 GB).
+        st = make_state(seed=69, widths=(784, 64, 32, 10))
+        self._physical_memory(monkeypatch, 16 * 2**30)
+        n_w = 785 * 64
+        with pytest.raises(ConfigError, match=f"need about {8 * (4 * 1000 * n_w + 2 * n_w**2)} "
+                                              f"bytes, over the {16 * 2**30} bytes"):
+            inclusion_correlation(st, 0, 1000, RngStream(13, 42))
 
     def test_validation(self):
         st = make_state(widths=(3, 2))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, make_state
-from slabnn.distributions import (MVN_BLOCK_ELEMENTS, logit_normal_mean,
-                                  mvn_blocks)
+from slabnn.distributions import logit_normal_mean
 from slabnn.errors import ConfigError, DomainError, ShapeError
-from slabnn.model import (Family, NetworkSpec, PriorConfig, family_problems, init_state,
-                          marginal_inclusion, median_model, pack_lower,
-                          posterior_mean_weights, sample_network, unpack_lower)
+from slabnn.model import (BLOCK_VALUES, Family, LayerParams, NetworkSpec, PriorConfig,
+                          family_problems, init_state, marginal_inclusion, median_model,
+                          pack_lower, posterior_mean_weights, sample_network,
+                          unpack_lower)
 from slabnn.numkernel import RngStream, sigmoid, softplus, softplus_inv
 
 
@@ -313,13 +313,9 @@ def _loop_logit_draws(state, n_mc, rng):
 
 
 def _blocked_logit_draws(state, n_mc, rng):
-    """The same draws from each layer's ``logit_sampler`` over ``mvn_blocks``."""
-    out = []
-    for lp in state.layers:
-        draw = lp.logit_sampler()
-        out.append(np.concatenate([draw(rng, rows)[0]
-                                   for rows in mvn_blocks(n_mc, lp.n_weights + lp.rank)]))
-    return out
+    """The same draws from each layer's ``logit_blocks``."""
+    return [np.concatenate([logits for logits, _ in lp.logit_blocks(rng, n_mc)])
+            for lp in state.layers]
 
 
 class TestExactInclusion:
@@ -356,14 +352,14 @@ class TestBatchedMonteCarlo:
         (Family.MVN_LOWRANK, 0, (30, 15, 2)),
         (Family.MVN_LOWRANK, 4, (30, 15, 2)),
         # layer 0 holds (B // 100 + 2) * 100 > B weights, B the block budget
-        (Family.MVN_LOWRANK, 4, (MVN_BLOCK_ELEMENTS // 100 + 1, 100, 2)),
+        (Family.MVN_LOWRANK, 4, (BLOCK_VALUES // 100 + 1, 100, 2)),
     ])
     def test_marginal_inclusion_matches_loop(self, family, rank, widths):
         # The Monte Carlo inclusion estimate from blocked draws equals the
         # draw-by-draw one: same draws, same stream position after.
         st = _random_mvn_state(family, rank, widths)
         # two full blocks and a remainder on layer 0
-        block_rows = max(1, MVN_BLOCK_ELEMENTS // (st.layers[0].n_weights + rank))
+        block_rows = max(1, BLOCK_VALUES // (st.layers[0].n_weights + rank))
         n_mc = 2 * block_rows + 3
         batched, looped = RngStream(4, 9), RngStream(4, 9)
         got = _blocked_logit_draws(st, n_mc, batched)
@@ -382,26 +378,130 @@ class TestBatchedMonteCarlo:
         net = sample_network(st, 0.1, "relaxed", RngStream(5, 8))
         ref = RngStream(5, 8)
         for lp, ls in zip(st.layers, net.layers):
+            # the noise row: eps, or eps1 (rank values) then eps2
+            assert ls.noise.shape == (lp.n_weights + rank,)
             if family is Family.MVN_FULL:
                 eps = ref.std_normal(lp.n_weights)
-                (got,) = ls.noise
-                np.testing.assert_array_equal(got, eps)
+                np.testing.assert_array_equal(ls.noise, eps)
                 expected = lp.xi + lp.chol() @ eps
             else:
-                got1, got2 = ls.noise
                 expected = lp.xi.copy()
                 if rank > 0:
                     eps1 = ref.std_normal(rank)
-                    np.testing.assert_array_equal(got1, eps1)
+                    np.testing.assert_array_equal(ls.noise[:rank], eps1)
                     expected += lp.factor @ eps1
-                else:
-                    assert got1 is None
                 eps2 = ref.std_normal(lp.n_weights)
-                np.testing.assert_array_equal(got2, eps2)
+                np.testing.assert_array_equal(ls.noise[rank:], eps2)
                 expected += np.sqrt(lp.diag()) * eps2
             np.testing.assert_array_equal(ls.logits.reshape(-1), expected)
             ref.uniform(lp.n_weights)     # nu
             ref.std_normal(lp.n_weights)  # slab eps
+
+
+class _Fixed:
+    def std_normal(self, n):
+        return np.resize([1.0, -1.0, 0.0, 1.0, 2.0, 0.0], n)
+
+
+class _Ones:
+    def std_normal(self, n):
+        return np.ones(n)
+
+
+class _Ramp:
+    def std_normal(self, n):
+        return np.arange(float(n))
+
+
+def _lowrank_layer(shape, rank, diag, factor=None):
+    lp = LayerParams(Family.MVN_LOWRANK, shape, rank)
+    with np.errstate(divide="ignore"):
+        lp.log_diag[...] = np.log(diag)
+    if factor is not None:
+        lp.factor[...] = factor
+    return lp
+
+
+class TestLogitBlocks:
+    """``LayerParams.logit_blocks``: row order, noise layout, block split, stream end."""
+
+    def test_full_cholesky_kernel(self):
+        lp = LayerParams(Family.MVN_FULL, (2, 1))
+        lp.xi[...] = [1.0, -1.0]
+        lp.chol_raw[...] = pack_lower([[softplus_inv(2.0), 0.0], [1.0, softplus_inv(2.0)]])
+        [(out, eps)] = lp.logit_blocks(_Fixed(), 1)
+        np.testing.assert_allclose(out, [[3.0, -2.0]], atol=1e-15)
+        np.testing.assert_array_equal(eps, [[1.0, -1.0]])
+        # a block of three: row i is draw i, noise split by rows in order
+        [(out, eps)] = lp.logit_blocks(_Fixed(), 3)
+        np.testing.assert_allclose(out, [[3.0, -2.0], [1.0, 1.0], [5.0, 1.0]],
+                                   atol=1e-15)
+        np.testing.assert_array_equal(eps, [[1.0, -1.0], [0.0, 1.0], [2.0, 0.0]])
+
+    def test_lowrank_covariance_mc(self):
+        gen = np.random.default_rng(8)
+        lp = _lowrank_layer((2, 2), 2, np.exp(gen.normal(size=4)),
+                            gen.normal(size=(4, 2)) * 0.7)
+        lp.xi[...] = gen.normal(size=4)
+        draws = np.concatenate([b for b, _ in lp.logit_blocks(RngStream(21, 0), 200)])
+        # 200 draws only check the mean; covariance accuracy is covered
+        # by the dedicated acceptance criterion
+        assert np.all(np.abs(draws.mean(axis=0) - lp.xi) < 5 * np.sqrt(
+            (np.sum(lp.factor**2, axis=1) + lp.diag()) / draws.shape[0]))
+
+    def test_diag_only_matches_scaled_normal(self):
+        lp = _lowrank_layer((3, 1), 0, [4.0, 9.0, 16.0])
+        [(out, noise)] = lp.logit_blocks(_Ones(), 1)
+        np.testing.assert_allclose(out, [[2.0, 3.0, 4.0]], atol=1e-15)
+        np.testing.assert_array_equal(noise, np.ones((1, 3)))
+        # a block of three: the noise splits by rows in draw order
+        [(out, noise)] = lp.logit_blocks(_Ramp(), 3)
+        np.testing.assert_allclose(out, [[0.0, 3.0, 8.0], [6.0, 12.0, 20.0],
+                                         [12.0, 21.0, 32.0]], atol=1e-14)
+        np.testing.assert_array_equal(noise, np.arange(9.0).reshape(3, 3))
+        # a variance that underflowed to zero is a valid degenerate entry
+        lp = _lowrank_layer((3, 1), 0, [0.0, 1.0, 4.0])
+        [(out, _)] = lp.logit_blocks(_Ones(), 1)
+        np.testing.assert_allclose(out, [[0.0, 1.0, 2.0]], atol=1e-15)
+
+    def test_lowrank_noise_row_is_eps1_then_eps2(self):
+        lp = _lowrank_layer((2, 1), 1, [1.0, 4.0], [[2.0], [-1.0]])
+        [(out, noise)] = lp.logit_blocks(_Ramp(), 2)
+        np.testing.assert_array_equal(noise, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        # xi + F eps1 + sqrt(diag) eps2, eps1 the first value of each row
+        np.testing.assert_allclose(out, [[1.0, 4.0], [10.0, 7.0]], atol=1e-14)
+
+    @pytest.mark.parametrize("family,rank,shape", [
+        (Family.MF, 0, (301, 2)),
+        (Family.MVN_FULL, 0, (30, 15)),
+        (Family.MVN_LOWRANK, 4, (30, 15)),
+        # one draw holds more values than a block: one row per block
+        (Family.MVN_LOWRANK, 4, (BLOCK_VALUES // 100 + 1, 100)),
+    ])
+    def test_block_split_and_stream_end(self, family, rank, shape):
+        if family is Family.MF:
+            lp = LayerParams(family, shape)
+            lp.omega[...] = np.random.default_rng(3).normal(size=shape)
+        else:
+            lp = _random_mvn_state(family, rank, (shape[0] - 1, shape[1])).layers[0]
+        width = lp.n_weights + rank
+        per_block = max(1, BLOCK_VALUES // width)
+        n = 2 * per_block + 1  # two full blocks and one row
+        rng, ref = RngStream(4, 9), RngStream(4, 9)
+        blocks = list(lp.logit_blocks(rng, n))
+        assert [b.shape[0] for b, _ in blocks] == [per_block, per_block, 1]
+        noise_width = 0 if family is Family.MF else width
+        assert all(e.shape == (b.shape[0], noise_width) for b, e in blocks)
+        if family is Family.MF:
+            # nothing drawn: read-only rows of omega
+            assert not any(b.flags.writeable for b, _ in blocks)
+            np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]),
+                                          np.tile(lp.omega.reshape(-1), (n, 1)))
+        else:
+            # the noise is the stream read in order, and it stops there
+            np.testing.assert_array_equal(np.concatenate([e for _, e in blocks]),
+                                          ref.std_normal(n * width).reshape(n, width))
+        np.testing.assert_array_equal(rng.state_words(), ref.state_words())
 
 
 class TestLayerParams:
@@ -440,8 +540,7 @@ class TestLayerParams:
             dlogit = gen.normal(size=lp.shape)
             grads = {"xi": np.zeros_like(lp.xi), "chol_raw": np.zeros_like(lp.chol_raw)}
             lp.route_logit_grad(dlogit, ls.noise, grads)
-            (eps,) = ls.noise
-            douter = np.outer(dlogit.reshape(-1), eps)
+            douter = np.outer(dlogit.reshape(-1), ls.noise)
             dense = np.tril(douter)
             dense[np.diag_indices_from(dense)] = (
                 np.diagonal(douter) * sigmoid(np.diagonal(unpack_lower(lp.chol_raw))))

@@ -8,8 +8,8 @@ from scipy import special
 
 from slabnn.distributions import kl_bernoulli
 from slabnn.errors import DomainError, NumericError, ShapeError
-from slabnn.numkernel import (RngStream, as_vector, log_sigmoid, log_softmax, logit, sigmoid,
-                              softplus, softplus_inv, xlogy)
+from slabnn.numkernel import (RngStream, log_sigmoid, log_softmax, logit, sigmoid, softplus,
+                              softplus_inv, xlogy)
 
 EPS = np.finfo(float).eps
 N_HALF = 500_000  # each accuracy test checks about 10**6 seeded inputs
@@ -153,16 +153,6 @@ def test_log_softmax_shift_invariance_and_overflow():
 def test_log_softmax_rejects_nan():
     with pytest.raises(NumericError):
         log_softmax(np.array([[np.nan, 0.0]]))
-
-
-def test_as_vector_validation():
-    v = as_vector([1.0, 2.0])
-    assert v.dtype == np.float64 and v.flags["C_CONTIGUOUS"]
-    assert v.shape == (2,)
-    with pytest.raises(ShapeError):
-        as_vector([[1.0], [2.0]])
-    with pytest.raises(ShapeError):
-        as_vector([1.0, 2.0], 3)
 
 
 class TestRngStream:

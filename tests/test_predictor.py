@@ -302,11 +302,11 @@ class TestExport:
             assert int(cols[3]) == dec
             assert int(cols[4]) == (1 if dec < 0 else 0)
 
-    def test_export_without_decisions_uses_argmax(self, tmp_path):
+    def test_export_at_zero_threshold_is_argmax(self, tmp_path):
         st = make_state(seed=63)
         res = predict(st, _features(n=4), PredictionMode("med", "mea"))
         path = tmp_path / "p.csv"
-        export_predictions_csv(path, res)
+        export_predictions_csv(path, res, classify_with_doubt(res.probs, 0.0))
         rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
         for i, cols in enumerate(rows):
             assert int(cols[3]) == int(np.argmax(res.probs[i]))

@@ -290,6 +290,52 @@ class TestTrain:
                 else:
                     assert not np.array_equal(after, before), name
 
+    def test_abort_checkpoints_count_completed_epochs_only(self, tmp_path, monkeypatch):
+        # 40 rows at 20 per batch: two steps per epoch.  The sixth step,
+        # train epoch 1 minibatch 2, fails after a 4-step pretrain; the
+        # rolled-back state holds the pretrain's parameters and counts.
+        calls = [0]
+
+        def failing(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 6:
+                raise NumericError("injected")
+            return elbo_gradient(*args, **kwargs)
+
+        monkeypatch.setattr("slabnn.trainer.elbo_gradient", failing)
+        ds = synth_clusters(n=40, p=3, n_classes=2, seed=11)
+        lr = {"weights": 1e-2, "omega": 1e-2}
+        phases = [PhaseConfig("pretrain", 2, lr, batch_size=20),
+                  PhaseConfig("train", 2, lr, batch_size=20)]
+        with pytest.raises(TrainingAborted,
+                           match=r"train epoch 1 minibatch 2 \(global step 6\)"):
+            train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, phases,
+                  ds.features, ds.labels, seed=2, checkpoint_dir=tmp_path)
+        pre = load_checkpoint(tmp_path / "checkpoint_pretrain.lbnn")
+        assert pre.counters == {"phases_completed": 1, "epochs": 2, "steps": 4}
+        for tag in ("train", "final"):
+            got = load_checkpoint(tmp_path / f"checkpoint_{tag}.lbnn")
+            assert got.counters == pre.counters, tag
+            for (l, name, a), (_, _, b) in zip(got.state.param_items(),
+                                               pre.state.param_items()):
+                np.testing.assert_array_equal(a, b, err_msg=f"{tag} {l}/{name}")
+
+    def test_fixed_dense_freezes_structure_and_psi_groups(self):
+        # The stock MF step sizes move omega and the psi groups; a
+        # fixed_dense prior drops them, so they keep their initial bits.
+        ds = synth_clusters(n=40, p=3, n_classes=2, seed=12)
+        spec = NetworkSpec((3, 2, 2))
+        prior = PriorConfig(fixed_dense=True)
+        phases = default_phases(Family.MF, pretrain_epochs=2, train_epochs=2)
+        assert {"omega", "psi", "psi_hyper"} <= set(phases[0].lr)
+        state, _ = train(spec, prior, Family.MF, phases, ds.features, ds.labels, seed=6)
+        start = init_state(spec, prior, Family.MF, RngStream(6, STREAM_INIT))
+        for (l, name, after), (_, _, before) in zip(state.param_items(),
+                                                    start.param_items()):
+            if PARAM_GROUP[name] in ("omega", "psi", "psi_hyper"):
+                np.testing.assert_array_equal(after, before, err_msg=f"{l}/{name}")
+        assert not np.array_equal(state.layers[0].kappa, start.layers[0].kappa)
+
     def test_zero_epoch_phase_is_allowed(self):
         ds = synth_clusters(n=30, p=3, n_classes=2, seed=7)
         spec = NetworkSpec((3, 2))
