@@ -19,17 +19,21 @@ encode the network shape, family, prior switches and phase counters
 ``meta/flags[3..6]`` hold the prior switches as 0 or 1, nothing else),
 and "rng/..." tensors holding random stream positions as raw uint64
 words bit-cast to float64 (floats cannot carry 64-bit integers exactly,
-the bit-cast round-trips).  Parameters are stored in the layout
-``LayerParams.stored`` gives: a full-covariance ``layerNN/chol_raw``,
-packed in memory, is stored as its dense n x n square, and every entry
-of its strict upper triangle must be +0.0, bit for bit; the loader
-rejects any other value, naming the tensor and one offending
-(row, col).  Saving is atomic (temp file plus rename) and
-byte-deterministic: the same state and streams always serialize to
+the bit-cast round-trips).  Every parameter is stored as it is held in
+memory, with the shape ``LayerParams.param_shapes`` gives: a
+full-covariance ``layerNN/chol_raw`` is its packed lower triangle,
+n(n+1)/2 entries in row-major order.  Files written before the packed
+layout stored that tensor as a dense n x n square; they fail the shape
+check below with ``FormatError`` (``tensor layer00/chol_raw has shape
+(n, n), expected (n(n+1)/2,)``).  Mean-field and low-rank files of
+either age load the same.  Saving is atomic (temp file plus rename)
+and byte-deterministic: the same state and streams always serialize to
 identical bytes.  Loading checks every stored parameter shape against
 the one the stored model description implies before it allocates
 anything, then rebuilds the exact arrays, so a save/load round trip is
 bit-exact and a file the library wrote re-saves to the same bytes.
+Every "rng/..." tensor is read back, whatever its label: older files
+also carry ``rng/alpha``, a stream nothing draws from.
 """
 
 from __future__ import annotations
@@ -120,8 +124,8 @@ def save_checkpoint(path, state: VariationalState, rng_words: dict = None,
     rng_words = rng_words or {}
     counters = counters or {}
     tensors = _meta_tensors(state, counters)
-    for l, name, _ in state.param_items():
-        tensors.append((f"layer{l:02d}/{name}", state.layers[l].stored(name)))
+    for l, name, arr in state.param_items():
+        tensors.append((f"layer{l:02d}/{name}", arr))
     for label in sorted(rng_words):
         words = np.ascontiguousarray(rng_words[label], dtype=np.uint64)
         tensors.append((f"rng/{label}", words.view(np.float64)))
@@ -260,7 +264,7 @@ def load_checkpoint(path) -> CheckpointData:
     # Check every stored shape against the one the description implies
     # before allocating: absurd widths or ranks fail here, not in numpy.
     for l in range(spec.n_transitions):
-        shapes = LayerParams.param_shapes(family, spec.weight_shape(l), rank, stored=True)
+        shapes = LayerParams.param_shapes(family, spec.weight_shape(l), rank)
         for name, expected in shapes.items():
             stored = _require(tensors, f"layer{l:02d}/{name}")
             if stored.shape != expected:
@@ -269,11 +273,8 @@ def load_checkpoint(path) -> CheckpointData:
                     f"expected {expected}"
                 )
     state = VariationalState(spec, prior, family, rank)
-    for l, name, _ in state.param_items():
-        try:
-            state.layers[l].load_stored(name, tensors[f"layer{l:02d}/{name}"])
-        except DomainError as exc:
-            raise FormatError(f"tensor layer{l:02d}/{name}: {exc}") from None
+    for l, name, arr in state.param_items():
+        arr[...] = tensors[f"layer{l:02d}/{name}"]
     cnt = _counts(tensors, "meta/counters", 3)
     counters = {"phases_completed": cnt[0], "epochs": cnt[1], "steps": cnt[2]}
     rng_words = {}

@@ -101,7 +101,7 @@ from .trainer import (GROUPS, PHASE_NAMES, PhaseConfig, default_phases, live_gro
 
 __all__ = ["RunConfig", "load_config", "main"]
 
-# Stream ids 0..3 belong to the trainer; prediction replicates derive
+# Stream ids 0..2 belong to the trainer; prediction replicates derive
 # 1 + r from their base stream, so these bases keep all runs disjoint.
 # Only STREAM_METRICS_ALPHA + 1 (inclusion correlations) draws from the
 # metrics base: inclusion probabilities are exact.
@@ -576,23 +576,28 @@ def cmd_eval(args) -> int:
     mode, state, data, has_labels, result = _prelude(args)
     report, _ = _report(result, data, has_labels, args.threshold,
                         os.path.basename(args.checkpoint), args.seed, state)
+    # Everything that can fail or refuse runs before the first write.
+    ood = None
+    if args.ood_csv is not None or args.ood_images is not None:
+        ood_data, _ = _data_from_flags(args, prefix="ood_")
+        ood = _predict(state, ood_data, mode, args.seed)
+    if args.corr_layer is not None:
+        corr, constant = inclusion_correlation(
+            state, args.corr_layer, args.corr_samples,
+            RngStream(args.seed, STREAM_METRICS_ALPHA + 1))
     os.makedirs(args.out, exist_ok=True)
     cdf_in = entropy_cdf(result.probs)
     cdf_in.to_csv(os.path.join(args.out, "entropy_in.csv"))
     report.extra["median_entropy_in"] = cdf_in.median
 
-    if args.ood_csv is not None or args.ood_images is not None:
-        ood, _ = _data_from_flags(args, prefix="ood_")
-        cdf_ood = entropy_cdf(_predict(state, ood, mode, args.seed).probs)
+    if ood is not None:
+        cdf_ood = entropy_cdf(ood.probs)
         cdf_ood.to_csv(os.path.join(args.out, "entropy_ood.csv"))
         report.extra["median_entropy_ood"] = cdf_ood.median
         print(f"[eval] median entropy in-domain={cdf_in.median!r} "
               f"out-of-domain={cdf_ood.median!r}")
 
     if args.corr_layer is not None:
-        corr, constant = inclusion_correlation(
-            state, args.corr_layer, args.corr_samples,
-            RngStream(args.seed, STREAM_METRICS_ALPHA + 1))
         corr_path = os.path.join(args.out, f"correlation_layer{args.corr_layer}.csv")
         with open(corr_path, "w") as fh:
             fh.write(",".join(str(int(c)) for c in constant) + "\n")

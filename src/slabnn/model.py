@@ -16,9 +16,8 @@ inclusion side:
   values ``chol_raw`` are the packed lower triangle, n(n+1)/2 entries
   in row-major order, so the parameter, its gradient, its ADAM moments
   and its epoch snapshot carry no structural zeros; ``chol()`` unpacks
-  the dense factor once per call.  Checkpoints store it dense, n x n
-  with the strict upper triangle zero (``LayerParams.stored`` and
-  ``load_stored``; ``pack_lower`` and ``unpack_lower`` convert).
+  the dense factor once per call.  Checkpoints store it in the same
+  packed layout.
 * ``Family.MVN_LOWRANK``: same, with covariance F F^T + D for a learned
   dim x r factor and positive diagonal (rank 0 allowed).
 
@@ -77,9 +76,6 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("relu", "identity")
-
-# Parameters held in memory as a packed lower triangle (see module docstring).
-PACKED = frozenset({"chol_raw"})
 
 # Values in one block of logit draws (``LayerParams.logit_blocks``):
 # 2**16 float64 values, 512 KB per block array.  Small enough that peak
@@ -216,20 +212,18 @@ class LayerParams:
             getattr(self, name)[0] = 1.0
 
     @staticmethod
-    def param_shapes(family: Family, shape, rank: int = 0, stored: bool = False) -> dict:
+    def param_shapes(family: Family, shape, rank: int = 0) -> dict:
         """Every parameter's shape, in canonical order, without allocating.
 
-        ``stored`` gives the checkpoint layout, where a packed triangle
-        is its square.  Sizes are exact Python ints, so a reader can
-        check stored tensors against them before building anything.
+        Sizes are exact Python ints, so a reader can check stored
+        tensors against them before building anything.
         """
         rows, cols = shape
         n_w = rows * cols
         if family is Family.MF:
             own = {"omega": (rows, cols)}
         elif family is Family.MVN_FULL:
-            own = {"xi": (n_w,),
-                   "chol_raw": (n_w, n_w) if stored else (n_w * (n_w + 1) // 2,)}
+            own = {"xi": (n_w,), "chol_raw": (n_w * (n_w + 1) // 2,)}
         else:
             own = {"xi": (n_w,), "factor": (n_w, rank), "log_diag": (n_w,)}
         return {"kappa": (rows, cols), "rho": (rows, cols), **own,
@@ -241,27 +235,6 @@ class LayerParams:
 
     def param_names(self) -> tuple:
         return tuple(self.param_shapes(self.family, self.shape, self.rank))
-
-    def stored(self, name: str) -> np.ndarray:
-        """Parameter ``name`` in its checkpoint layout: a packed triangle as its square."""
-        value = getattr(self, name)
-        return unpack_lower(value) if name in PACKED else value
-
-    def load_stored(self, name: str, value: np.ndarray):
-        """Set parameter ``name`` from a checkpoint-layout array of the stored shape.
-
-        A packed triangle's square must hold +0.0, bit for bit, at every
-        entry above the diagonal, so that ``stored`` gives the same bytes
-        back; otherwise ``DomainError`` names the first offending entry.
-        """
-        if name in PACKED:
-            above = np.flatnonzero(np.triu(value, 1).view(np.uint64))
-            if above.size:
-                row, col = divmod(int(above[0]), value.shape[1])
-                raise DomainError(f"entry ({row}, {col}) above the diagonal is "
-                                  f"{value[row, col]!r}, not +0.0")
-            value = pack_lower(value)
-        getattr(self, name)[...] = value
 
     def tau(self) -> np.ndarray:
         return softplus(self.rho)
@@ -452,10 +425,10 @@ def family_problems(family: Family, rank: int, spec: NetworkSpec) -> list:
     per parameter in its in-memory layout (state, epoch snapshot, two
     ADAM moments, gradient; a packed triangle counts n(n+1)/2), plus
     three temporaries the size of the largest parameter (ADAM's, or
-    the packed gradient of ``route_logit_grad``), plus the largest
-    square of a packed triangle: the dense n_w x n_w factor that
-    ``chol()`` and the checkpoint writer build.  Sizes are exact
-    Python ints, so absurd widths fail here and not in numpy.
+    the packed gradient of ``route_logit_grad``), plus, for the full
+    family, the largest n_w x n_w square: the dense factor that
+    ``chol()`` builds.  Sizes are exact Python ints, so absurd widths
+    fail here and not in numpy.
     """
     problems = []
     if family is Family.MVN_LOWRANK and rank < 0:
@@ -468,8 +441,8 @@ def family_problems(family: Family, rank: int, spec: NetworkSpec) -> list:
         for l in range(spec.n_transitions):
             shape = spec.weight_shape(l)
             sizes += map(math.prod, LayerParams.param_shapes(family, shape, rank).values())
-            stored = LayerParams.param_shapes(family, shape, rank, stored=True)
-            squares += [math.prod(dims) for name, dims in stored.items() if name in PACKED]
+            if family is Family.MVN_FULL:
+                squares.append(math.prod(shape) ** 2)
         problems += memory_problems(8 * (5 * sum(sizes) + 3 * max(sizes) + max(squares)),
                                     f"widths: the {family.value} parameters and a step's arrays")
     return problems

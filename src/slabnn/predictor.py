@@ -47,8 +47,8 @@ import numpy as np
 from .elbo import MaskedProducts, forward_logits
 from .errors import ConfigError, DomainError, ShapeError
 from .model import (SampledLayer, SampledNetwork, VariationalState,
-                    marginal_inclusion, median_model, posterior_mean_weights,
-                    sample_network)
+                    marginal_inclusion, median_model, memory_problems,
+                    posterior_mean_weights, sample_network)
 from .numkernel import RngStream, log_softmax
 
 __all__ = [
@@ -146,13 +146,26 @@ def predict(state: VariationalState, features, mode: PredictionMode,
     deterministic modes run without one, for every family.  Given the
     same rng key the result is reproducible draw for draw.  ``alpha_mc``
     is accepted and not used: the inclusion probabilities are exact.
+    Before the first draw, a sampled mode raises ``ConfigError`` when
+    what its replicates keep would not fit in physical memory: the
+    R x n x classes stacked probabilities and, unless the median mask
+    is shared, each replicate's mask set.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != state.spec.widths[0]:
         raise ShapeError(f"features must be (n, {state.spec.widths[0]}), got {x.shape}")
     mode.check(state.prior.fixed_dense)
-    if mode.beta == "sim" and rng is None:
-        raise DomainError("this prediction mode needs an rng")
+    if mode.beta == "sim":
+        if rng is None:
+            raise DomainError("this prediction mode needs an rng")
+        kept = x.shape[0] * state.spec.n_classes
+        if mode.gamma != "med":
+            kept += sum(layer.n_weights for layer in state.layers)
+        problems = memory_problems(8 * mode.replicates * kept,
+                                   f"replicates: the probabilities and masks of "
+                                   f"{mode.replicates} replicates")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     alpha_hat = marginal_inclusion(state) if mode.gamma == "med" or mode.deterministic else None
     mask = median_model(state, alpha_hat=alpha_hat) if mode.gamma == "med" else None

@@ -20,8 +20,8 @@ Per epoch the training set is shuffled by a dedicated stream using a
 seeded permutation, so (seed, config, data) fully determine every
 parameter byte; wall-clock time appears only in trace records.  A
 non-finite ELBO or gradient aborts the phase after restoring the last
-completed epoch's parameters, which are then what a retained checkpoint
-contains.
+completed epoch's parameters and stream positions, which are then what
+a retained checkpoint contains.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "STREAM_INIT",
     "STREAM_SHUFFLE",
     "STREAM_SAMPLE",
-    "STREAM_ALPHA",
     "MAX_DRAWS",
     "PhaseConfig",
     "default_phases",
@@ -79,12 +78,11 @@ PARAM_GROUP = {
 
 PHASE_NAMES = ("pretrain", "train", "posttrain")
 
-# Reserved stream ids per run seed; prediction uses 1000 + replicate.
-# STREAM_ALPHA no longer draws; checkpoints keep its (initial) position.
+# The trainer's stream ids per run seed; checkpoints keep the positions
+# of the shuffle and sample streams.
 STREAM_INIT = 0
 STREAM_SHUFFLE = 1
 STREAM_SAMPLE = 2
-STREAM_ALPHA = 3
 
 HYPER_CLAMP = (1e-3, 1e3)
 
@@ -307,11 +305,11 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
     record per epoch carries the mean minibatch ELBO estimate and the
     wall-clock seconds spent.  ``step_counter[0]``, when given, counts
     the optimizer steps of the whole run.  On non-finite numbers the
-    state rolls back to the last completed epoch and ``TrainingAborted``
-    is raised with the completed records attached; its message names
-    the phase, the epoch, the 1-based minibatch within the epoch and
-    the run's step number (counted from 0 at phase entry without a
-    ``step_counter``).
+    state and both streams roll back to the last completed epoch and
+    ``TrainingAborted`` is raised with the completed records attached;
+    its message names the phase, the epoch, the 1-based minibatch
+    within the epoch and the run's step number (counted from 0 at phase
+    entry without a ``step_counter``).
     """
     fixed_masks = None
     if phase.name == "posttrain" and phase.gamma_policy == "median_fixed":
@@ -323,6 +321,7 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
     records = []
     for epoch in range(1, phase.epochs + 1):
         snapshot = state.copy()
+        positions = (rng_sample.state_words(), rng_shuffle.state_words())
         t0 = time.perf_counter()
         perm = rng_shuffle.permutation(n)
         acc = 0.0
@@ -343,6 +342,8 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
                 raise NumericError("epoch mean ELBO is not finite")
         except NumericError as exc:
             state.restore_from(snapshot)
+            rng_sample.set_state_words(positions[0])
+            rng_shuffle.set_state_words(positions[1])
             raise TrainingAborted(
                 f"{phase.name} epoch {epoch} minibatch {batch} (global step {step}) "
                 f"aborted: {exc}", records
@@ -387,14 +388,13 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
     """Initialize and run the full schedule; returns (state, report).
 
     Streams are carved out of the run seed by fixed ids (0 init,
-    1 shuffle, 2 sampling noise, 3 reserved: checkpointed but never
-    drawn, since inclusion probabilities are exact), so two calls with
-    identical arguments produce bit-identical states and, when
-    ``checkpoint_dir`` is given, byte-identical checkpoint files (one
-    per completed phase plus ``checkpoint_final.lbnn``).
-    On an aborted phase the rolled-back state is still checkpointed
-    before the abort propagates, with counters of the completed epochs
-    only; the stream positions stay where the abort left them.  Groups
+    1 shuffle, 2 sampling noise), so two calls with identical arguments
+    produce bit-identical states and, when ``checkpoint_dir`` is given,
+    byte-identical checkpoint files (one per completed phase plus
+    ``checkpoint_final.lbnn``) holding the shuffle and sample stream
+    positions.  On an aborted phase the rolled-back state is still
+    checkpointed before the abort propagates, with the counters and
+    stream positions of the completed epochs only.  Groups
     outside ``live_groups(family, prior)`` keep their parameters
     bit-identical whatever the phases' step sizes say.
     """
@@ -408,7 +408,6 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
                        rank=rank, init_tau=init_tau)
     rng_shuffle = RngStream(seed, STREAM_SHUFFLE)
     rng_sample = RngStream(seed, STREAM_SAMPLE)
-    rng_alpha = RngStream(seed, STREAM_ALPHA)
     data = Batch(features, labels, n_total=np.asarray(features).shape[0])
     report = TrainReport(seed=seed)
     counters = {"phases_completed": 0, "epochs": 0, "steps": 0}
@@ -422,7 +421,6 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
         rng_words = {
             "shuffle": rng_shuffle.state_words(),
             "sample": rng_sample.state_words(),
-            "alpha": rng_alpha.state_words(),
         }
         ckpt.save_checkpoint(
             os.path.join(checkpoint_dir, f"checkpoint_{tag}.lbnn"),

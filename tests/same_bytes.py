@@ -10,9 +10,14 @@ checked output has the same bytes.  ::
     python tests/same_bytes.py --compare OLD.json NEW.json
 
 prints how many digests moved, their names, and every name present on
-one side only; it exits 1 when anything differs.  Five runs of ``train()`` with
-checkpoints on 200 ``synth_clusters(separation=1.0, seed=5)`` rows,
-widths 6-5-3, seed 5, cover each family and both indicator modes: mean
+one side only; it exits 1 when anything differs.  Comparing imports
+nothing from slabnn, so it needs no ``PYTHONPATH``; the digest run
+imports the slabnn that ``PYTHONPATH`` picks, so one script can digest
+two trees.
+
+Five runs of ``train()`` with checkpoints on 200
+``synth_clusters(separation=1.0, seed=5)`` rows, widths 6-5-3, seed 5,
+cover each family and both indicator modes: mean
 field with a median_fixed posttrain, mean field fixed_dense, mvn_full
 with a sampled-KL train and a median_fixed posttrain, and low rank at
 r=4 (draws=2, median_fixed posttrain) and at r=0.  Per run the sha256
@@ -53,22 +58,13 @@ import tempfile
 
 import numpy as np
 
-from slabnn.cli import main as cli_main
-from slabnn.dataio import synth_clusters
-from slabnn.elbo import Batch, elbo_estimate, elbo_gradient
-from slabnn.metrics import inclusion_correlation
-from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state,
-                          marginal_inclusion, median_model, sample_network)
-from slabnn.numkernel import RngStream
-from slabnn.predictor import PredictionMode, predict
-from slabnn.trainer import default_phases, train
-
 SEED = 5
 WIDTHS = (6, 5, 3)
 MODES = (("sim", "sim"), ("all", "mea"), ("med", "sim"), ("med", "mea"))
 
 
 def _phases(family, **train_kw):
+    from slabnn.trainer import default_phases
     phases = default_phases(family, pretrain_epochs=2, train_epochs=3,
                             posttrain_epochs=1, batch_size=50,
                             gamma_policy="median_fixed")
@@ -76,18 +72,20 @@ def _phases(family, **train_kw):
             for p in phases]
 
 
-# name -> (family, rank, prior, phases)
-RUNS = {
-    "mf": (Family.MF, 0, PriorConfig(), _phases(Family.MF)),
-    "mf_dense": (Family.MF, 0, PriorConfig(fixed_dense=True),
-                 _phases(Family.MF)[:2]),
-    "full": (Family.MVN_FULL, 0, PriorConfig(),
-             _phases(Family.MVN_FULL, kl_mode="sampled")),
-    "lowrank4": (Family.MVN_LOWRANK, 4, PriorConfig(),
-                 [dataclasses.replace(p, draws=2)
-                  for p in _phases(Family.MVN_LOWRANK)]),
-    "lowrank0": (Family.MVN_LOWRANK, 0, PriorConfig(), _phases(Family.MVN_LOWRANK)),
-}
+def _runs() -> dict:
+    """name -> (family, rank, prior, phases) of each ``train()`` run."""
+    from slabnn.model import Family, PriorConfig
+    return {
+        "mf": (Family.MF, 0, PriorConfig(), _phases(Family.MF)),
+        "mf_dense": (Family.MF, 0, PriorConfig(fixed_dense=True),
+                     _phases(Family.MF)[:2]),
+        "full": (Family.MVN_FULL, 0, PriorConfig(),
+                 _phases(Family.MVN_FULL, kl_mode="sampled")),
+        "lowrank4": (Family.MVN_LOWRANK, 4, PriorConfig(),
+                     [dataclasses.replace(p, draws=2)
+                      for p in _phases(Family.MVN_LOWRANK)]),
+        "lowrank0": (Family.MVN_LOWRANK, 0, PriorConfig(), _phases(Family.MVN_LOWRANK)),
+    }
 
 
 class Digest:
@@ -102,7 +100,7 @@ class Digest:
                 self._h.update(item.encode() if isinstance(item, str) else item)
             elif isinstance(item, float):
                 self._h.update(repr(item).encode())
-            elif isinstance(item, RngStream):
+            elif hasattr(item, "state_words"):  # an RngStream
                 self.add(np.asarray(item.state_words()))
             elif isinstance(item, (list, tuple)):
                 for sub in item:
@@ -122,6 +120,12 @@ def _digest(*items) -> str:
 
 
 def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
+    from slabnn.elbo import Batch, elbo_estimate, elbo_gradient
+    from slabnn.metrics import inclusion_correlation
+    from slabnn.model import NetworkSpec, marginal_inclusion, median_model, sample_network
+    from slabnn.numkernel import RngStream
+    from slabnn.predictor import PredictionMode, predict
+    from slabnn.trainer import train
     out = {}
     ckdir = os.path.join(workdir, name)
     state, report = train(NetworkSpec(WIDTHS), prior, family, phases,
@@ -170,6 +174,10 @@ def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
 
 def sparse_digests() -> dict:
     """Median-model predictions whose first-layer mask is 1% dense."""
+    from slabnn.dataio import synth_clusters
+    from slabnn.model import Family, NetworkSpec, PriorConfig, init_state
+    from slabnn.numkernel import RngStream
+    from slabnn.predictor import PredictionMode, predict
     state = init_state(NetworkSpec((784, 16, 3)), PriorConfig(), Family.MF,
                        RngStream(SEED, 0))
     first = state.layers[0]
@@ -241,6 +249,8 @@ def _write_csv(path, data):
 
 def cli_digests(workdir, codes) -> dict:
     """Digests of the CLI runs; ``codes`` collects each command's exit code."""
+    from slabnn.cli import main as cli_main
+    from slabnn.dataio import synth_clusters
     out = {}
 
     def run(tag, *argv):
@@ -312,10 +322,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    from slabnn.dataio import synth_clusters  # comparing needs no library
     data = synth_clusters(200, WIDTHS[0], WIDTHS[-1], separation=1.0, seed=SEED)
     digests = {}
     with tempfile.TemporaryDirectory() as workdir:
-        for name, (family, rank, prior, phases) in RUNS.items():
+        for name, (family, rank, prior, phases) in _runs().items():
             digests.update(run_digests(name, family, rank, prior, phases, data,
                                        workdir))
     digests.update(sparse_digests())

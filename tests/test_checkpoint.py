@@ -58,7 +58,7 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_mvn_full_resave_is_byte_identical(self, tmp_path):
-        # chol_raw is packed in memory and stored dense, zero above the diagonal.
+        # chol_raw is stored as it is held in memory: the packed lower triangle.
         st = make_state(Family.MVN_FULL, seed=21, widths=(5, 3, 2))
         gen = np.random.default_rng(4)
         for lp in st.layers:
@@ -68,8 +68,8 @@ class TestRoundTrip:
         for l, lp in enumerate(st.layers):
             n = lp.n_weights
             stored = read_manifest(p1)[f"layer{l:02d}/chol_raw"]
-            assert stored.shape == (n, n)
-            assert stored.tobytes() == unpack_lower(lp.chol_raw).tobytes()
+            assert stored.shape == (n * (n + 1) // 2,)
+            assert stored.tobytes() == lp.chol_raw.tobytes()
         loaded = load_checkpoint(p1).state
         assert [lp.chol_raw.shape for lp in loaded.layers] == [(171,), (36,)]
         save_checkpoint(p2, loaded)
@@ -206,16 +206,15 @@ class TestFormatErrors:
         with pytest.raises(FormatError, match=rf"meta/flags\[{index}\] \({switch}\)"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("value", [1e-300, -0.0, np.nan])
-    def test_entry_above_cholesky_diagonal_rejected(self, tmp_path, value):
-        # A hand-edited strict upper triangle would not survive a re-save.
-        path = tmp_path / "upper.lbnn"
+    def test_dense_cholesky_layout_rejected(self, tmp_path):
+        # Files from before the packed layout held chol_raw as its square.
+        path = tmp_path / "dense.lbnn"
         save_checkpoint(path, make_state(Family.MVN_FULL, widths=(2, 2)))
         tensors = read_manifest(path)
-        tensors["layer00/chol_raw"][1, 4] = value
-        tensors["layer00/chol_raw"][2, 3] = 1.0
+        tensors["layer00/chol_raw"] = unpack_lower(tensors["layer00/chol_raw"])
         write_tensors(path, tensors)
-        with pytest.raises(FormatError, match=r"layer00/chol_raw: entry \(1, 4\) above"):
+        with pytest.raises(FormatError, match=r"tensor layer00/chol_raw has shape "
+                                              r"\(6, 6\), expected \(21,\)"):
             load_checkpoint(path)
 
     def test_network_without_bias_rows_rejected(self, tmp_path):

@@ -340,6 +340,20 @@ class TestPredictCommand:
         assert "delimiter" in err and "'ab'" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_absurd_replicates_exit_two_before_drawing(self, trained, tmp_path, capsys,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the replicate count")
+
+        monkeypatch.setattr(predictor, "sample_network", refuse)
+        code, stdout, err = _run_main(
+            ["predict", str(trained["ckpt"]), "--csv", str(trained["csv"]),
+             "-R", "12345678901234567890", "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert err.startswith("config error: replicates: ")
+        assert stdout == ""
+        assert os.listdir(tmp_path) == []
+
     def test_unlabeled_data_skips_metrics(self, trained, tmp_path, capsys):
         # without a label column every csv column is a feature
         unlabeled = tmp_path / "in.csv"
@@ -415,6 +429,45 @@ class TestEvalCommand:
         assert code == 2
         assert err.startswith("config error: the layer 0 inclusion correlations need about ")
         assert not (out / "correlation_layer0.csv").exists()
+
+    def test_refused_corr_layer_writes_nothing(self, trained, tmp_path, capsys):
+        out = tmp_path / "ev_big"
+        code, stdout, err = _run_main(
+            ["eval", str(trained["ckpt"]), "--csv", str(trained["csv"]),
+             "--ood-csv", str(trained["csv"]), "--out", str(out),
+             "--corr-layer", "0", "--corr-samples", "12345678901234567890"], capsys)
+        assert code == 2
+        assert err.startswith("config error: the layer 0 inclusion correlations")
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_unreadable_ood_data_writes_nothing(self, trained, tmp_path, capsys):
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("1.0,2.0,0\n3.0,4.0,1\n")
+        out = tmp_path / "ev_ood"
+        code, stdout, err = _run_main(
+            ["eval", str(trained["ckpt"]), "--csv", str(trained["csv"]),
+             "--ood-csv", str(narrow), "--out", str(out)], capsys)
+        assert code == 1
+        assert "features" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_absurd_replicates_exit_two_without_writing(self, trained, tmp_path, capsys,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the replicate count")
+
+        monkeypatch.setattr(predictor, "sample_network", refuse)
+        out = tmp_path / "ev_reps"
+        code, stdout, err = _run_main(
+            ["eval", str(trained["ckpt"]), "--csv", str(trained["csv"]),
+             "--ood-csv", str(trained["csv"]), "-R", "12345678901234567890",
+             "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("config error: replicates: ")
+        assert stdout == ""
+        assert not out.exists()
 
     def test_identical_ood_dataset_gives_identical_cdf(self, trained,
                                                        tmp_path, capsys):

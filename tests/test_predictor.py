@@ -131,6 +131,28 @@ class TestPredict:
         with pytest.raises(ShapeError):
             predict(st, np.zeros((3, 7)), PredictionMode("med", "mea"))
 
+    @pytest.mark.parametrize("gamma", ["sim", "med"])
+    def test_absurd_replicate_count_refused_before_drawing(self, monkeypatch, gamma):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the replicate count")
+
+        monkeypatch.setattr("slabnn.predictor.sample_network", refuse)
+        mode = PredictionMode(gamma, "sim", replicates=12345678901234567890)
+        with pytest.raises(ConfigError, match="replicates: .* need about"):
+            predict(make_state(), _features(), mode, rng=RngStream(1, 0))
+
+    def test_replicate_estimate_counts_what_replicates_keep(self, monkeypatch):
+        # 9 rows x 2 classes of probabilities per replicate; sim/sim also
+        # keeps each replicate's masks (5x3 + 4x2 = 23 weights), med/sim
+        # shares one median mask; the mean modes keep no replicates.
+        seen = []
+        monkeypatch.setattr("slabnn.predictor.memory_problems",
+                            lambda nbytes, what: seen.append(nbytes) or [])
+        for gamma, beta in (("sim", "sim"), ("med", "sim"), ("med", "mea"), ("all", "mea")):
+            predict(make_state(), _features(), PredictionMode(gamma, beta, 3),
+                    rng=RngStream(1, 0))
+        assert seen == [8 * 3 * (18 + 23), 8 * 3 * 18]
+
 
 def _sparse_state(kept=125, seed=70, widths=(784, 16, 3)):
     """MF state whose median mask keeps ``kept`` of layer 0's non-bias weights.

@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_batch, make_state
-from slabnn.checkpoint import load_checkpoint
+from conftest import make_batch, make_state, write_tensors
+from slabnn.checkpoint import load_checkpoint, read_manifest
 from slabnn.dataio import synth_clusters
 from slabnn.elbo import Batch, elbo_gradient
 from slabnn.errors import ConfigError, NumericError
@@ -268,6 +268,23 @@ class TestTrain:
         assert (d1 / "checkpoint_final.lbnn").read_bytes() == \
                (d2 / "checkpoint_final.lbnn").read_bytes()
 
+    def test_checkpoints_hold_sample_and_shuffle_streams(self, tmp_path):
+        ds = synth_clusters(n=30, p=3, n_classes=2, seed=6)
+        train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, _tiny_phases(epochs=1),
+              ds.features, ds.labels, seed=9, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_final.lbnn"
+        got = load_checkpoint(path)
+        assert sorted(got.rng_words) == ["sample", "shuffle"]
+        # Older files also carry rng/alpha, a stream nothing drew from; they load.
+        tensors = read_manifest(path)
+        tensors["rng/alpha"] = RngStream(9, 3).state_words().view(np.float64)
+        write_tensors(path, tensors)
+        old = load_checkpoint(path)
+        assert sorted(old.rng_words) == ["alpha", "sample", "shuffle"]
+        assert old.counters == got.counters
+        for (_, _, a), (_, _, b) in zip(old.state.param_items(), got.state.param_items()):
+            assert a.tobytes() == b.tobytes()
+
     _PRIOR_PARAMS = {"learn_sigma2": ("log_sigma2",),
                      "learn_psi": ("logit_psi",),
                      "learn_hyper": ("a_beta", "b_beta", "a_psi", "b_psi")}
@@ -290,10 +307,10 @@ class TestTrain:
                 else:
                     assert not np.array_equal(after, before), name
 
-    def test_abort_checkpoints_count_completed_epochs_only(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _abort_at_step_six(tmp_path, monkeypatch):
         # 40 rows at 20 per batch: two steps per epoch.  The sixth step,
-        # train epoch 1 minibatch 2, fails after a 4-step pretrain; the
-        # rolled-back state holds the pretrain's parameters and counts.
+        # train epoch 1 minibatch 2, fails after a 4-step pretrain.
         calls = [0]
 
         def failing(*args, **kwargs):
@@ -311,6 +328,10 @@ class TestTrain:
                            match=r"train epoch 1 minibatch 2 \(global step 6\)"):
             train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, phases,
                   ds.features, ds.labels, seed=2, checkpoint_dir=tmp_path)
+
+    def test_abort_checkpoints_count_completed_epochs_only(self, tmp_path, monkeypatch):
+        # The rolled-back state holds the pretrain's parameters and counts.
+        self._abort_at_step_six(tmp_path, monkeypatch)
         pre = load_checkpoint(tmp_path / "checkpoint_pretrain.lbnn")
         assert pre.counters == {"phases_completed": 1, "epochs": 2, "steps": 4}
         for tag in ("train", "final"):
@@ -319,6 +340,16 @@ class TestTrain:
             for (l, name, a), (_, _, b) in zip(got.state.param_items(),
                                                pre.state.param_items()):
                 np.testing.assert_array_equal(a, b, err_msg=f"{tag} {l}/{name}")
+
+    def test_abort_checkpoints_rewind_stream_positions(self, tmp_path, monkeypatch):
+        # The abort checkpoint holds the stream positions of the last
+        # completed epoch, so a resume from it replays the run.
+        self._abort_at_step_six(tmp_path, monkeypatch)
+        pre = load_checkpoint(tmp_path / "checkpoint_pretrain.lbnn").rng_words
+        got = load_checkpoint(tmp_path / "checkpoint_train.lbnn").rng_words
+        assert sorted(got) == sorted(pre) == ["sample", "shuffle"]
+        for label in pre:
+            np.testing.assert_array_equal(got[label], pre[label], err_msg=label)
 
     def test_fixed_dense_freezes_structure_and_psi_groups(self):
         # The stock MF step sizes move omega and the psi groups; a
