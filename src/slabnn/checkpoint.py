@@ -68,12 +68,17 @@ _SWITCHES = ("fixed_dense", "learn_sigma2", "learn_psi", "learn_hyper")
 
 
 class CheckpointData:
-    """What a checkpoint holds: the state, rng positions, phase counters."""
+    """What a checkpoint holds: the state, rng positions, phase counters.
 
-    def __init__(self, state: VariationalState, rng_words: dict, counters: dict):
+    ``shapes`` maps every stored tensor's name to its shape, in file order.
+    """
+
+    def __init__(self, state: VariationalState, rng_words: dict, counters: dict,
+                 shapes: dict):
         self.state = state
         self.rng_words = rng_words
         self.counters = counters
+        self.shapes = shapes
 
 
 def _encode_tensor(name: str, arr: np.ndarray) -> bytes:
@@ -281,4 +286,5 @@ def load_checkpoint(path) -> CheckpointData:
     for name, arr in tensors.items():
         if name.startswith("rng/"):
             rng_words[name[4:]] = np.ascontiguousarray(arr).view(np.uint64)
-    return CheckpointData(state, rng_words, counters)
+    shapes = {name: arr.shape for name, arr in tensors.items()}
+    return CheckpointData(state, rng_words, counters, shapes)

@@ -69,7 +69,11 @@ Config schema (defaults in parentheses)::
     run_id = NAME (config file stem)
 
 Relative dataset paths resolve against ``$SLABNN_DATA_DIR`` when that
-variable is set, else against the working directory.  All outputs of a
+variable is set, else against the working directory.  CSV labels that
+are all nonnegative integers are the class ids themselves (other tokens
+number by first appearance, see ``dataio.load_csv``); ``train``,
+``predict`` and ``eval`` exit 2 when a label has no output in the
+network.  All outputs of a
 command are byte-identical across reruns with the same inputs and
 seeds; wall-clock timings appear only in log lines on stdout.
 """
@@ -457,6 +461,13 @@ def _report(result, data, has_labels, threshold, run_id, seed, state=None):
     return report, doubt
 
 
+def _class_problem(data, has_labels, spec):
+    """The message when a label has no output in the network, else None."""
+    if has_labels and data.n_classes > spec.n_classes:
+        return f"dataset has {data.n_classes} classes but widths end at {spec.n_classes}"
+    return None
+
+
 def _stable_copy(report: MetricsReport) -> MetricsReport:
     # Files never carry wall-clock quantities; see module docstring.
     return dataclasses.replace(report, epoch_time_s=None)
@@ -469,9 +480,9 @@ def cmd_train(args) -> int:
         print(f"error: dataset has {train_ds.p} features but widths start at "
               f"{cfg.spec.widths[0]}", file=sys.stderr)
         return 2
-    if has_labels and int(train_ds.n_classes) > cfg.spec.n_classes:
-        print(f"error: dataset has {train_ds.n_classes} classes but widths end at "
-              f"{cfg.spec.n_classes}", file=sys.stderr)
+    problem = _class_problem(train_ds, has_labels, cfg.spec)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     base = os.path.join(cfg.output_dir, cfg.run_id)
     os.makedirs(base, exist_ok=True)
@@ -545,12 +556,16 @@ def _prelude(args) -> tuple:
     """(mode, state, data, has_labels, predictions) for predict and eval.
 
     The mode flags are checked before any file is read; flags left unset
-    take ``PredictionMode``'s defaults.
+    take ``PredictionMode``'s defaults.  Labels the network has no
+    output for raise ``ConfigError`` before anything is predicted.
     """
     flags = {k: getattr(args, k) for k in ("gamma", "beta", "replicates")}
     mode = PredictionMode(**{k: v for k, v in flags.items() if v is not None})
     state = ckpt.load_checkpoint(args.checkpoint).state
     data, has_labels = _data_from_flags(args)
+    problem = _class_problem(data, has_labels, state.spec)
+    if problem:
+        raise ConfigError(problem)
     return mode, state, data, has_labels, _predict(state, data, mode, args.seed)
 
 
@@ -612,12 +627,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    tensors = ckpt.read_manifest(args.checkpoint)
+    stored = ckpt.load_checkpoint(args.checkpoint)
     size = os.path.getsize(args.checkpoint)
     print(f"file: {args.checkpoint} ({size} bytes)")
     print(f"format: {ckpt.MAGIC.decode()} version {ckpt.FORMAT_VERSION}, "
-          f"{len(tensors)} tensors")
-    stored = ckpt.load_checkpoint(args.checkpoint)
+          f"{len(stored.shapes)} tensors")
     state = stored.state
     spec = state.spec
     print(f"spec: widths={list(spec.widths)} activations={list(spec.activations)} "
@@ -627,9 +641,8 @@ def cmd_inspect(args) -> int:
     if stored.rng_words:
         print("rng streams: " + ", ".join(sorted(stored.rng_words)))
     print("tensors:")
-    for name in sorted(tensors):
-        arr = tensors[name]
-        dims = "x".join(str(d) for d in arr.shape) or "scalar"
+    for name, shape in sorted(stored.shapes.items()):
+        dims = "x".join(str(d) for d in shape) or "scalar"
         print(f"  {name}  ({dims})")
     rho = layer_inclusion_means(marginal_inclusion(state))
     for l, layer in enumerate(state.layers):

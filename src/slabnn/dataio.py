@@ -42,8 +42,9 @@ class Dataset:
 
     ``normalization`` holds the (shift, scale) pair applied to the raw
     features, ``label_names`` the original label tokens in class-id
-    order, and ``provenance`` a short free-form tag describing where
-    the rows came from (file path, generator call).
+    order (None when the tokens were the class ids), and ``provenance``
+    a short free-form tag describing where the rows came from (file
+    path, generator call).
     """
 
     features: np.ndarray
@@ -164,8 +165,12 @@ def load_csv(path, label_column: int = -1, has_header: bool = False,
              standardize: bool = False, delimiter: str = ",") -> Dataset:
     """Read a delimited text table; one column holds the labels.
 
-    Label values map to class indices by first appearance and the
-    token-to-id mapping is kept on the dataset.  ``label_column=None``
+    When every label token is a nonnegative integer literal, the token
+    is the class id, so the labels do not depend on the row order, and
+    ``label_names`` is None; an id that does not fit in int64 raises
+    ``FormatError`` naming the file.  Other tokens map to class indices
+    by first appearance and the token-to-id mapping is kept on the
+    dataset as ``label_names``.  ``label_column=None``
     reads an unlabeled table: every column is a feature and the labels
     come back all zero with an empty name tuple.  Feature cells must
     parse as numbers; ragged rows and parse failures raise
@@ -213,18 +218,25 @@ def load_csv(path, label_column: int = -1, has_header: bool = False,
         raise FormatError(f"{path}: unreadable text: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no data rows")
-    mapping = {}
-    labels = np.zeros(len(rows), dtype=np.int64)
-    for i, tok in enumerate(labels_raw):
-        if tok not in mapping:
-            mapping[tok] = len(mapping)
-        labels[i] = mapping[tok]
+    if labels_raw and all(tok.isascii() and tok.isdigit() for tok in labels_raw):
+        try:
+            labels = np.array([int(tok) for tok in labels_raw], dtype=np.int64)
+        except (ValueError, OverflowError):  # too many digits, or past int64
+            raise FormatError(f"{path}: a label id does not fit in int64") from None
+        n_classes, names = int(labels.max()) + 1, None
+    else:
+        mapping = {}
+        labels = np.zeros(len(rows), dtype=np.int64)
+        for i, tok in enumerate(labels_raw):
+            if tok not in mapping:
+                mapping[tok] = len(mapping)
+            labels[i] = mapping[tok]
+        n_classes, names = len(mapping), tuple(sorted(mapping, key=mapping.get))
     features = np.asarray(rows, dtype=np.float64)
     normalization = None
     if standardize:
         features, normalization = _standardize(features)
-    names = tuple(sorted(mapping, key=mapping.get))
-    return Dataset(features, labels, max(len(mapping), 2), normalization,
+    return Dataset(features, labels, max(n_classes, 2), normalization,
                    label_names=names, provenance=f"csv:{path}")
 
 

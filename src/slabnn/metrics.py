@@ -147,7 +147,7 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
     else:
         draws = np.empty((n_samples, n_w))
         start = 0
-        for logits, _ in lp.logit_blocks(rng, n_samples):
+        for logits, _ in lp.logit_blocks(rng, n_samples, lp.logit_factor()):
             rows = logits.shape[0]
             u = rng.uniform(rows * n_w).reshape(rows, n_w)
             draws[start:start + rows] = u < sigmoid(logits)

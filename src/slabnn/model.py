@@ -16,7 +16,10 @@ inclusion side:
   values ``chol_raw`` are the packed lower triangle, n(n+1)/2 entries
   in row-major order, so the parameter, its gradient, its ADAM moments
   and its epoch snapshot carry no structural zeros; ``chol()`` unpacks
-  the dense factor once per call.  Checkpoints store it in the same
+  the dense factor once per call, and ``logit_factor`` is the one
+  caller that builds it for logit draws.  A draw of a changing state
+  builds it once per draw; ``predict`` builds it once per call and
+  every replicate draws from it.  Checkpoints store it in the same
   packed layout.
 * ``Family.MVN_LOWRANK``: same, with covariance F F^T + D for a learned
   dim x r factor and positive diagonal (rank 0 allowed).
@@ -259,9 +262,16 @@ class LayerParams:
         return np.exp(self.log_diag)
 
     def logit_sd(self) -> np.ndarray:
-        """Marginal sd of each correlated inclusion logit (root covariance diagonal)."""
+        """Marginal sd of each correlated inclusion logit (root covariance diagonal).
+
+        For the full family these are the row norms of ``chol()``, the
+        bits ``np.linalg.norm(chol(), axis=1)`` gives, squared in place
+        in the fresh factor so no other n_w x n_w array is made.
+        """
         if self.family is Family.MVN_FULL:
-            return np.linalg.norm(self.chol(), axis=1)
+            low = self.chol()
+            np.square(low, out=low)
+            return np.sqrt(np.sum(low, axis=1))
         return np.sqrt(np.sum(self.factor**2, axis=1) + self.diag())
 
     def init_structure(self, rng: RngStream):
@@ -280,28 +290,39 @@ class LayerParams:
             resid = 1.0 - np.sum(self.factor**2, axis=1)
             self.log_diag[...] = np.log(np.maximum(resid, 0.05))
 
-    def logit_blocks(self, rng: RngStream, n: int):
+    def logit_factor(self):
+        """What logit draws scale their noise by; built from the current values.
+
+        The transposed dense ``chol()`` for the full family, the
+        diagonal sd ``sqrt(diag())`` for low rank, None for mean field.
+        It stays valid while the parameters do not change, so a caller
+        drawing many times from a fixed state builds it once.
+        """
+        if self.family is Family.MVN_FULL:
+            return self.chol().T
+        if self.family is Family.MVN_LOWRANK:
+            return np.sqrt(self.diag())
+        return None
+
+    def logit_blocks(self, rng: RngStream, n: int, factor):
         """Yield ``(logits, noise)`` blocks that hold ``n`` logit draws in order.
 
-        Row i of a block is one draw: ``logits`` (rows, n_weights) and
-        its ``noise`` row in the layout ``route_logit_grad`` reads, eps
-        (n_weights values) for the full family, eps1 (rank values) then
-        eps2 (n_weights values) for low rank.  A block's noise is one
-        ``rng.std_normal`` call of at most ``BLOCK_VALUES`` values (at
-        least one row), so the stream ends where n one-row calls leave
-        it, and a block costs one matrix product, xi + eps L^T or
-        xi + eps1 F^T.  The covariance factor is built once per call.
-        Mean field draws nothing: its logits are read-only rows of
+        ``factor`` is this layer's ``logit_factor()`` at its current
+        values.  Row i of a block is one draw: ``logits`` (rows,
+        n_weights) and its ``noise`` row in the layout
+        ``route_logit_grad`` reads, eps (n_weights values) for the full
+        family, eps1 (rank values) then eps2 (n_weights values) for low
+        rank.  A block's noise is one ``rng.std_normal`` call of at
+        most ``BLOCK_VALUES`` values (at least one row), so the stream
+        ends where n one-row calls leave it, and a block costs one
+        matrix product, xi + eps L^T or xi + eps1 F^T + sd eps2.  Mean
+        field draws nothing: its logits are read-only rows of
         ``omega``, its noise rows are empty, and its blocks split by
         n_weights, the uniforms a caller draws per row.
         """
         n_w = self.n_weights
         r = self.rank
         rows = max(1, BLOCK_VALUES // (n_w + r))
-        if self.family is Family.MVN_FULL:
-            chol_t = self.chol().T
-        elif self.family is Family.MVN_LOWRANK:
-            sd = np.sqrt(self.diag())
         for start in range(0, n, rows):
             k = min(rows, n - start)
             if self.family is Family.MF:
@@ -309,12 +330,12 @@ class LayerParams:
                 continue
             noise = rng.std_normal(k * (n_w + r)).reshape(k, n_w + r)
             if self.family is Family.MVN_FULL:
-                logits = self.xi + noise @ chol_t
+                logits = self.xi + noise @ factor
             else:
                 logits = np.tile(self.xi, (k, 1))
                 if r:
                     logits += noise[:, :r] @ self.factor.T
-                logits += sd * noise[:, r:]
+                logits += factor * noise[:, r:]
             yield logits, noise
 
     def inclusion(self) -> np.ndarray:
@@ -481,7 +502,7 @@ def init_state(spec: NetworkSpec, prior: PriorConfig, family: Family, rng: RngSt
 
 
 def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStream,
-                   fixed_masks=None) -> SampledNetwork:
+                   fixed_masks=None, factors=None) -> SampledNetwork:
     """Draw one set of weights from the variational distribution.
 
     ``mode`` is "relaxed" (Concrete indicators at temperature delta > 0)
@@ -492,6 +513,13 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
     state without masks is held at all-ones masks.  This is the one
     place that decides whether indicators are drawn or fixed, and a
     fixed draw is recorded only as ``logits is None`` on every layer.
+
+    ``factors`` holds each layer's ``LayerParams.logit_factor()`` at the
+    state's current values, for a caller that draws many networks from
+    an unchanged state (``predict``); without it every drawn layer
+    builds its own, as a training step must, since the state moves
+    between draws.  The draws are the same bytes either way.  Fixed
+    draws use no factor.
 
     Noise draw order per layer is fixed and documented: structure noise
     first (full: eps, low rank: eps1 then eps2, mean field: none), then
@@ -509,6 +537,8 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
         fixed_masks = [np.ones(layer.shape) for layer in state.layers]
     if fixed_masks is not None and len(fixed_masks) != state.n_transitions:
         raise ShapeError("fixed_masks must provide one mask per transition")
+    if factors is not None and len(factors) != state.n_transitions:
+        raise ShapeError("factors must provide one factor per transition")
     layers = []
     for l, layer in enumerate(state.layers):
         shape = layer.shape
@@ -522,7 +552,8 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
             alpha = mask.copy()
             gamma = mask.copy()
         else:
-            [(block, noise)] = layer.logit_blocks(rng, 1)
+            factor = layer.logit_factor() if factors is None else factors[l]
+            [(block, noise)] = layer.logit_blocks(rng, 1, factor)
             noise = noise[0]
             logits_mat = block[0].reshape(shape)
             alpha = sigmoid(logits_mat)

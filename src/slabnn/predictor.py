@@ -27,7 +27,10 @@ The two mean modes are one computation, ``posterior_mean_weights``,
 given alpha_hat (all/mea) or the median mask (med/mea).  The sampled
 modes are one replicate loop: med/sim passes the median mask to
 ``sample_network`` and all/sim relies on its fixed_dense all-ones
-masks, so neither draws indicators.
+masks, so neither draws indicators.  sim/sim draws them, and builds
+each layer's logit factor (``LayerParams.logit_factor``; for the full
+family the dense Cholesky factor) once per call for all R replicates,
+which then draw one network at a time from it.
 
 Replicate r consumes stream (seed, stream_id + 1 + r) derived from the
 passed rng's key, so the first replicates of an R=1 and an R=10 call
@@ -181,12 +184,16 @@ def predict(state: VariationalState, features, mode: PredictionMode,
                                 masks=masks, alpha_hat=alpha_hat)
 
     # Sampled slabs: one derived stream per replicate; the median mask is
-    # held fixed and shared by every replicate's record.
+    # held fixed and shared by every replicate's record.  Drawn
+    # indicators share one logit factor per layer across replicates.
+    factors = None
+    if mode.gamma == "sim" and not state.prior.fixed_dense:
+        factors = [layer.logit_factor() for layer in state.layers]
     rep_probs = []
     rep_masks = []
     for r in range(mode.replicates):
         sub = RngStream(rng.seed, rng.stream_id + 1 + r)
-        net = sample_network(state, 0.0, "hard", sub, fixed_masks=mask)
+        net = sample_network(state, 0.0, "hard", sub, fixed_masks=mask, factors=factors)
         rep_probs.append(_probs(net, x, products))
         rep_masks.append(mask or [lay.gamma_tilde for lay in net.layers])
     stacked = np.stack(rep_probs, axis=0)

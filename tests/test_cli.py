@@ -354,6 +354,18 @@ class TestPredictCommand:
         assert stdout == ""
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_label_without_output_exits_two(self, trained, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1.0,2.0,3.0,4.0,0\n1.0,2.0,3.0,4.0,7\n")
+        out = tmp_path / "out"
+        code, stdout, err = _run_main(
+            [command, str(trained["ckpt"]), "--csv", str(bad), "--out", str(out)], capsys)
+        assert code == 2
+        assert "dataset has 8 classes but widths end at 2" in err
+        assert stdout == ""
+        assert os.listdir(tmp_path) == ["bad.csv"]
+
     def test_unlabeled_data_skips_metrics(self, trained, tmp_path, capsys):
         # without a label column every csv column is a feature
         unlabeled = tmp_path / "in.csv"
@@ -469,6 +481,32 @@ class TestEvalCommand:
         assert stdout == ""
         assert not out.exists()
 
+    def test_accuracy_independent_of_row_order(self, tmp_path, capsys):
+        # The same rows, class 0 first and class 1 first: integer labels
+        # are class ids, so both files score the same.  This state's
+        # accuracy is far from 1/2, so a relabelled file would show.
+        state = init_state(NetworkSpec((4, 3, 2)), PriorConfig(), Family.MVN_FULL,
+                           RngStream(2, 0))
+        ckpt_path = tmp_path / "full.lbnn"
+        save_checkpoint(ckpt_path, state)
+        ds = dataio.synth_clusters(60, 4, 2, separation=4.0, seed=1)
+        accuracies = []
+        for first in (0, 1):
+            order = np.argsort(ds.labels != first, kind="stable")
+            path = tmp_path / f"first{first}.csv"
+            path.write_text("".join(
+                ",".join(repr(float(v)) for v in ds.features[i]) + f",{ds.labels[i]}\n"
+                for i in order))
+            code, stdout, _ = _run_main(
+                ["eval", str(ckpt_path), "--csv", str(path), "--gamma", "all",
+                 "--beta", "mea", "--out", str(tmp_path / f"ev{first}")], capsys)
+            assert code == 0
+            [line] = [ln for ln in stdout.splitlines()
+                      if ln.startswith("all_class_accuracy=")]
+            accuracies.append(float(line.split("=")[1]))
+        assert accuracies[0] == accuracies[1]
+        assert abs(accuracies[0] - 0.5) > 0.2
+
     def test_identical_ood_dataset_gives_identical_cdf(self, trained,
                                                        tmp_path, capsys):
         out = tmp_path / "ev2"
@@ -558,6 +596,19 @@ class TestInspectCommand:
         assert "version 1" in stdout
         assert "layer00/kappa" in stdout
         assert "widths" in stdout
+
+    def test_parses_the_file_once(self, trained, capsys, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return read_manifest(path)
+
+        monkeypatch.setattr("slabnn.checkpoint.read_manifest", counting)
+        code, stdout, _ = _run_main(["inspect", str(trained["ckpt"])], capsys)
+        assert code == 0
+        assert "layer00/kappa  (5x3)" in stdout
+        assert len(calls) == 1
 
     def test_truncated_file_exits_one_with_offset(self, trained, tmp_path,
                                                   capsys):

@@ -103,6 +103,25 @@ class TestCsv:
         assert ds.label_names == ("a", "b")  # first appearance order
         assert ds.n_classes == 2
 
+    def test_integer_labels_are_class_ids(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,3\n2.0,0\n3.0,03\n")
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.labels, [3, 0, 3])
+        assert ds.n_classes == 4 and ds.label_names is None
+        # one token that is not an integer: first appearance for all
+        path.write_text("1.0,3\n2.0,0\n3.0,x\n")
+        np.testing.assert_array_equal(load_csv(path).labels, [0, 1, 2])
+
+    @pytest.mark.parametrize("token", ["9223372036854775808", "1" * 5000])
+    def test_label_id_past_int64_names_file(self, tmp_path, token):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1.0,0\n2.0,{token}\n")
+        with pytest.raises(FormatError, match="d.csv"):
+            load_csv(path)
+        path.write_text("1.0,0\n2.0,9223372036854775806\n")
+        assert load_csv(path).labels[1] == 2**63 - 2
+
     def test_label_column_selects(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,1.0,2.0\ny,3.0,4.0\n")

@@ -314,7 +314,8 @@ def _loop_logit_draws(state, n_mc, rng):
 
 def _blocked_logit_draws(state, n_mc, rng):
     """The same draws from each layer's ``logit_blocks``."""
-    return [np.concatenate([logits for logits, _ in lp.logit_blocks(rng, n_mc)])
+    return [np.concatenate([logits for logits, _ in
+                            lp.logit_blocks(rng, n_mc, lp.logit_factor())])
             for lp in state.layers]
 
 
@@ -398,6 +399,39 @@ class TestBatchedMonteCarlo:
             ref.std_normal(lp.n_weights)  # slab eps
 
 
+class TestLogitFactor:
+    """``LayerParams.logit_factor`` built once serves every draw of a fixed state."""
+
+    @pytest.mark.parametrize("family,rank", [
+        (Family.MF, 0), (Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 2),
+    ])
+    def test_sample_network_same_bytes_with_factors(self, family, rank):
+        if family is Family.MF:
+            st = make_state(family, seed=5, widths=(6, 5, 3))
+            for lp in st.layers:
+                lp.omega[...] = np.random.default_rng(5).normal(size=lp.shape)
+        else:
+            st = _random_mvn_state(family, rank, (6, 5, 3))
+        factors = [lp.logit_factor() for lp in st.layers]
+        for mode, delta in (("hard", 0.0), ("relaxed", 0.1)):
+            own, shared = RngStream(7, 1), RngStream(7, 1)
+            a = sample_network(st, delta, mode, own)
+            b = sample_network(st, delta, mode, shared, factors=factors)
+            for la, lb in zip(a.layers, b.layers):
+                for name in ("alpha", "gamma_tilde", "beta", "effective", "eps",
+                             "logits", "noise"):
+                    assert getattr(la, name).tobytes() == getattr(lb, name).tobytes()
+            assert own.state_words().tobytes() == shared.state_words().tobytes()
+        with pytest.raises(ShapeError):
+            sample_network(st, 0.0, "hard", RngStream(7, 1), factors=factors[:1])
+
+    def test_full_logit_sd_is_row_norm_bits(self):
+        # A 915-weight layer, as in the full-covariance benchmark.
+        lp = LayerParams(Family.MVN_FULL, (61, 15))
+        lp.chol_raw[...] = np.random.default_rng(4).normal(size=lp.chol_raw.size)
+        assert lp.logit_sd().tobytes() == np.linalg.norm(lp.chol(), axis=1).tobytes()
+
+
 class _Fixed:
     def std_normal(self, n):
         return np.resize([1.0, -1.0, 0.0, 1.0, 2.0, 0.0], n)
@@ -429,11 +463,11 @@ class TestLogitBlocks:
         lp = LayerParams(Family.MVN_FULL, (2, 1))
         lp.xi[...] = [1.0, -1.0]
         lp.chol_raw[...] = pack_lower([[softplus_inv(2.0), 0.0], [1.0, softplus_inv(2.0)]])
-        [(out, eps)] = lp.logit_blocks(_Fixed(), 1)
+        [(out, eps)] = lp.logit_blocks(_Fixed(), 1, lp.logit_factor())
         np.testing.assert_allclose(out, [[3.0, -2.0]], atol=1e-15)
         np.testing.assert_array_equal(eps, [[1.0, -1.0]])
         # a block of three: row i is draw i, noise split by rows in order
-        [(out, eps)] = lp.logit_blocks(_Fixed(), 3)
+        [(out, eps)] = lp.logit_blocks(_Fixed(), 3, lp.logit_factor())
         np.testing.assert_allclose(out, [[3.0, -2.0], [1.0, 1.0], [5.0, 1.0]],
                                    atol=1e-15)
         np.testing.assert_array_equal(eps, [[1.0, -1.0], [0.0, 1.0], [2.0, 0.0]])
@@ -443,7 +477,8 @@ class TestLogitBlocks:
         lp = _lowrank_layer((2, 2), 2, np.exp(gen.normal(size=4)),
                             gen.normal(size=(4, 2)) * 0.7)
         lp.xi[...] = gen.normal(size=4)
-        draws = np.concatenate([b for b, _ in lp.logit_blocks(RngStream(21, 0), 200)])
+        draws = np.concatenate(
+            [b for b, _ in lp.logit_blocks(RngStream(21, 0), 200, lp.logit_factor())])
         # 200 draws only check the mean; covariance accuracy is covered
         # by the dedicated acceptance criterion
         assert np.all(np.abs(draws.mean(axis=0) - lp.xi) < 5 * np.sqrt(
@@ -451,22 +486,22 @@ class TestLogitBlocks:
 
     def test_diag_only_matches_scaled_normal(self):
         lp = _lowrank_layer((3, 1), 0, [4.0, 9.0, 16.0])
-        [(out, noise)] = lp.logit_blocks(_Ones(), 1)
+        [(out, noise)] = lp.logit_blocks(_Ones(), 1, lp.logit_factor())
         np.testing.assert_allclose(out, [[2.0, 3.0, 4.0]], atol=1e-15)
         np.testing.assert_array_equal(noise, np.ones((1, 3)))
         # a block of three: the noise splits by rows in draw order
-        [(out, noise)] = lp.logit_blocks(_Ramp(), 3)
+        [(out, noise)] = lp.logit_blocks(_Ramp(), 3, lp.logit_factor())
         np.testing.assert_allclose(out, [[0.0, 3.0, 8.0], [6.0, 12.0, 20.0],
                                          [12.0, 21.0, 32.0]], atol=1e-14)
         np.testing.assert_array_equal(noise, np.arange(9.0).reshape(3, 3))
         # a variance that underflowed to zero is a valid degenerate entry
         lp = _lowrank_layer((3, 1), 0, [0.0, 1.0, 4.0])
-        [(out, _)] = lp.logit_blocks(_Ones(), 1)
+        [(out, _)] = lp.logit_blocks(_Ones(), 1, lp.logit_factor())
         np.testing.assert_allclose(out, [[0.0, 1.0, 2.0]], atol=1e-15)
 
     def test_lowrank_noise_row_is_eps1_then_eps2(self):
         lp = _lowrank_layer((2, 1), 1, [1.0, 4.0], [[2.0], [-1.0]])
-        [(out, noise)] = lp.logit_blocks(_Ramp(), 2)
+        [(out, noise)] = lp.logit_blocks(_Ramp(), 2, lp.logit_factor())
         np.testing.assert_array_equal(noise, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
         # xi + F eps1 + sqrt(diag) eps2, eps1 the first value of each row
         np.testing.assert_allclose(out, [[1.0, 4.0], [10.0, 7.0]], atol=1e-14)
@@ -488,7 +523,7 @@ class TestLogitBlocks:
         per_block = max(1, BLOCK_VALUES // width)
         n = 2 * per_block + 1  # two full blocks and one row
         rng, ref = RngStream(4, 9), RngStream(4, 9)
-        blocks = list(lp.logit_blocks(rng, n))
+        blocks = list(lp.logit_blocks(rng, n, lp.logit_factor()))
         assert [b.shape[0] for b, _ in blocks] == [per_block, per_block, 1]
         noise_width = 0 if family is Family.MF else width
         assert all(e.shape == (b.shape[0], noise_width) for b, e in blocks)

@@ -6,8 +6,9 @@ import pytest
 from conftest import ALL_FAMILIES, make_state
 from slabnn import elbo
 from slabnn.errors import ConfigError, DomainError, NumericError, ShapeError
-from slabnn.model import (Family, PriorConfig, SampledLayer, SampledNetwork,
-                          median_model, posterior_mean_weights, sample_network)
+from slabnn.model import (Family, LayerParams, PriorConfig, SampledLayer,
+                          SampledNetwork, median_model, posterior_mean_weights,
+                          sample_network)
 from slabnn.numkernel import RngStream, log_softmax
 from slabnn.predictor import (PredictionMode, classify_with_doubt,
                               density_level, export_predictions_csv, predict)
@@ -58,6 +59,20 @@ class TestPredict:
         r5 = predict(st, x, PredictionMode("sim", "sim", 5), rng=RngStream(3, 99))
         np.testing.assert_array_equal(r3.replicate_probs,
                                       r5.replicate_probs[:3])
+
+    def test_sim_sim_builds_one_factor_per_layer(self, monkeypatch):
+        # All R replicates of an unchanged state draw from one dense factor.
+        st = make_state(Family.MVN_FULL, seed=54)
+        calls = []
+        chol = LayerParams.chol
+
+        def counting(self):
+            calls.append(1)
+            return chol(self)
+
+        monkeypatch.setattr(LayerParams, "chol", counting)
+        predict(st, _features(), PredictionMode("sim", "sim", 5), rng=RngStream(4, 99))
+        assert len(calls) == st.n_transitions == 2
 
     def test_deterministic_modes_need_no_rng_for_mf(self):
         st = make_state(seed=54)
