@@ -30,10 +30,13 @@ either age load the same.  Saving is atomic (temp file plus rename)
 and byte-deterministic: the same state and streams always serialize to
 identical bytes.  Loading checks every stored parameter shape against
 the one the stored model description implies before it allocates
-anything, then rebuilds the exact arrays, so a save/load round trip is
-bit-exact and a file the library wrote re-saves to the same bytes.
-Every "rng/..." tensor is read back, whatever its label: older files
-also carry ``rng/alpha``, a stream nothing draws from.
+anything, and that every stored parameter is finite (prediction would
+otherwise drop a NaN weight silently), then rebuilds the exact arrays,
+so a save/load round trip is bit-exact and a file the library wrote
+re-saves to the same bytes.  Every "rng/..." tensor is read back,
+whatever its label and whatever its words read as floats (NaN
+included): older files also carry ``rng/alpha``, a stream nothing
+draws from.
 """
 
 from __future__ import annotations
@@ -277,6 +280,9 @@ def load_checkpoint(path) -> CheckpointData:
                     f"tensor layer{l:02d}/{name} has shape {stored.shape}, "
                     f"expected {expected}"
                 )
+            if not np.all(np.isfinite(stored)):
+                raise FormatError(f"tensor layer{l:02d}/{name} (layer {l} parameter "
+                                  f"{name}) holds non-finite values")
     state = VariationalState(spec, prior, family, rank)
     for l, name, arr in state.param_items():
         arr[...] = tensors[f"layer{l:02d}/{name}"]

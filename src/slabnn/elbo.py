@@ -18,15 +18,26 @@ layers have ``logits is None`` (a fixed_dense state or a mask such as
 the median model's), has no indicator mass term and no structure
 gradient; ``sample_network`` decides which draws are fixed.  Both
 terms, and the hyperprior log densities, come from the kernels in
-``distributions``; one per-layer helper serves the KL value and its
-gradient.  A fully sampled log-ratio estimate of the KL is kept behind
-``kl_mode="sampled"`` and cross-checked against the analytic form in
-the tests; its indicator mass is evaluated at the rounded relaxed draw,
-so its pathwise gradient at fixed noise omits the score contribution of
-the mass (which has zero mean) and remains consistent with finite
-differences of the estimator.  Prior values that training drives out of
-a kernel's domain (psi rounding to 0 or 1, sigma2 underflowing to 0)
-raise ``NumericError``, which the trainer rolls back.
+``distributions``.  A fully sampled log-ratio estimate of the KL is
+kept behind ``kl_mode="sampled"`` and cross-checked against the
+analytic form in the tests; its indicator mass is evaluated at the
+rounded relaxed draw, so its pathwise gradient at fixed noise omits the
+score contribution of the mass (which has zero mean) and remains
+consistent with finite differences of the estimator.
+
+The analytic KL is the expectation of the sampled log ratio, so the
+slab and prior derivatives are written once: the analytic ones are the
+sampled ones with each draw quantity replaced by its mean, the rounded
+indicator g by alpha, beta by kappa, beta eps by tau and beta^2 by
+tau^2 + kappa^2.  Only the indicator terms differ by mode.  One
+per-layer routine (``_layer_kl``) gives a layer's KL and, given its
+gradients, subtracts the KL's derivative; ``kl_state`` and the one
+M-draw loop behind ``elbo_estimate`` and ``elbo_gradient`` both call
+it, so the gradient's value is the estimate's bit for bit.
+
+Prior values that training drives out of a kernel's domain (psi
+rounding to 0 or 1, sigma2 underflowing to 0) raise ``NumericError``,
+which the trainer rolls back.
 
 Gradients are reverse-mode by hand.  The chain runs
 
@@ -45,6 +56,7 @@ hyperprior log densities of the point-estimated prior values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse, special
@@ -302,79 +314,112 @@ def _psi(layer, l: int) -> float:
     return psi
 
 
-def _analytic_kl(l: int, layer, tau, alpha, fixed: bool):
-    """Closed-form KL of one layer; returns (value, per-weight Gaussian KL).
-
-    ``fixed`` marks fixed indicators: the slab terms are weighted by
-    alpha and no indicator mass is added.
-    """
-    kl_g = kl_gaussian(layer.kappa, _tau(tau, l), _sigma2(layer, l))
-    if fixed:
-        return float(np.sum(alpha * kl_g)), kl_g
-    bern = kl_bernoulli(alpha, _psi(layer, l))
-    return float(np.sum(bern) + np.sum(alpha * kl_g)), kl_g
+def _check_kl_mode(mode: str, has_network: bool = True):
+    if mode not in ("analytic", "sampled"):
+        raise DomainError(f"kl mode must be 'analytic' or 'sampled', got {mode!r}")
+    if mode == "sampled" and not has_network:
+        raise DomainError("sampled KL mode needs a sampled network")
 
 
-def _sampled_kl(l: int, layer, ls):
-    """Single-draw log ratio ln q - ln p of one layer.
+def _layer_kl(l: int, layer, ls, mode: str, grads=None, dw=None, delta=None):
+    """KL of one layer at the draw ``ls``, as the parts callers add in order.
 
-    Returns (slab part, indicator part, rounded indicators g); callers
-    add the two parts in that order.  The variational slab density is
-    evaluated at its own draw, so (beta - kappa) / tau is the stored eps.
-    A fixed draw has no indicator part.
+    ``ls`` carries alpha, tau and logits (None marks fixed indicators:
+    no indicator term, no structure gradient); the sampled mode also
+    reads the draw's gamma_tilde, beta and eps.  Given ``grads`` (one
+    layer of a ``GradientBundle``) and ``dw`` (the likelihood gradient
+    of the layer's effective weights), it routes ``dw`` into ``grads``
+    and subtracts the KL's derivative.  The slab and prior derivatives
+    are those of the sampled log ratio; the analytic mode takes them at
+    the draw quantities' means (g, beta, beta eps, beta^2 become alpha,
+    kappa, tau, tau^2 + kappa^2).
     """
     tau = _tau(ls.tau, l)
     sigma2 = _sigma2(layer, l)
-    g = np.rint(ls.gamma_tilde)
-    log_q = -_HALF_LOG_2PI - np.log(tau) - 0.5 * ls.eps**2
-    log_p = -_HALF_LOG_2PI - 0.5 * np.log(sigma2) - ls.beta**2 / (2.0 * sigma2)
-    slab = float(np.sum(g * (log_q - log_p)))
-    if ls.logits is None:
-        return slab, 0.0, g
-    lp = layer.logit_psi[0]
-    mass = (g * (log_sigmoid(ls.logits) - log_sigmoid(lp))
-            + (1.0 - g) * (log_sigmoid(-ls.logits) - log_sigmoid(-lp)))
-    return slab, float(np.sum(mass)), g
+    drawn = ls.logits is not None
+    with_priors = grads is not None and grads["logit_psi"] is not None
+    if mode == "analytic":
+        g, beta, beta_eps = ls.alpha, layer.kappa, tau
+        beta_sq = tau**2 + layer.kappa**2 if with_priors else None
+        kl_g = kl_gaussian(layer.kappa, tau, sigma2)
+        slab = np.sum(g * kl_g)
+        parts = (float(np.sum(kl_bernoulli(g, _psi(layer, l))) + slab) if drawn
+                 else float(slab),)
+    else:
+        g, beta, beta_sq = np.rint(ls.gamma_tilde), ls.beta, ls.beta**2
+        beta_eps = ls.beta * ls.eps if grads is not None else None
+        # The variational slab density at its own draw: (beta - kappa) / tau = eps.
+        log_q = -_HALF_LOG_2PI - np.log(tau) - 0.5 * ls.eps**2
+        log_p = -_HALF_LOG_2PI - 0.5 * np.log(sigma2) - beta_sq / (2.0 * sigma2)
+        parts = (float(np.sum(g * (log_q - log_p))),)
+        if drawn:
+            lp = layer.logit_psi[0]
+            mass = (g * (log_sigmoid(ls.logits) - log_sigmoid(lp))
+                    + (1.0 - g) * (log_sigmoid(-ls.logits) - log_sigmoid(-lp)))
+            parts += (float(np.sum(mass)),)
+    if grads is None:
+        return parts
+    # Likelihood path through W = gamma * beta, beta = kappa + tau * eps.
+    sig_rho = sigmoid(layer.rho)
+    dbeta = dw * ls.gamma_tilde
+    grads["kappa"] += dbeta
+    grads["rho"] += dbeta * ls.eps * sig_rho
+    grads["kappa"] -= g * beta / sigma2
+    grads["rho"] += g * (1.0 / tau - beta_eps / sigma2) * sig_rho
+    if with_priors:
+        grads["log_sigma2"] -= float(np.sum(g * (0.5 - beta_sq / (2.0 * sigma2))))
+    if drawn:
+        # d gamma / d logit_alpha for the Concrete relaxation, then the KL's.
+        dlogit = dw * ls.beta * ls.gamma_tilde * (1.0 - ls.gamma_tilde) / delta
+        if mode == "analytic":
+            dlogit -= g * (1.0 - g) * ((ls.logits - layer.logit_psi[0]) + kl_g)
+        else:
+            dlogit += ls.alpha - g
+        if with_priors:
+            grads["logit_psi"] += float(np.sum(g)) - g.size * layer.psi()
+        layer.route_logit_grad(dlogit, ls.noise, grads)
+    return parts
+
+
+def _kl_sum(state, layers, mode, bundle=None, d_weights=None, delta=None) -> float:
+    """Sum of ``_layer_kl`` over the layers, part by part, in layer order."""
+    total = 0.0
+    for l, layer in enumerate(state.layers):
+        grads = None if bundle is None else bundle.layers[l]
+        dw = None if d_weights is None else d_weights[l]
+        for part in _layer_kl(l, layer, layers[l], mode, grads, dw, delta):
+            total += part
+    return total
 
 
 def kl_state(state: VariationalState, sampled: SampledNetwork = None,
              mode: str = "analytic") -> float:
     """KL between the variational distribution and the prior.
 
-    ``mode="analytic"`` evaluates the closed form; the correlated
-    families need a ``sampled`` network because their Bernoulli term is
-    evaluated at the sampled inclusion probabilities.  fixed_dense
-    states reduce exactly to the sum of Gaussian KL terms.
+    ``mode="analytic"`` evaluates the closed form at the draw's
+    inclusion probabilities; the correlated families need a ``sampled``
+    network for them, while mean-field and fixed_dense states may omit
+    it (alpha = sigmoid(omega), or all ones with no indicator term, so
+    fixed_dense states reduce exactly to the sum of Gaussian KL terms).
 
     ``mode="sampled"`` evaluates the single-draw log ratio
     ln q - ln p at the sampled network, with the indicator mass taken
     at the rounded relaxed draw; its mean over draws equals the
-    analytic value.
+    analytic value.  Both modes are the one per-layer routine that
+    ``elbo_estimate`` and ``elbo_gradient`` run.
     """
-    if mode not in ("analytic", "sampled"):
-        raise DomainError(f"kl mode must be 'analytic' or 'sampled', got {mode!r}")
-    if mode == "sampled" and sampled is None:
-        raise DomainError("sampled KL mode needs a sampled network")
-    total = 0.0
-    for l, layer in enumerate(state.layers):
-        ls = sampled.layers[l] if sampled is not None else None
-        if mode == "sampled":
-            slab, mass, _ = _sampled_kl(l, layer, ls)
-            total += slab
-            total += mass
-            continue
-        if ls is not None:
-            alpha, fixed = ls.alpha, ls.logits is None
-        elif state.prior.fixed_dense:
-            alpha, fixed = 1.0, True
-        elif state.family is Family.MF:
-            alpha, fixed = sigmoid(layer.omega), False
-        else:
-            raise DomainError(
-                "analytic KL under a correlated family needs a sampled network"
-            )
-        total += _analytic_kl(l, layer, layer.tau(), alpha, fixed)[0]
-    return total
+    _check_kl_mode(mode, sampled is not None)
+    if sampled is not None:
+        layers = sampled.layers
+    elif state.prior.fixed_dense:
+        layers = [SimpleNamespace(alpha=1.0, tau=lp.tau(), logits=None)
+                  for lp in state.layers]
+    elif state.family is Family.MF:
+        layers = [SimpleNamespace(alpha=sigmoid(lp.omega), tau=lp.tau(), logits=lp.omega)
+                  for lp in state.layers]
+    else:
+        raise DomainError("analytic KL under a correlated family needs a sampled network")
+    return _kl_sum(state, layers, mode)
 
 
 def hyperprior_logdensity(state: VariationalState) -> float:
@@ -386,6 +431,34 @@ def hyperprior_logdensity(state: VariationalState) -> float:
     return float(total)
 
 
+def _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, with_priors=None):
+    """The one M-draw loop: the mean of ``scale * sum loglik - KL`` over M draws.
+
+    M and ``kl_mode`` are checked before anything is drawn.  Given
+    ``with_priors`` (a bool), it also returns the mean gradient bundle,
+    else None.
+    """
+    if M < 1:
+        raise DomainError("M must be at least 1")
+    _check_kl_mode(kl_mode)
+    scale = batch.n_total / batch.size
+    acc = 0.0
+    bundle = d_weights = None
+    for _ in range(M):
+        sampled = sample_network(state, delta, "relaxed", rng, fixed_masks=fixed_masks)
+        loglik, tape = forward(sampled, batch)
+        if with_priors is not None:
+            if bundle is None:
+                bundle = GradientBundle(state, sampled.layers[0].logits is not None,
+                                        with_priors)
+            d_weights = _backprop_loglik(sampled, batch, tape, scale)
+        kl = _kl_sum(state, sampled.layers, kl_mode, bundle, d_weights, sampled.delta)
+        acc += scale * float(np.sum(loglik)) - kl
+    if bundle is not None and M > 1:
+        bundle.scale(1.0 / M)
+    return acc / M, bundle
+
+
 def elbo_estimate(state: VariationalState, batch: Batch, M: int, delta: float,
                   rng: RngStream, kl_mode: str = "analytic",
                   include_hyperprior: bool = False, fixed_masks=None) -> float:
@@ -394,18 +467,11 @@ def elbo_estimate(state: VariationalState, batch: Batch, M: int, delta: float,
     Deterministic given the rng position: with a fresh stream at the
     same key the same value comes back, and an estimate with 2M draws
     is exactly the average of two successive M-draw estimates on the
-    same stream.  ``include_hyperprior`` adds the hyperprior log
-    densities, turning the value into the pre-training objective.
+    same stream.  A refused M or ``kl_mode`` draws nothing.
+    ``include_hyperprior`` adds the hyperprior log densities, turning
+    the value into the pre-training objective.
     """
-    if M < 1:
-        raise DomainError("M must be at least 1")
-    scale = batch.n_total / batch.size
-    acc = 0.0
-    for _ in range(M):
-        sampled = sample_network(state, delta, "relaxed", rng, fixed_masks=fixed_masks)
-        loglik, _ = forward(sampled, batch)
-        acc += scale * float(np.sum(loglik)) - kl_state(state, sampled, kl_mode)
-    value = acc / M
+    value, _ = _draws(state, batch, M, delta, rng, kl_mode, fixed_masks)
     if include_hyperprior:
         value += hyperprior_logdensity(state)
     if not np.isfinite(value):
@@ -418,10 +484,10 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
                   fixed_masks=None):
     """ELBO estimate together with its gradient with respect to every parameter.
 
-    Consumes the rng exactly like ``elbo_estimate``, so on a fresh
-    stream with the same key the returned value matches the estimate
-    and the gradient is the derivative of that same function of the
-    parameters at fixed noise.  ``phase="pretrain"`` also fills the
+    Runs the same draw loop as ``elbo_estimate``, so on a fresh stream
+    with the same key the returned value is the estimate's, bit for
+    bit, and the gradient is the derivative of that same function of
+    the parameters at fixed noise.  ``phase="pretrain"`` also fills the
     prior and hyperprior gradient entries (the differentiated objective
     is then estimate + hyperprior log densities); other phases leave
     them as None.  A fixed draw (see ``sample_network``) leaves the
@@ -431,92 +497,16 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
     estimate (hyperprior terms are part of the gradient objective only,
     they never enter the reported trace value).
     """
-    if M < 1:
-        raise DomainError("M must be at least 1")
     if phase not in ("pretrain", "train", "posttrain"):
         raise DomainError(f"unknown phase {phase!r}")
-    if kl_mode not in ("analytic", "sampled"):
-        raise DomainError(f"kl mode must be 'analytic' or 'sampled', got {kl_mode!r}")
     with_priors = phase == "pretrain"
-    bundle = None
-    scale = batch.n_total / batch.size
-    acc_value = 0.0
-    for _ in range(M):
-        sampled = sample_network(state, delta, "relaxed", rng, fixed_masks=fixed_masks)
-        if bundle is None:
-            bundle = GradientBundle(state, sampled.layers[0].logits is not None,
-                                    with_priors)
-        loglik, tape = forward(sampled, batch)
-        acc_value += scale * float(np.sum(loglik))
-        d_weights = _backprop_loglik(sampled, batch, tape, scale)
-        acc_value -= _accumulate_backward(state, sampled, d_weights, bundle, kl_mode)
-    if M > 1:
-        bundle.scale(1.0 / M)
-    value = acc_value / M
+    value, bundle = _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, with_priors)
     if with_priors:
         _add_hyperprior_grads(state, bundle)
     bundle.check_finite()
     if not np.isfinite(value):
         raise NumericError("ELBO estimate is not finite")
     return value, bundle
-
-
-def _accumulate_backward(state, sampled, d_weights, bundle, kl_mode):
-    """Route likelihood and KL gradients into the bundle; returns the KL value.
-
-    Structure gradients go in for drawn indicators (``ls.logits`` set),
-    prior gradients when the bundle carries them (pre-training).
-    """
-    kl_value = 0.0
-    for l, layer in enumerate(state.layers):
-        ls = sampled.layers[l]
-        grads = bundle.layers[l]
-        dw = d_weights[l]
-        tau = ls.tau
-        sig_rho = sigmoid(layer.rho)
-        drawn = ls.logits is not None
-        with_priors = grads["logit_psi"] is not None
-        # Likelihood path through W = gamma * beta, beta = kappa + tau * eps.
-        dbeta = dw * ls.gamma_tilde
-        grads["kappa"] += dbeta
-        grads["rho"] += dbeta * ls.eps * sig_rho
-        if drawn:
-            # d gamma / d logit_alpha for the Concrete relaxation.
-            dgamma = dw * ls.beta
-            dlogit = dgamma * ls.gamma_tilde * (1.0 - ls.gamma_tilde) / sampled.delta
-        sigma2 = layer.sigma2()
-        psi = layer.psi()
-        if kl_mode == "analytic":
-            value, kl_g = _analytic_kl(l, layer, tau, ls.alpha, not drawn)
-            kl_value += value
-            alpha = ls.alpha
-            grads["kappa"] -= alpha * layer.kappa / sigma2
-            grads["rho"] -= alpha * (tau / sigma2 - 1.0 / tau) * sig_rho
-            if drawn:
-                dlogit -= alpha * (1.0 - alpha) * ((ls.logits - layer.logit_psi[0]) + kl_g)
-                if with_priors:
-                    grads["logit_psi"] += np.sum(alpha) - alpha.size * psi
-            if with_priors:
-                grads["log_sigma2"] -= float(
-                    np.sum(ls.alpha * (0.5 - (tau**2 + layer.kappa**2) / (2.0 * sigma2)))
-                )
-        else:
-            slab, mass, g = _sampled_kl(l, layer, ls)
-            kl_value += slab
-            kl_value += mass
-            grads["kappa"] -= g * ls.beta / sigma2
-            grads["rho"] += g * (1.0 / tau - ls.beta * ls.eps / sigma2) * sig_rho
-            if drawn:
-                dlogit += ls.alpha - g
-                if with_priors:
-                    grads["logit_psi"] += float(np.sum(g)) - g.size * psi
-            if with_priors:
-                grads["log_sigma2"] -= float(
-                    np.sum(g * (0.5 - ls.beta**2 / (2.0 * sigma2)))
-                )
-        if drawn:
-            layer.route_logit_grad(dlogit, ls.noise, grads)
-    return kl_value
 
 
 def _add_hyperprior_grads(state, bundle):

@@ -23,7 +23,9 @@ with a sampled-KL train and a median_fixed posttrain, and low rank at
 r=4 (draws=2, median_fixed posttrain) and at r=0.  Per run the sha256
 covers ``trace.jsonl``, every checkpoint file, ``marginal_inclusion``,
 ``median_model``, ``inclusion_correlation`` on both layers, one
-``sample_network``, ``elbo_estimate`` in both KL modes with and without
+``sample_network``, ``kl_state`` at that draw in both KL modes and, for
+the two mean-field runs, from the state alone (the correlated families
+need a draw), ``elbo_estimate`` in both KL modes with and without
 the hyperprior, ``elbo_gradient`` in pretrain and train under both KL
 modes, and ``predict`` in all four modes.  Values that come with an rng
 also hash the stream position it was left at.
@@ -41,6 +43,8 @@ all four modes, ``eval`` with ``--ood-csv`` and ``--corr-layer``, and
 the commands write and every stdout and exit code, with the scratch
 directory replaced by ``<work>`` and the ``epoch_seconds=`` timing
 dropped.
+
+That makes 242 digests: 123 from the library and 119 from the CLI.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -120,9 +124,10 @@ def _digest(*items) -> str:
 
 
 def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
-    from slabnn.elbo import Batch, elbo_estimate, elbo_gradient
+    from slabnn.elbo import Batch, elbo_estimate, elbo_gradient, kl_state
     from slabnn.metrics import inclusion_correlation
-    from slabnn.model import NetworkSpec, marginal_inclusion, median_model, sample_network
+    from slabnn.model import (Family, NetworkSpec, marginal_inclusion, median_model,
+                              sample_network)
     from slabnn.numkernel import RngStream
     from slabnn.predictor import PredictionMode, predict
     from slabnn.trainer import train
@@ -149,6 +154,10 @@ def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
     out[f"{name}/sample_network"] = _digest(
         [(ls.alpha, ls.gamma_tilde, ls.beta, ls.effective, ls.eps, ls.tau,
           ls.logits, ls.logits is None) for ls in net.layers], rng)
+    for kl_mode in ("analytic", "sampled"):
+        out[f"{name}/kl_state/{kl_mode}"] = _digest(kl_state(state, net, kl_mode))
+    if family is Family.MF:
+        out[f"{name}/kl_state"] = _digest(kl_state(state))
 
     batch = Batch(data.features[:50], data.labels[:50], n_total=data.n)
     for kl_mode in ("analytic", "sampled"):

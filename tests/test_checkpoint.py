@@ -194,6 +194,23 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name,value", [("omega", np.nan), ("kappa", np.inf),
+                                            ("log_sigma2", -np.inf)])
+    def test_non_finite_parameter_named(self, tmp_path, name, value):
+        # Stream words are bit-cast uint64s that may read as NaN (all ones
+        # does); only the parameter tensors must be finite.
+        path = tmp_path / "nan.lbnn"
+        words = np.full(15, 2**64 - 1, dtype=np.uint64)
+        save_checkpoint(path, make_state(widths=(4, 8, 2)), rng_words={"sample": words})
+        assert np.array_equal(load_checkpoint(path).rng_words["sample"], words)
+        tensors = read_manifest(path)
+        assert np.isnan(tensors["rng/sample"]).all()
+        tensors[f"layer01/{name}"].reshape(-1)[0] = value
+        write_tensors(path, tensors)
+        with pytest.raises(FormatError, match=rf"layer01/{name} \(layer 1 parameter "
+                                              rf"{name}\) holds non-finite values"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("index,switch", [(3, "fixed_dense"), (4, "learn_sigma2"),
                                               (5, "learn_psi"), (6, "learn_hyper")])
     def test_switch_flags_are_zero_or_one(self, tmp_path, index, switch):

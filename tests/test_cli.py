@@ -366,6 +366,20 @@ class TestPredictCommand:
         assert stdout == ""
         assert os.listdir(tmp_path) == ["bad.csv"]
 
+    def test_non_finite_parameter_exits_one(self, trained, tmp_path):
+        tensors = read_manifest(trained["ckpt"])
+        tensors["layer00/omega"][1, 0] = np.nan
+        bad = tmp_path / "nan.lbnn"
+        write_tensors(bad, tensors)
+        proc = subprocess.run(
+            [sys.executable, "-m", "slabnn", "predict", str(bad), "--csv",
+             str(trained["csv"]), "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("format error:")
+        assert "layer00/omega" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unlabeled_data_skips_metrics(self, trained, tmp_path, capsys):
         # without a label column every csv column is a feature
         unlabeled = tmp_path / "in.csv"

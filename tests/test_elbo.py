@@ -74,7 +74,7 @@ def _fd_check(family, rank, phase, kl_mode, seed=17, h=1e-5, rtol=1e-4,
                                   phase=phase, kl_mode=kl_mode, fixed_masks=fixed_masks)
     est = elbo_estimate(st, batch, 1, 0.1, RngStream(seed, 2), kl_mode=kl_mode,
                         fixed_masks=fixed_masks)
-    assert abs(value - est) < 1e-9 * (1 + abs(est))
+    assert value == est
     worst = 0.0
     for l, name, grad in bundle.items():
         if grad is None:
@@ -274,6 +274,36 @@ class TestEstimatorIdentities:
         e1 = elbo_estimate(st, b1, 1, 0.1, RngStream(13, 2))
         e2 = elbo_estimate(st, b2, 1, 0.1, RngStream(13, 2))
         np.testing.assert_allclose(e2 + kl, 2.0 * (e1 + kl), rtol=1e-10)
+
+    def test_gradient_value_is_the_estimate(self):
+        # One draw loop: the same sum in the same order, so == holds,
+        # for every family, KL mode and draw count, drawn or fixed.
+        masks = [np.ones((4, 4)), np.ones((5, 2))]
+        masks[0][1, 0] = masks[1][2, 1] = 0.0
+        batch = make_batch(n=6, p=3, classes=2, seed=41, n_total=600)
+        differ = []
+        for family, rank in ALL_FAMILIES:
+            for seed in range(40, 44):
+                st = make_state(family, rank, seed=seed, widths=(3, 4, 2))
+                for fixed in (None, masks):
+                    for kl_mode in ("analytic", "sampled"):
+                        for M in (1, 2, 3):
+                            value, _ = elbo_gradient(st, batch, M, 0.1, RngStream(seed, 2),
+                                                     kl_mode=kl_mode, fixed_masks=fixed)
+                            est = elbo_estimate(st, batch, M, 0.1, RngStream(seed, 2),
+                                                kl_mode=kl_mode, fixed_masks=fixed)
+                            if value != est:
+                                differ.append((family.value, rank, seed, fixed is None,
+                                               kl_mode, M))
+        assert differ == []
+
+    def test_refused_kl_mode_draws_nothing(self):
+        rng = RngStream(4, 2)
+        words = rng.state_words()
+        for call in (elbo_estimate, elbo_gradient):
+            with pytest.raises(DomainError, match="kl mode"):
+                call(make_state(), make_batch(), 1, 0.1, rng, kl_mode="exact")
+            assert np.array_equal(rng.state_words(), words), call.__name__
 
     def test_shape_and_label_checks(self):
         st = make_state()
