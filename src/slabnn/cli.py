@@ -55,7 +55,7 @@ Config schema (defaults in parentheses)::
     kl_mode = analytic | sampled   (analytic)
     gamma_policy = resample | median_fixed   (resample; posttrain only)
     lr_weights / lr_omega / lr_xi / lr_cov / lr_sigma2 / lr_psi /
-    lr_psi_hyper / lr_beta_hyper = FLOAT   (stock table for the family)
+    lr_psi_hyper / lr_beta_hyper = FLOAT   (trainer.STOCK_LR for the family)
     # no phase sections at all: the stock 20 pretrain + 250 train schedule
 
     [predict]
@@ -100,8 +100,8 @@ from .numkernel import RngStream
 from .predictor import (BETA_RULES, DOUBT_THRESHOLD, GAMMA_RULES, PredictionMode,
                         classify_with_doubt, density_level, export_predictions_csv,
                         predict)
-from .trainer import (GROUPS, PHASE_NAMES, PhaseConfig, default_phases, live_groups,
-                      train, validate_schedule)
+from .trainer import (GROUPS, PHASE_NAMES, STOCK_LR, PhaseConfig, default_phases,
+                      live_groups, train, validate_schedule)
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -362,11 +362,9 @@ def load_config(path: str) -> RunConfig:
         declared = {name[len("phase:"):]: rd for name, rd in readers.items()
                     if name.startswith("phase:")}
         phases = [] if declared else default_phases(family)
-        stock = {p.name: p.lr for p in default_phases(
-            family, pretrain_epochs=1, train_epochs=1, posttrain_epochs=1)}
         live = live_groups(family, prior)
         for name, rd in declared.items():
-            lr = dict(stock.get(name, {}))
+            lr = dict(STOCK_LR[family].get(name, {}))
             for group in GROUPS:
                 value = rd.get(f"lr_{group}", _finite)
                 if value is None:
@@ -555,12 +553,15 @@ def _data_from_flags(args, prefix="") -> tuple:
 def _prelude(args) -> tuple:
     """(mode, state, data, has_labels, predictions) for predict and eval.
 
-    The mode flags are checked before any file is read; flags left unset
-    take ``PredictionMode``'s defaults.  Labels the network has no
-    output for raise ``ConfigError`` before anything is predicted.
+    The mode flags and ``--threshold`` are checked before any file is
+    read; flags left unset take ``PredictionMode``'s defaults.  Labels
+    the network has no output for raise ``ConfigError`` before anything
+    is predicted.
     """
     flags = {k: getattr(args, k) for k in ("gamma", "beta", "replicates")}
     mode = PredictionMode(**{k: v for k, v in flags.items() if v is not None})
+    if not 0.0 <= args.threshold < 1.0:
+        raise ConfigError("--threshold: must lie in [0, 1)")
     state = ckpt.load_checkpoint(args.checkpoint).state
     data, has_labels = _data_from_flags(args)
     problem = _class_problem(data, has_labels, state.spec)

@@ -126,11 +126,13 @@ class GradientBundle:
 
     ``layers[l][name]`` matches the state array of the same name; the
     entry is None for parameter groups the current phase or draw does
-    not differentiate (structure parameters of a fixed draw, prior and
-    hyperprior parameters outside pre-training).
+    not differentiate (structure parameters of a fixed draw or in
+    post-training, prior and hyperprior parameters outside
+    pre-training).
     """
 
     def __init__(self, state: VariationalState, with_structure: bool, with_priors: bool):
+        self.with_structure, self.with_priors = with_structure, with_priors
         prior_names = set(state.layers[0].SCALARS) if state.layers else set()
         self.layers = []
         for layer in state.layers:
@@ -156,11 +158,6 @@ class GradientBundle:
         for _, _, arr in self.items():
             if arr is not None:
                 arr *= c
-
-    def check_finite(self):
-        for l, name, arr in self.items():
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise NumericError(f"non-finite gradient for layer {l} parameter {name}")
 
 
 class _KeptWeights:
@@ -321,23 +318,25 @@ def _check_kl_mode(mode: str, has_network: bool = True):
         raise DomainError("sampled KL mode needs a sampled network")
 
 
-def _layer_kl(l: int, layer, ls, mode: str, grads=None, dw=None, delta=None):
-    """KL of one layer at the draw ``ls``, as the parts callers add in order.
+def _layer_kl(l: int, layer, ls, mode: str, bundle=None, d_weights=None, delta=None):
+    """KL of layer ``l`` at the draw ``ls``, as the parts callers add in order.
 
     ``ls`` carries alpha, tau and logits (None marks fixed indicators:
     no indicator term, no structure gradient); the sampled mode also
-    reads the draw's gamma_tilde, beta and eps.  Given ``grads`` (one
-    layer of a ``GradientBundle``) and ``dw`` (the likelihood gradient
-    of the layer's effective weights), it routes ``dw`` into ``grads``
-    and subtracts the KL's derivative.  The slab and prior derivatives
-    are those of the sampled log ratio; the analytic mode takes them at
-    the draw quantities' means (g, beta, beta eps, beta^2 become alpha,
-    kappa, tau, tau^2 + kappa^2).
+    reads the draw's gamma_tilde, beta and eps.  Given a
+    ``GradientBundle`` and ``d_weights`` (the likelihood gradient of
+    each layer's effective weights), it routes the layer's share into
+    the bundle's layer ``l`` and subtracts the KL's derivative, leaving
+    the groups the bundle does not differentiate alone.  The slab and
+    prior derivatives are those of the sampled log ratio; the analytic
+    mode takes them at the draw quantities' means (g, beta, beta eps,
+    beta^2 become alpha, kappa, tau, tau^2 + kappa^2).
     """
     tau = _tau(ls.tau, l)
     sigma2 = _sigma2(layer, l)
     drawn = ls.logits is not None
-    with_priors = grads is not None and grads["logit_psi"] is not None
+    grads = None if bundle is None else bundle.layers[l]
+    with_priors = bundle is not None and bundle.with_priors
     if mode == "analytic":
         g, beta, beta_eps = ls.alpha, layer.kappa, tau
         beta_sq = tau**2 + layer.kappa**2 if with_priors else None
@@ -361,6 +360,7 @@ def _layer_kl(l: int, layer, ls, mode: str, grads=None, dw=None, delta=None):
         return parts
     # Likelihood path through W = gamma * beta, beta = kappa + tau * eps.
     sig_rho = sigmoid(layer.rho)
+    dw = d_weights[l]
     dbeta = dw * ls.gamma_tilde
     grads["kappa"] += dbeta
     grads["rho"] += dbeta * ls.eps * sig_rho
@@ -368,7 +368,7 @@ def _layer_kl(l: int, layer, ls, mode: str, grads=None, dw=None, delta=None):
     grads["rho"] += g * (1.0 / tau - beta_eps / sigma2) * sig_rho
     if with_priors:
         grads["log_sigma2"] -= float(np.sum(g * (0.5 - beta_sq / (2.0 * sigma2))))
-    if drawn:
+    if drawn and bundle.with_structure:
         # d gamma / d logit_alpha for the Concrete relaxation, then the KL's.
         dlogit = dw * ls.beta * ls.gamma_tilde * (1.0 - ls.gamma_tilde) / delta
         if mode == "analytic":
@@ -385,9 +385,7 @@ def _kl_sum(state, layers, mode, bundle=None, d_weights=None, delta=None) -> flo
     """Sum of ``_layer_kl`` over the layers, part by part, in layer order."""
     total = 0.0
     for l, layer in enumerate(state.layers):
-        grads = None if bundle is None else bundle.layers[l]
-        dw = None if d_weights is None else d_weights[l]
-        for part in _layer_kl(l, layer, layers[l], mode, grads, dw, delta):
+        for part in _layer_kl(l, layer, layers[l], mode, bundle, d_weights, delta):
             total += part
     return total
 
@@ -431,12 +429,12 @@ def hyperprior_logdensity(state: VariationalState) -> float:
     return float(total)
 
 
-def _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, with_priors=None):
+def _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, phase=None):
     """The one M-draw loop: the mean of ``scale * sum loglik - KL`` over M draws.
 
-    M and ``kl_mode`` are checked before anything is drawn.  Given
-    ``with_priors`` (a bool), it also returns the mean gradient bundle,
-    else None.
+    M and ``kl_mode`` are checked before anything is drawn.  Given a
+    ``phase``, it also returns the mean gradient bundle that phase
+    differentiates, else None.
     """
     if M < 1:
         raise DomainError("M must be at least 1")
@@ -447,10 +445,11 @@ def _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, with_priors=None):
     for _ in range(M):
         sampled = sample_network(state, delta, "relaxed", rng, fixed_masks=fixed_masks)
         loglik, tape = forward(sampled, batch)
-        if with_priors is not None:
+        if phase is not None:
             if bundle is None:
-                bundle = GradientBundle(state, sampled.layers[0].logits is not None,
-                                        with_priors)
+                drawn = sampled.layers[0].logits is not None
+                bundle = GradientBundle(state, drawn and phase != "posttrain",
+                                        phase == "pretrain")
             d_weights = _backprop_loglik(sampled, batch, tape, scale)
         kl = _kl_sum(state, sampled.layers, kl_mode, bundle, d_weights, sampled.delta)
         acc += scale * float(np.sum(loglik)) - kl
@@ -490,8 +489,10 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
     the parameters at fixed noise.  ``phase="pretrain"`` also fills the
     prior and hyperprior gradient entries (the differentiated objective
     is then estimate + hyperprior log densities); other phases leave
-    them as None.  A fixed draw (see ``sample_network``) leaves the
-    structure entries None.
+    them as None.  ``phase="posttrain"``, where the structure groups
+    are frozen, and a fixed draw (see ``sample_network``) leave the
+    structure entries None.  The gradient is not scanned for
+    finiteness here: ``trainer.adam_step`` refuses a non-finite one.
 
     Returns ``(value, GradientBundle)`` where value is the plain ELBO
     estimate (hyperprior terms are part of the gradient objective only,
@@ -499,11 +500,9 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
     """
     if phase not in ("pretrain", "train", "posttrain"):
         raise DomainError(f"unknown phase {phase!r}")
-    with_priors = phase == "pretrain"
-    value, bundle = _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, with_priors)
-    if with_priors:
+    value, bundle = _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, phase)
+    if phase == "pretrain":
         _add_hyperprior_grads(state, bundle)
-    bundle.check_finite()
     if not np.isfinite(value):
         raise NumericError("ELBO estimate is not finite")
     return value, bundle

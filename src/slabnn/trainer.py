@@ -18,10 +18,12 @@ minibatch, ascent direction:
 
 Per epoch the training set is shuffled by a dedicated stream using a
 seeded permutation, so (seed, config, data) fully determine every
-parameter byte; wall-clock time appears only in trace records.  A
-non-finite ELBO or gradient aborts the phase after restoring the last
-completed epoch's parameters and stream positions, which are then what
-a retained checkpoint contains.
+parameter byte; wall-clock time appears only in trace records.  Each
+step's gradient is scanned for finiteness once, by ``adam_step``,
+before anything is updated.  A non-finite ELBO or gradient aborts the
+phase after restoring the last completed epoch's parameters and stream
+positions, which are then what a retained checkpoint contains; the
+run's step count covers the completed epochs only.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "STREAM_SHUFFLE",
     "STREAM_SAMPLE",
     "MAX_DRAWS",
+    "STOCK_LR",
     "PhaseConfig",
     "default_phases",
     "AdamMoments",
@@ -95,6 +98,25 @@ MAX_DRAWS = 1024
 
 _PRETRAIN_ONLY = ("sigma2", "psi", "psi_hyper", "beta_hyper")
 _STRUCTURE = ("omega", "xi", "cov")
+
+# The stock step sizes per family and phase, read by ``default_phases``
+# and by the INI reader for every group a phase section leaves unset.
+# The mean-field and full-covariance families share one table; the
+# low-rank family uses its own (smaller structure steps).  The
+# point-estimated prior values get 1e-3 during pretraining and freeze
+# afterwards.
+_PRIOR_LR = {"sigma2": 1e-3, "psi": 1e-3, "psi_hyper": 1e-3, "beta_hyper": 1e-5}
+STOCK_LR = {
+    Family.MF: {
+        "pretrain": {"weights": 1e-4, "omega": 0.1, "xi": 0.1, "cov": 0.1, **_PRIOR_LR},
+        "train": {"weights": 1e-4, "omega": 1e-4, "xi": 0.01, "cov": 1e-4},
+        "posttrain": {"weights": 1e-4}},
+    Family.MVN_LOWRANK: {
+        "pretrain": {"weights": 1e-4, "xi": 0.01, "cov": 0.01, **_PRIOR_LR},
+        "train": {"weights": 1e-4, "xi": 1e-4, "cov": 1e-4},
+        "posttrain": {"weights": 1e-4}},
+}
+STOCK_LR[Family.MVN_FULL] = STOCK_LR[Family.MF]
 
 
 class TrainingAborted(NumericError):
@@ -220,35 +242,17 @@ def validate_schedule(phases) -> list:
 
 
 def default_phases(family: Family, pretrain_epochs: int = 20, train_epochs: int = 250,
-                   posttrain_epochs: int = 0, batch_size: int = 100, draws: int = 1,
-                   delta: float = 0.1, gamma_policy: str = "median_fixed") -> list:
-    """The stock schedule: per-group step sizes keyed to the family.
+                   posttrain_epochs: int = 0) -> list:
+    """The stock schedule: ``STOCK_LR[family]`` with PhaseConfig's other defaults.
 
-    The mean-field and full-covariance families share one table; the
-    low-rank family uses its own (smaller structure steps after
-    pretraining).  The point-estimated prior values get 1e-3 during
-    pretraining and freeze afterwards.
+    The train phase is always present; pretrain and posttrain only with
+    a positive epoch count.  The posttrain conditions on the median
+    probability mask (``gamma_policy="median_fixed"``).
     """
-    if family in (Family.MF, Family.MVN_FULL):
-        pre = {"weights": 1e-4, "omega": 0.1, "xi": 0.1, "cov": 0.1,
-               "sigma2": 1e-3, "psi": 1e-3, "psi_hyper": 1e-3, "beta_hyper": 1e-5}
-        main = {"weights": 1e-4, "omega": 1e-4, "xi": 0.01, "cov": 1e-4}
-    else:
-        pre = {"weights": 1e-4, "xi": 0.01, "cov": 0.01,
-               "sigma2": 1e-3, "psi": 1e-3, "psi_hyper": 1e-3, "beta_hyper": 1e-5}
-        main = {"weights": 1e-4, "xi": 1e-4, "cov": 1e-4}
-    post = {"weights": 1e-4}
-    phases = []
-    if pretrain_epochs > 0:
-        phases.append(PhaseConfig("pretrain", pretrain_epochs, pre,
-                                  batch_size=batch_size, draws=draws, delta=delta))
-    phases.append(PhaseConfig("train", train_epochs, main,
-                              batch_size=batch_size, draws=draws, delta=delta))
-    if posttrain_epochs > 0:
-        phases.append(PhaseConfig("posttrain", posttrain_epochs, post,
-                                  batch_size=batch_size, draws=draws, delta=delta,
-                                  gamma_policy=gamma_policy))
-    return phases
+    epochs = (pretrain_epochs, train_epochs, posttrain_epochs)
+    return [PhaseConfig(name, n, dict(STOCK_LR[family][name]),
+                        gamma_policy="median_fixed" if name == "posttrain" else "resample")
+            for name, n in zip(PHASE_NAMES, epochs) if n > 0 or name == "train"]
 
 
 class AdamMoments:
@@ -266,19 +270,23 @@ class AdamMoments:
 def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMoments, lr: dict):
     """One ADAM ascent step with per-group step sizes.
 
-    Moments update for every parameter whose gradient was computed;
+    Every computed gradient is scanned first: a non-finite one raises
+    ``NumericError`` naming its layer and parameter, and a refused step
+    changes nothing (no parameter, no moment, not ``moments.t``).  Then
+    moments update for every parameter whose gradient was computed;
     parameters in groups with step size zero (or absent) are left
     bit-identical.  Hyperprior shapes are clamped to [1e-3, 1e3] after
-    their update.  Raises ``NumericError`` on non-finite gradients.
+    their update.
     """
+    for l, name, g in grads.items():
+        if g is not None and not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for layer {l} parameter {name}")
     moments.t += 1
     c1 = 1.0 - ADAM_BETA1**moments.t
     c2 = 1.0 - ADAM_BETA2**moments.t
     for l, name, g in grads.items():
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for layer {l} parameter {name}")
         m = moments.m[(l, name)]
         v = moments.v[(l, name)]
         m *= ADAM_BETA1
@@ -295,28 +303,26 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
 
 
 def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
-              rng_sample: RngStream, rng_shuffle: RngStream,
-              step_counter: list = None) -> list:
+              rng_sample: RngStream, rng_shuffle: RngStream, first_step: int = 0) -> list:
     """Run one phase in place; returns per-epoch trace records.
 
     Every epoch shuffles the full set with the dedicated stream,
     partitions it into minibatches of ``phase.batch_size`` (last one
     possibly smaller) and takes one optimizer step per minibatch.  The
     record per epoch carries the mean minibatch ELBO estimate and the
-    wall-clock seconds spent.  ``step_counter[0]``, when given, counts
-    the optimizer steps of the whole run.  On non-finite numbers the
-    state and both streams roll back to the last completed epoch and
+    wall-clock seconds spent.  On non-finite numbers the state and both
+    streams roll back to the last completed epoch and
     ``TrainingAborted`` is raised with the completed records attached;
     its message names the phase, the epoch, the 1-based minibatch
-    within the epoch and the run's step number (counted from 0 at phase
-    entry without a ``step_counter``).
+    within the epoch and the run's step number, counted on from
+    ``first_step``, the steps the run took before this phase.
     """
     fixed_masks = None
     if phase.name == "posttrain" and phase.gamma_policy == "median_fixed":
         # Called through this module's name: perfbench/spans.py traces it here.
         fixed_masks = median_model(state, alpha_hat=marginal_inclusion(state))
     moments = AdamMoments(state)
-    steps = step_counter if step_counter is not None else [0]
+    step = first_step
     n = data.size
     records = []
     for epoch in range(1, phase.epochs + 1):
@@ -327,7 +333,7 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
         acc = 0.0
         try:
             for batch, start in enumerate(range(0, n, phase.batch_size), 1):
-                step = steps[0] + 1
+                step += 1
                 idx = perm[start:start + phase.batch_size]
                 mb = Batch(data.features[idx], data.labels[idx], n_total=n)
                 value, grads = elbo_gradient(
@@ -335,7 +341,6 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
                     phase=phase.name, kl_mode=phase.kl_mode, fixed_masks=fixed_masks,
                 )
                 adam_step(state, grads, moments, phase.lr)
-                steps[0] = step
                 acc += value
             mean_elbo = acc / batch
             if not np.isfinite(mean_elbo):
@@ -411,7 +416,6 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
     data = Batch(features, labels, n_total=np.asarray(features).shape[0])
     report = TrainReport(seed=seed)
     counters = {"phases_completed": 0, "epochs": 0, "steps": 0}
-    steps = [0]
 
     def write(tag):
         if checkpoint_dir is None:
@@ -428,20 +432,20 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
         )
 
     for phase in phases:
+        aborted = None
         try:
             records = run_phase(state, data, phase, rng_sample, rng_shuffle,
-                                step_counter=steps)
+                                first_step=counters["steps"])
         except TrainingAborted as exc:
-            report.records.extend(exc.records)
-            counters["epochs"] += len(exc.records)
-            counters["steps"] += len(exc.records) * len(range(0, data.size, phase.batch_size))
-            write(phase.name)
-            write("final")
-            raise
+            aborted, records = exc, exc.records
+        # One count for completed and aborted phases: the completed epochs' steps.
         report.records.extend(records)
-        counters["phases_completed"] += 1
+        counters["phases_completed"] += int(aborted is None)
         counters["epochs"] += len(records)
-        counters["steps"] = steps[0]
+        counters["steps"] += len(records) * len(range(0, data.size, phase.batch_size))
         write(phase.name)
+        if aborted is not None:
+            write("final")
+            raise aborted
     write("final")
     return state, report

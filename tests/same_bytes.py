@@ -27,8 +27,9 @@ covers ``trace.jsonl``, every checkpoint file, ``marginal_inclusion``,
 the two mean-field runs, from the state alone (the correlated families
 need a draw), ``elbo_estimate`` in both KL modes with and without
 the hyperprior, ``elbo_gradient`` in pretrain and train under both KL
-modes, and ``predict`` in all four modes.  Values that come with an rng
-also hash the stream position it was left at.
+modes, its value and ``kappa`` and ``rho`` gradients in posttrain under
+both KL modes, and ``predict`` in all four modes.  Values that come
+with an rng also hash the stream position it was left at.
 
 The 6-5-3 masks never keep few enough weights for ``predict`` to run
 the median model sparse, so a constructed, untrained mean-field state
@@ -44,7 +45,7 @@ the commands write and every stdout and exit code, with the scratch
 directory replaced by ``<work>`` and the ``epoch_seconds=`` timing
 dropped.
 
-That makes 242 digests: 123 from the library and 119 from the CLI.
+That makes 252 digests: 133 from the library and 119 from the CLI.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -70,9 +71,8 @@ MODES = (("sim", "sim"), ("all", "mea"), ("med", "sim"), ("med", "mea"))
 def _phases(family, **train_kw):
     from slabnn.trainer import default_phases
     phases = default_phases(family, pretrain_epochs=2, train_epochs=3,
-                            posttrain_epochs=1, batch_size=50,
-                            gamma_policy="median_fixed")
-    return [dataclasses.replace(p, **train_kw) if p.name == "train" else p
+                            posttrain_epochs=1)
+    return [dataclasses.replace(p, batch_size=50, **(train_kw if p.name == "train" else {}))
             for p in phases]
 
 
@@ -166,12 +166,15 @@ def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
             value = elbo_estimate(state, batch, 2, 0.1, rng, kl_mode=kl_mode,
                                   include_hyperprior=hyper)
             out[f"{name}/elbo_estimate/{kl_mode}/hyper={hyper}"] = _digest(value, rng)
-        for phase in ("pretrain", "train"):
+        for phase in ("pretrain", "train", "posttrain"):
             rng = RngStream(SEED, 14)
             value, bundle = elbo_gradient(state, batch, 2, 0.1, rng, phase=phase,
                                           kl_mode=kl_mode)
-            out[f"{name}/elbo_gradient/{phase}/{kl_mode}"] = _digest(
-                value, [(l, n, g) for l, n, g in bundle.items()], rng)
+            # Posttrain digests the slab gradients only: its structure
+            # groups never step, so their entries are not an output.
+            grads = [(l, n, g) for l, n, g in bundle.items()
+                     if phase != "posttrain" or n in ("kappa", "rho")]
+            out[f"{name}/elbo_gradient/{phase}/{kl_mode}"] = _digest(value, grads, rng)
 
     for gamma, beta in MODES:
         rng = RngStream(SEED, 999)

@@ -15,6 +15,7 @@ from slabnn.cli import load_config, main
 from slabnn.errors import ConfigError
 from slabnn.model import Family, NetworkSpec, PriorConfig, init_state, marginal_inclusion
 from slabnn.numkernel import RngStream
+from slabnn.trainer import STOCK_LR
 
 GOOD_CONFIG = """\
 [dataset]
@@ -140,6 +141,11 @@ output_dir = {out}
         code, _, err = _run_main(["train", str(cfg)], capsys)
         assert code == 2
         assert "does_not_exist.csv" in err
+
+    def test_unset_step_sizes_come_from_the_stock_table(self, tmp_path):
+        cfg, _ = _write_config(tmp_path)
+        (phase,) = load_config(cfg).phases
+        assert phase.lr == {**STOCK_LR[Family.MF]["train"], "weights": 0.01, "omega": 0.05}
 
     def test_lr_for_dead_group_rejected(self, tmp_path):
         # mean-field has no covariance block, so lr_cov is a config error
@@ -351,6 +357,22 @@ class TestPredictCommand:
              "-R", "12345678901234567890", "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 2
         assert err.startswith("config error: replicates: ")
+        assert stdout == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+    def test_bad_threshold_exits_two_before_reading(self, trained, tmp_path, capsys,
+                                                    monkeypatch, command, threshold):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the checkpoint before checking --threshold")
+
+        monkeypatch.setattr(cli.ckpt, "load_checkpoint", refuse)
+        code, stdout, err = _run_main(
+            [command, str(trained["ckpt"]), "--csv", str(trained["csv"]),
+             "--threshold", threshold, "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err == "config error: --threshold: must lie in [0, 1)\n"
         assert stdout == ""
         assert os.listdir(tmp_path) == []
 

@@ -136,6 +136,26 @@ class TestGradientAgainstFiniteDifferences:
         assert bundle.get(0, "omega") is None
         assert bundle.get(0, "kappa") is not None
 
+    @pytest.mark.parametrize("family,rank", ALL_FAMILIES)
+    @pytest.mark.parametrize("kl_mode", ["analytic", "sampled"])
+    def test_posttrain_leaves_structure_undifferentiated(self, family, rank, kl_mode):
+        # Posttrain freezes every structure group, so a drawn network's
+        # structure entries stay None; the value, the slab gradients and
+        # the stream position are the train phase's.
+        st = make_state(family, rank, seed=9, widths=(3, 4, 2))
+        batch = make_batch(n=6, p=3, classes=2, seed=10)
+        post_rng, train_rng = RngStream(12, 2), RngStream(12, 2)
+        value, post = elbo_gradient(st, batch, 2, 0.1, post_rng, phase="posttrain",
+                                    kl_mode=kl_mode)
+        want, train = elbo_gradient(st, batch, 2, 0.1, train_rng, kl_mode=kl_mode)
+        assert value == want
+        assert np.array_equal(post_rng.state_words(), train_rng.state_words())
+        for l, name, g in post.items():
+            if name in ("kappa", "rho"):
+                assert g.tobytes() == train.get(l, name).tobytes(), f"{l}/{name}"
+            else:
+                assert g is None, f"{l}/{name}"
+
 
 class TestKl:
     def test_fixed_dense_reduces_to_gaussian_sum(self):

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from slabnn.elbo import Batch, elbo_gradient
 from slabnn.errors import ConfigError, NumericError
 from slabnn.model import Family, NetworkSpec, PriorConfig, init_state, median_model
 from slabnn.numkernel import RngStream, sigmoid
-from slabnn.trainer import (GROUPS, HYPER_CLAMP, MAX_DRAWS, PARAM_GROUP, STREAM_INIT,
-                            AdamMoments, PhaseConfig, TrainingAborted,
+from slabnn.trainer import (GROUPS, HYPER_CLAMP, MAX_DRAWS, PARAM_GROUP, STOCK_LR,
+                            STREAM_INIT, AdamMoments, PhaseConfig, TrainingAborted,
                             adam_step, default_phases, run_phase, train,
                             validate_schedule)
 
@@ -25,6 +26,10 @@ class TestPhaseConfig:
             phases = default_phases(family, posttrain_epochs=5)
             assert [p.name for p in phases] == ["pretrain", "train", "posttrain"]
             assert validate_schedule(phases) == []
+            assert phases[-1].gamma_policy == "median_fixed"
+            # Each phase holds its own copy of the stock table's entry.
+            for p in phases:
+                assert p.lr == STOCK_LR[family][p.name] and p.lr is not STOCK_LR[family][p.name]
             # posttrain is opt-in
             assert [p.name for p in default_phases(family)] == ["pretrain", "train"]
 
@@ -131,13 +136,29 @@ class TestAdamStep:
         assert st.layers[0].a_beta[0] <= HYPER_CLAMP[1]
 
     def test_nonfinite_gradient_raises(self):
-        st = make_state(seed=43)
+        # A refused step changes nothing.  The NaN sits in layer 1, after
+        # every layer-0 array in scan order, so nothing of layer 0 may
+        # have stepped when it raises.
+        st = make_state(seed=50, widths=(3, 2, 2))
         moments = AdamMoments(st)
-        batch = make_batch(seed=44)
-        _, grads = elbo_gradient(st, batch, 1, 0.1, RngStream(45, 2))
-        grads.get(0, "kappa")[0, 0] = np.nan
-        with pytest.raises(NumericError):
-            adam_step(st, grads, moments, {"weights": 0.01})
+        batch = make_batch(n=6, p=3, classes=2, seed=51)
+        lr = {"weights": 0.01, "omega": 0.01}
+        rng = RngStream(52, 2)
+        adam_step(st, elbo_gradient(st, batch, 1, 0.1, rng)[1], moments, lr)
+        _, grads = elbo_gradient(st, batch, 1, 0.1, rng)
+        grads.get(1, "kappa")[0, 0] = np.nan
+        params = [a.copy() for _, _, a in st.param_items()]
+        m = {key: a.copy() for key, a in moments.m.items()}
+        v = {key: a.copy() for key, a in moments.v.items()}
+        with pytest.raises(NumericError, match="layer 1 parameter kappa"):
+            adam_step(st, grads, moments, lr)
+        assert moments.t == 1
+        for before, (l, name, after) in zip(params, st.param_items()):
+            assert after.tobytes() == before.tobytes(), f"{l}/{name}"
+        for saved, live in ((m, moments.m), (v, moments.v)):
+            assert saved.keys() == live.keys()
+            for key, arr in live.items():
+                assert arr.tobytes() == saved[key].tobytes(), key
 
 
 def _tiny_phases(epochs=3, **kw):
@@ -180,10 +201,9 @@ class TestRunPhase:
         st = make_state(seed=48, widths=(3, 2))
         start = st.copy()
         bad = PhaseConfig("train", epochs=8, lr={"weights": 1e18}, batch_size=16)
-        steps = [100]  # steps of earlier phases
         with pytest.raises(TrainingAborted) as err:
-            run_phase(st, data, bad, RngStream(7, 2), RngStream(7, 1),
-                      step_counter=steps)
+            # 100 steps of earlier phases
+            run_phase(st, data, bad, RngStream(7, 2), RngStream(7, 1), first_step=100)
         k = len(err.value.records)
         assert k < 8
         # the message names the epoch, the 1-based minibatch within it
@@ -194,7 +214,6 @@ class TestRunPhase:
         epoch, batch, step = (int(g) for g in found.groups())
         assert epoch == k + 1 and 1 <= batch <= 3
         assert step == 100 + 3 * k + batch
-        assert steps[0] == step - 1  # the failed step is not counted
         replay = PhaseConfig("train", epochs=k, lr={"weights": 1e18},
                              batch_size=16)
         run_phase(start, data, replay, RngStream(7, 2), RngStream(7, 1))
@@ -366,6 +385,23 @@ class TestTrain:
             if PARAM_GROUP[name] in ("omega", "psi", "psi_hyper"):
                 np.testing.assert_array_equal(after, before, err_msg=f"{l}/{name}")
         assert not np.array_equal(state.layers[0].kappa, start.layers[0].kappa)
+
+    @pytest.mark.parametrize("family", [Family.MF, Family.MVN_FULL])
+    def test_resample_posttrain_keeps_structure_bits(self, tmp_path, family):
+        # A resample posttrain draws indicators as usual, but its frozen
+        # structure groups keep the bits the train phase left.
+        ds = synth_clusters(n=40, p=3, n_classes=2, seed=13)
+        phases = default_phases(family, pretrain_epochs=0, train_epochs=2,
+                                posttrain_epochs=3)
+        phases = [replace(p, batch_size=20, gamma_policy="resample") for p in phases]
+        state, _ = train(NetworkSpec((3, 2, 2)), PriorConfig(), family, phases,
+                         ds.features, ds.labels, seed=8, checkpoint_dir=tmp_path)
+        before = load_checkpoint(tmp_path / "checkpoint_train.lbnn").state
+        for (l, name, after), (_, _, was) in zip(state.param_items(),
+                                                 before.param_items()):
+            if PARAM_GROUP[name] in ("omega", "xi", "cov"):
+                assert after.tobytes() == was.tobytes(), f"{l}/{name}"
+        assert not np.array_equal(state.layers[0].kappa, before.layers[0].kappa)
 
     def test_zero_epoch_phase_is_allowed(self):
         ds = synth_clusters(n=30, p=3, n_classes=2, seed=7)
