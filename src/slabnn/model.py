@@ -32,7 +32,8 @@ rank and size rules.
 The indicators of a draw are either sampled from that family or held
 fixed (a fixed_dense state, or a mask such as the median model's);
 ``sample_network`` alone decides which, and records a fixed draw as
-``SampledLayer.logits is None``.
+``SampledLayer.logits is None``.  A fixed draw draws slab noise for the
+weights its mask keeps only.
 
 Per layer the state also carries the point-estimated prior slab
 variance ``log_sigma2`` and prior inclusion probability ``logit_psi``
@@ -501,8 +502,55 @@ def init_state(spec: NetworkSpec, prior: PriorConfig, family: Family, rng: RngSt
     return state
 
 
+@dataclass(frozen=True)
+class _LayerConsts:
+    """What every draw of one layer reads from an unchanged state.
+
+    ``tau`` is ``softplus(rho)``.  A drawn layer has ``mask`` None and
+    ``factor`` its ``LayerParams.logit_factor()``.  A fixed layer has no
+    factor; ``mask`` is one read-only float copy of its 0/1 mask, which
+    a draw's ``alpha`` and ``gamma_tilde`` both are, and ``kept`` holds
+    the mask's kept positions in the flattened matrix, in row-major
+    order, or is None when the mask keeps every weight.
+    """
+
+    tau: np.ndarray
+    factor: object = None
+    mask: np.ndarray = None
+    kept: np.ndarray = None
+
+
+def _layer_consts(state: VariationalState, fixed_masks=None) -> list:
+    """One ``_LayerConsts`` per layer for draws under ``fixed_masks``.
+
+    ``fixed_masks`` means what it means to ``sample_network``.  Each
+    mask must have its layer's shape (else ``ShapeError``) and hold only
+    0.0 and 1.0 (else ``DomainError`` naming the layer), since a draw
+    reads every nonzero entry as kept.
+    """
+    if fixed_masks is None and state.prior.fixed_dense:
+        fixed_masks = [np.ones(layer.shape) for layer in state.layers]
+    if fixed_masks is None:
+        return [_LayerConsts(tau=layer.tau(), factor=layer.logit_factor())
+                for layer in state.layers]
+    if len(fixed_masks) != state.n_transitions:
+        raise ShapeError("fixed_masks must provide one mask per transition")
+    consts = []
+    for l, layer in enumerate(state.layers):
+        mask = np.array(fixed_masks[l], dtype=np.float64)
+        if mask.shape != layer.shape:
+            raise ShapeError(f"mask for layer {l} must have shape {layer.shape}")
+        dropped = mask == 0.0
+        if not np.all(dropped | (mask == 1.0)):
+            raise DomainError(f"fixed mask for layer {l} holds entries other than 0 and 1")
+        mask.setflags(write=False)
+        kept = np.flatnonzero(~dropped) if dropped.any() else None
+        consts.append(_LayerConsts(tau=layer.tau(), mask=mask, kept=kept))
+    return consts
+
+
 def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStream,
-                   fixed_masks=None, factors=None) -> SampledNetwork:
+                   fixed_masks=None, consts=None) -> SampledNetwork:
     """Draw one set of weights from the variational distribution.
 
     ``mode`` is "relaxed" (Concrete indicators at temperature delta > 0)
@@ -513,18 +561,25 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
     state without masks is held at all-ones masks.  This is the one
     place that decides whether indicators are drawn or fixed, and a
     fixed draw is recorded only as ``logits is None`` on every layer.
+    A mask entry other than 0.0 or 1.0 raises ``DomainError``.
 
-    ``factors`` holds each layer's ``LayerParams.logit_factor()`` at the
-    state's current values, for a caller that draws many networks from
-    an unchanged state (``predict``); without it every drawn layer
-    builds its own, as a training step must, since the state moves
-    between draws.  The draws are the same bytes either way.  Fixed
-    draws use no factor.
+    ``consts`` is ``_layer_consts(state, fixed_masks)``, built once by a
+    caller that draws many networks from an unchanged state
+    (``predict``): each layer's slab sd, and its logit factor or its
+    mask and kept positions.  Without it every draw builds its own, as a
+    training step must, since the state moves between draws.  The draws
+    are the same bytes either way; a fixed draw's ``alpha`` and
+    ``gamma_tilde`` are then the shared read-only mask, and every
+    draw's ``tau`` the shared slab sd.
 
     Noise draw order per layer is fixed and documented: structure noise
     first (full: eps, low rank: eps1 then eps2, mean field: none), then
     the uniform nu matrix, then the slab eps matrix.  Fixed draws skip
-    the structure and nu draws entirely.
+    the structure and nu draws entirely and draw slab noise for the kept
+    weights only: one ``std_normal(n_kept)`` call whose values fill the
+    kept positions in row-major order, the dropped entries of ``eps``
+    staying 0.  An all-ones mask therefore draws what a drawn layer's
+    slab does.
 
     Invariant: ``effective = gamma_tilde * beta`` holds exactly, entry
     by entry, for every layer.
@@ -533,27 +588,22 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
         raise DomainError(f"mode must be 'relaxed' or 'hard', got {mode!r}")
     if mode == "relaxed" and delta <= 0.0:
         raise DomainError("relaxed sampling requires a positive temperature delta")
-    if fixed_masks is None and state.prior.fixed_dense:
-        fixed_masks = [np.ones(layer.shape) for layer in state.layers]
-    if fixed_masks is not None and len(fixed_masks) != state.n_transitions:
-        raise ShapeError("fixed_masks must provide one mask per transition")
-    if factors is not None and len(factors) != state.n_transitions:
-        raise ShapeError("factors must provide one factor per transition")
+    fixed = fixed_masks is not None or state.prior.fixed_dense
+    if consts is None:
+        consts = _layer_consts(state, fixed_masks)
+    elif (len(consts) != state.n_transitions
+          or any((c.mask is not None) != fixed for c in consts)):
+        raise ShapeError("consts must be _layer_consts of this state and these masks")
     layers = []
-    for l, layer in enumerate(state.layers):
+    for layer, c in zip(state.layers, consts):
         shape = layer.shape
         n_w = layer.n_weights
         logits_mat = None
         noise = None
-        if fixed_masks is not None:
-            mask = np.asarray(fixed_masks[l], dtype=np.float64)
-            if mask.shape != shape:
-                raise ShapeError(f"mask for layer {l} must have shape {shape}")
-            alpha = mask.copy()
-            gamma = mask.copy()
+        if c.mask is not None:
+            alpha = gamma = c.mask
         else:
-            factor = layer.logit_factor() if factors is None else factors[l]
-            [(block, noise)] = layer.logit_blocks(rng, 1, factor)
+            [(block, noise)] = layer.logit_blocks(rng, 1, c.factor)
             noise = noise[0]
             logits_mat = block[0].reshape(shape)
             alpha = sigmoid(logits_mat)
@@ -562,12 +612,15 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
                 gamma = concrete_from_logits(logits_mat, nu, delta)
             else:
                 gamma = (nu < alpha).astype(np.float64)
-        eps = rng.std_normal(n_w).reshape(shape)
-        tau = layer.tau()
-        beta = layer.kappa + tau * eps
+        if c.kept is None:
+            eps = rng.std_normal(n_w).reshape(shape)
+        else:
+            eps = np.zeros(shape)
+            eps.reshape(-1)[c.kept] = rng.std_normal(c.kept.size)
+        beta = layer.kappa + c.tau * eps
         layers.append(SampledLayer(
             alpha=alpha, gamma_tilde=gamma, beta=beta, effective=gamma * beta,
-            eps=eps, tau=tau, logits=logits_mat, noise=noise,
+            eps=eps, tau=c.tau, logits=logits_mat, noise=noise,
         ))
     return SampledNetwork(layers=layers, spec=state.spec, delta=float(delta))
 

@@ -27,10 +27,14 @@ The two mean modes are one computation, ``posterior_mean_weights``,
 given alpha_hat (all/mea) or the median mask (med/mea).  The sampled
 modes are one replicate loop: med/sim passes the median mask to
 ``sample_network`` and all/sim relies on its fixed_dense all-ones
-masks, so neither draws indicators.  sim/sim draws them, and builds
-each layer's logit factor (``LayerParams.logit_factor``; for the full
-family the dense Cholesky factor) once per call for all R replicates,
-which then draw one network at a time from it.
+masks, so neither draws indicators; sim/sim draws them.  Each call
+builds the per-layer draw constants once for all R replicates, which
+then draw one network at a time from them: every layer's slab sd, plus
+the logit factor of a drawn layer (``LayerParams.logit_factor``; for
+the full family the dense Cholesky factor) or the mask and kept
+positions of a fixed one.  A med/sim replicate draws slab noise for
+the kept weights only, so its cost in random numbers falls with the
+median model's size.
 
 Replicate r consumes stream (seed, stream_id + 1 + r) derived from the
 passed rng's key, so the first replicates of an R=1 and an R=10 call
@@ -49,7 +53,7 @@ import numpy as np
 
 from .elbo import MaskedProducts, forward_logits
 from .errors import ConfigError, DomainError, ShapeError
-from .model import (SampledLayer, SampledNetwork, VariationalState,
+from .model import (SampledLayer, SampledNetwork, VariationalState, _layer_consts,
                     marginal_inclusion, median_model, memory_problems,
                     posterior_mean_weights, sample_network)
 from .numkernel import RngStream, log_softmax
@@ -151,8 +155,8 @@ def predict(state: VariationalState, features, mode: PredictionMode,
     is accepted and not used: the inclusion probabilities are exact.
     Before the first draw, a sampled mode raises ``ConfigError`` when
     what its replicates keep would not fit in physical memory: the
-    R x n x classes stacked probabilities and, unless the median mask
-    is shared, each replicate's mask set.
+    R x n x classes stacked probabilities and, for sim/sim, each
+    replicate's mask set (med/sim and all/sim share one fixed mask).
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != state.spec.widths[0]:
@@ -162,7 +166,7 @@ def predict(state: VariationalState, features, mode: PredictionMode,
         if rng is None:
             raise DomainError("this prediction mode needs an rng")
         kept = x.shape[0] * state.spec.n_classes
-        if mode.gamma != "med":
+        if mode.gamma == "sim":
             kept += sum(layer.n_weights for layer in state.layers)
         problems = memory_problems(8 * mode.replicates * kept,
                                    f"replicates: the probabilities and masks of "
@@ -184,16 +188,14 @@ def predict(state: VariationalState, features, mode: PredictionMode,
                                 masks=masks, alpha_hat=alpha_hat)
 
     # Sampled slabs: one derived stream per replicate; the median mask is
-    # held fixed and shared by every replicate's record.  Drawn
-    # indicators share one logit factor per layer across replicates.
-    factors = None
-    if mode.gamma == "sim" and not state.prior.fixed_dense:
-        factors = [layer.logit_factor() for layer in state.layers]
+    # held fixed and shared by every replicate's record.  Every replicate
+    # reads one set of per-layer constants built here.
+    consts = _layer_consts(state, mask)
     rep_probs = []
     rep_masks = []
     for r in range(mode.replicates):
         sub = RngStream(rng.seed, rng.stream_id + 1 + r)
-        net = sample_network(state, 0.0, "hard", sub, fixed_masks=mask, factors=factors)
+        net = sample_network(state, 0.0, "hard", sub, fixed_masks=mask, consts=consts)
         rep_probs.append(_probs(net, x, products))
         rep_masks.append(mask or [lay.gamma_tilde for lay in net.layers])
     stacked = np.stack(rep_probs, axis=0)

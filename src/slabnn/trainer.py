@@ -256,14 +256,17 @@ def default_phases(family: Family, pretrain_epochs: int = 20, train_epochs: int 
 
 
 class AdamMoments:
-    """First and second moment buffers plus the shared step counter."""
+    """First and second moment buffers plus the shared step counter.
 
-    def __init__(self, state: VariationalState):
+    ``m`` and ``v`` map ``(layer, name)`` to one parameter's buffers.  A
+    pair is allocated, zero, by the first step that computes that
+    parameter's gradient, so a parameter the phase never differentiates
+    (the structure in posttrain, the priors outside pretrain) has none.
+    """
+
+    def __init__(self):
         self.m = {}
         self.v = {}
-        for l, name, arr in state.param_items():
-            self.m[(l, name)] = np.zeros_like(arr)
-            self.v[(l, name)] = np.zeros_like(arr)
         self.t = 0
 
 
@@ -272,8 +275,9 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
 
     Every computed gradient is scanned first: a non-finite one raises
     ``NumericError`` naming its layer and parameter, and a refused step
-    changes nothing (no parameter, no moment, not ``moments.t``).  Then
-    moments update for every parameter whose gradient was computed;
+    changes nothing (no parameter, no moment, not ``moments.t``) and
+    allocates no moment.  Then moments update for every parameter whose
+    gradient was computed, starting from zero on its first step;
     parameters in groups with step size zero (or absent) are left
     bit-identical.  Hyperprior shapes are clamped to [1e-3, 1e3] after
     their update.
@@ -287,6 +291,9 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
     for l, name, g in grads.items():
         if g is None:
             continue
+        if (l, name) not in moments.m:
+            moments.m[(l, name)] = np.zeros_like(g)
+            moments.v[(l, name)] = np.zeros_like(g)
         m = moments.m[(l, name)]
         v = moments.v[(l, name)]
         m *= ADAM_BETA1
@@ -321,7 +328,7 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
     if phase.name == "posttrain" and phase.gamma_policy == "median_fixed":
         # Called through this module's name: perfbench/spans.py traces it here.
         fixed_masks = median_model(state, alpha_hat=marginal_inclusion(state))
-    moments = AdamMoments(state)
+    moments = AdamMoments()
     step = first_step
     n = data.size
     records = []

@@ -34,7 +34,9 @@ with an rng also hash the stream position it was left at.
 The 6-5-3 masks never keep few enough weights for ``predict`` to run
 the median model sparse, so a constructed, untrained mean-field state
 at widths 784-16-3 adds ``predict`` med/sim (R=3) and med/mea on a
-median mask that keeps 125 of layer 0's 12,544 non-bias weights.
+median mask that keeps 125 of layer 0's 12,544 non-bias weights, and
+one ``sample_network`` draw under that mask, which pins the order in
+which a fixed draw fills its kept slabs.
 
 The CLI section runs ``slabnn train`` on one INI config per family
 (mean field, mvn_full, and low rank at r=2; pretrain, a sampled-KL
@@ -45,7 +47,7 @@ the commands write and every stdout and exit code, with the scratch
 directory replaced by ``<work>`` and the ``epoch_seconds=`` timing
 dropped.
 
-That makes 252 digests: 133 from the library and 119 from the CLI.
+That makes 253 digests: 134 from the library and 119 from the CLI.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -185,9 +187,10 @@ def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
 
 
 def sparse_digests() -> dict:
-    """Median-model predictions whose first-layer mask is 1% dense."""
+    """Median-model predictions and a draw whose first-layer mask is 1% dense."""
     from slabnn.dataio import synth_clusters
-    from slabnn.model import Family, NetworkSpec, PriorConfig, init_state
+    from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state, median_model,
+                              sample_network)
     from slabnn.numkernel import RngStream
     from slabnn.predictor import PredictionMode, predict
     state = init_state(NetworkSpec((784, 16, 3)), PriorConfig(), Family.MF,
@@ -206,6 +209,11 @@ def sparse_digests() -> dict:
         res = predict(state, data.features, PredictionMode(gamma, beta, 3), rng=rng)
         out[f"sparse/predict/{gamma}_{beta}"] = _digest(
             res.probs, res.replicate_probs, res.masks)
+    rng = RngStream(SEED, 12)
+    net = sample_network(state, 0.0, "hard", rng, fixed_masks=median_model(state))
+    out["sparse/sample_network"] = _digest(
+        [(ls.alpha, ls.gamma_tilde, ls.beta, ls.effective, ls.eps, ls.tau,
+          ls.logits is None) for ls in net.layers], rng)
     return out
 
 

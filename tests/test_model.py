@@ -7,9 +7,9 @@ from conftest import ALL_FAMILIES, make_state
 from slabnn.distributions import logit_normal_mean
 from slabnn.errors import ConfigError, DomainError, ShapeError
 from slabnn.model import (BLOCK_VALUES, Family, LayerParams, NetworkSpec, PriorConfig,
-                          family_problems, init_state, marginal_inclusion, median_model,
-                          pack_lower, posterior_mean_weights, sample_network,
-                          unpack_lower)
+                          _layer_consts, family_problems, init_state, marginal_inclusion,
+                          median_model, pack_lower, posterior_mean_weights,
+                          sample_network, unpack_lower)
 from slabnn.numkernel import RngStream, sigmoid, softplus, softplus_inv
 
 
@@ -166,6 +166,58 @@ class TestSampleNetwork:
             sample_network(st, 0.1, "hard", RngStream(0, 0),
                            fixed_masks=[np.ones((2, 2)), np.ones((2, 2))])
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan, np.inf])
+    def test_fixed_masks_hold_only_zero_and_one(self, bad):
+        st = make_state()
+        masks = [np.ones(lp.shape) for lp in st.layers]
+        masks[1][1, 0] = bad
+        with pytest.raises(DomainError, match="layer 1"):
+            sample_network(st, 0.1, "hard", RngStream(0, 0), fixed_masks=masks)
+        # -0.0 is 0: the weight is dropped.
+        masks[1][1, 0] = -0.0
+        net = sample_network(st, 0.1, "hard", RngStream(0, 0), fixed_masks=masks)
+        assert net.layers[1].effective[1, 0] == 0.0
+
+    def test_fixed_draw_reads_kept_normals_only(self):
+        # A med/sim replicate: one std_normal(n_kept) per layer, whose
+        # values fill the kept positions in row-major order.
+        st = _median_state()
+        masks = median_model(st)
+        rng = RngStream(4, 1000)
+        net = sample_network(st, 0.0, "hard", rng, fixed_masks=masks)
+        n_kept = [int(np.count_nonzero(m)) for m in masks]
+        assert 0 < n_kept[0] < st.layers[0].n_weights
+        ref = RngStream(4, 1000)
+        draws = ref.std_normal(sum(n_kept))
+        assert rng.state_words().tobytes() == ref.state_words().tobytes()
+        kept_eps = np.concatenate([ls.eps[m != 0.0] for ls, m in zip(net.layers, masks)])
+        assert kept_eps.tobytes() == draws.tobytes()
+
+    def test_fixed_draw_dropped_weights_are_zero(self):
+        st = _median_state()
+        masks = median_model(st)
+        net = sample_network(st, 0.0, "hard", RngStream(4, 1001), fixed_masks=masks)
+        for ls, lp, m in zip(net.layers, st.layers, masks):
+            kept = m != 0.0
+            assert ls.alpha is ls.gamma_tilde
+            assert ls.gamma_tilde.tobytes() == m.tobytes()
+            assert np.all(ls.eps[~kept] == 0.0) and np.all(ls.effective[~kept] == 0.0)
+            expected = lp.kappa[kept] + lp.tau()[kept] * ls.eps[kept]
+            assert ls.effective[kept].tobytes() == expected.tobytes()
+
+    def test_fixed_dense_draws_every_slab(self):
+        # Guard: an all-ones mask reads std_normal(n_w) per layer, as a
+        # drawn layer's slab does.
+        for family, rank in ALL_FAMILIES:
+            st = make_state(family, rank, prior=PriorConfig(fixed_dense=True), seed=9)
+            rng, ref = RngStream(6, 3), RngStream(6, 3)
+            net = sample_network(st, 0.1, "relaxed", rng)
+            for ls, lp in zip(net.layers, st.layers):
+                eps = ref.std_normal(lp.n_weights).reshape(lp.shape)
+                assert ls.eps.tobytes() == eps.tobytes()
+                assert ls.effective.tobytes() == (1.0 * (lp.kappa + lp.tau() * eps)).tobytes()
+            assert rng.state_words().tobytes() == ref.state_words().tobytes()
+
     def test_rho_at_minus_forty_pins_beta_to_kappa(self):
         st = make_state()
         for lp in st.layers:
@@ -274,6 +326,14 @@ class TestInclusionSummaries:
             np.testing.assert_array_equal(a, 1.0)
         for m in median_model(st):
             np.testing.assert_array_equal(m, 1.0)
+
+
+def _median_state(seed=12, widths=(8, 6, 3)):
+    """MF state whose median mask keeps some, not all, of each layer's weights."""
+    st = make_state(seed=seed, widths=widths)
+    for lp in st.layers:
+        lp.omega[...] = np.random.default_rng(seed).normal(size=lp.shape)
+    return st
 
 
 def _random_mvn_state(family, rank, widths, seed=11):
@@ -400,30 +460,42 @@ class TestBatchedMonteCarlo:
 
 
 class TestLogitFactor:
-    """``LayerParams.logit_factor`` built once serves every draw of a fixed state."""
+    """Per-layer draw constants built once serve every draw of a fixed state."""
 
+    @pytest.mark.parametrize("fixed", [False, True], ids=["drawn", "fixed"])
     @pytest.mark.parametrize("family,rank", [
         (Family.MF, 0), (Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 2),
     ])
-    def test_sample_network_same_bytes_with_factors(self, family, rank):
+    def test_sample_network_same_bytes_with_consts(self, family, rank, fixed):
         if family is Family.MF:
             st = make_state(family, seed=5, widths=(6, 5, 3))
             for lp in st.layers:
                 lp.omega[...] = np.random.default_rng(5).normal(size=lp.shape)
         else:
             st = _random_mvn_state(family, rank, (6, 5, 3))
-        factors = [lp.logit_factor() for lp in st.layers]
+        masks = median_model(st) if fixed else None
+        consts = _layer_consts(st, masks)
         for mode, delta in (("hard", 0.0), ("relaxed", 0.1)):
             own, shared = RngStream(7, 1), RngStream(7, 1)
-            a = sample_network(st, delta, mode, own)
-            b = sample_network(st, delta, mode, shared, factors=factors)
+            a = sample_network(st, delta, mode, own, fixed_masks=masks)
+            b = sample_network(st, delta, mode, shared, fixed_masks=masks, consts=consts)
             for la, lb in zip(a.layers, b.layers):
-                for name in ("alpha", "gamma_tilde", "beta", "effective", "eps",
+                for name in ("alpha", "gamma_tilde", "beta", "effective", "eps", "tau",
                              "logits", "noise"):
-                    assert getattr(la, name).tobytes() == getattr(lb, name).tobytes()
+                    va, vb = getattr(la, name), getattr(lb, name)
+                    assert (va is None) == (vb is None) == (fixed and name in
+                                                            ("logits", "noise"))
+                    if va is not None:
+                        assert va.tobytes() == vb.tobytes(), name
             assert own.state_words().tobytes() == shared.state_words().tobytes()
         with pytest.raises(ShapeError):
-            sample_network(st, 0.0, "hard", RngStream(7, 1), factors=factors[:1])
+            sample_network(st, 0.0, "hard", RngStream(7, 1), fixed_masks=masks,
+                           consts=consts[:1])
+        # Constants built for the other kind of draw are refused.
+        other = _layer_consts(st, None if fixed else median_model(st))
+        with pytest.raises(ShapeError):
+            sample_network(st, 0.0, "hard", RngStream(7, 1), fixed_masks=masks,
+                           consts=other)
 
     def test_full_logit_sd_is_row_norm_bits(self):
         # A 915-weight layer, as in the full-covariance benchmark.

@@ -107,6 +107,40 @@ class TestPredict:
                       rng=RngStream(1, 99))
         assert res.replicate_probs.shape[0] == 2
 
+    def test_all_sim_draws_every_slab(self):
+        # Guard: replicate r reads std_normal(n_w) per layer from its own
+        # stream, and its network keeps every weight.
+        dense = make_state(seed=57, prior=PriorConfig(fixed_dense=True))
+        x = _features()
+        res = predict(dense, x, PredictionMode("all", "sim", 3), rng=RngStream(1, 99))
+        refs = []
+        for r in range(3):
+            sub = RngStream(1, 100 + r)
+            layers = []
+            for lp in dense.layers:
+                eps = sub.std_normal(lp.n_weights).reshape(lp.shape)
+                w = np.ones(lp.shape) * (lp.kappa + lp.tau() * eps)
+                layers.append(SampledLayer(alpha=None, gamma_tilde=None, beta=None,
+                                           effective=w, eps=eps, tau=None))
+            refs.append(_dense_probs(SampledNetwork(layers, dense.spec, 0.0), x))
+        assert res.replicate_probs.tobytes() == np.stack(refs).tobytes()
+        assert res.probs.tobytes() == np.stack(refs).mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("gamma,dense", [("med", False), ("sim", False), ("all", True)])
+    def test_sampled_modes_take_slab_sd_once_per_call(self, monkeypatch, gamma, dense):
+        st = make_state(Family.MVN_LOWRANK, 2, seed=59,
+                        prior=PriorConfig(fixed_dense=dense))
+        calls = []
+        tau = LayerParams.tau
+
+        def counting(self):
+            calls.append(1)
+            return tau(self)
+
+        monkeypatch.setattr(LayerParams, "tau", counting)
+        predict(st, _features(), PredictionMode(gamma, "sim", 4), rng=RngStream(4, 99))
+        assert len(calls) == st.n_transitions == 2
+
     def test_med_modes_condition_on_median_mask(self):
         st = make_state(seed=57)
         st.layers[0].omega[...] = np.linspace(-3, 3, 15).reshape(5, 3)
@@ -159,14 +193,16 @@ class TestPredict:
     def test_replicate_estimate_counts_what_replicates_keep(self, monkeypatch):
         # 9 rows x 2 classes of probabilities per replicate; sim/sim also
         # keeps each replicate's masks (5x3 + 4x2 = 23 weights), med/sim
-        # shares one median mask; the mean modes keep no replicates.
+        # and all/sim share one mask; the mean modes keep no replicates.
         seen = []
         monkeypatch.setattr("slabnn.predictor.memory_problems",
                             lambda nbytes, what: seen.append(nbytes) or [])
         for gamma, beta in (("sim", "sim"), ("med", "sim"), ("med", "mea"), ("all", "mea")):
             predict(make_state(), _features(), PredictionMode(gamma, beta, 3),
                     rng=RngStream(1, 0))
-        assert seen == [8 * 3 * (18 + 23), 8 * 3 * 18]
+        predict(make_state(prior=PriorConfig(fixed_dense=True)), _features(),
+                PredictionMode("all", "sim", 3), rng=RngStream(1, 0))
+        assert seen == [8 * 3 * (18 + 23), 8 * 3 * 18, 8 * 3 * 18]
 
 
 def _sparse_state(kept=125, seed=70, widths=(784, 16, 3)):

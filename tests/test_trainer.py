@@ -84,7 +84,7 @@ class TestAdamStep:
         # a copy of the gradients and compare parameters bitwise-close.
         st = make_state(seed=31, widths=(3, 2, 2))
         batch = make_batch(n=6, p=3, classes=2, seed=32)
-        moments = AdamMoments(st)
+        moments = AdamMoments()
         lr = {g: 0.01 for g in GROUPS}
         kappa0 = st.layers[0].kappa.copy()
         m = np.zeros_like(kappa0)
@@ -105,7 +105,7 @@ class TestAdamStep:
     def test_zero_lr_leaves_parameters_bit_identical(self):
         st = make_state(seed=34)
         batch = make_batch(seed=35)
-        moments = AdamMoments(st)
+        moments = AdamMoments()
         lr = {"weights": 0.01}  # every other group stays frozen
         before = {(l, n): a.copy() for l, n, a in st.param_items()}
         _, grads = elbo_gradient(st, batch, 1, 0.1, RngStream(36, 2))
@@ -120,14 +120,14 @@ class TestAdamStep:
         # Freezing a group does not freeze its moment history.
         st = make_state(seed=37)
         batch = make_batch(seed=38)
-        moments = AdamMoments(st)
+        moments = AdamMoments()
         _, grads = elbo_gradient(st, batch, 1, 0.1, RngStream(39, 2))
         adam_step(st, grads, moments, {"weights": 0.01})
         assert np.any(moments.m[(0, "omega")] != 0.0)
 
     def test_hyper_shapes_clamped(self):
         st = make_state(seed=40)
-        moments = AdamMoments(st)
+        moments = AdamMoments()
         batch = make_batch(seed=41)
         _, grads = elbo_gradient(st, batch, 1, 0.1, RngStream(42, 2),
                                  phase="pretrain")
@@ -140,7 +140,7 @@ class TestAdamStep:
         # every layer-0 array in scan order, so nothing of layer 0 may
         # have stepped when it raises.
         st = make_state(seed=50, widths=(3, 2, 2))
-        moments = AdamMoments(st)
+        moments = AdamMoments()
         batch = make_batch(n=6, p=3, classes=2, seed=51)
         lr = {"weights": 0.01, "omega": 0.01}
         rng = RngStream(52, 2)
@@ -159,6 +159,36 @@ class TestAdamStep:
             assert saved.keys() == live.keys()
             for key, arr in live.items():
                 assert arr.tobytes() == saved[key].tobytes(), key
+        # A refused first step allocates no moment either.
+        fresh = AdamMoments()
+        with pytest.raises(NumericError, match="layer 1 parameter kappa"):
+            adam_step(st, grads, fresh, lr)
+        assert fresh.t == 0 and fresh.m == {} and fresh.v == {}
+
+    def test_moments_allocated_on_first_filled_gradient(self, monkeypatch):
+        # A median_fixed posttrain differentiates the slabs only, so on a
+        # 60-15-5 mvn_full state (a 915-weight layer) no chol_raw or xi
+        # pair exists; allocating them would hold 6.7 MB of zeros.
+        made = []
+
+        class Spy(AdamMoments):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr("slabnn.trainer.AdamMoments", Spy)
+        st = make_state(Family.MVN_FULL, seed=53, widths=(60, 15, 5))
+        for lp in st.layers:
+            lp.xi[...] = np.random.default_rng(53).normal(size=lp.xi.size)
+        ds = synth_clusters(n=40, p=60, n_classes=5, seed=54)
+        data = Batch(ds.features, ds.labels, n_total=ds.n)
+        phase = PhaseConfig("posttrain", epochs=1, lr={"weights": 0.01},
+                            batch_size=20, gamma_policy="median_fixed")
+        run_phase(st, data, phase, RngStream(55, 2), RngStream(55, 1))
+        [moments] = made
+        assert moments.t == 2
+        assert sorted(moments.m) == sorted(moments.v) == [
+            (l, name) for l in range(2) for name in ("kappa", "rho")]
 
 
 def _tiny_phases(epochs=3, **kw):
