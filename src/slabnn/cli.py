@@ -617,8 +617,7 @@ def cmd_eval(args) -> int:
         corr_path = os.path.join(args.out, f"correlation_layer{args.corr_layer}.csv")
         with open(corr_path, "w") as fh:
             fh.write(",".join(str(int(c)) for c in constant) + "\n")
-            for row in corr:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in corr)
         print(f"[eval] wrote {corr_path} ({int(constant.sum())} constant positions)")
 
     with open(os.path.join(args.out, "metrics.kv"), "w") as fh:

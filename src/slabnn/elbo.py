@@ -169,14 +169,21 @@ class _KeptWeights:
     """
 
     def __init__(self, kept: np.ndarray, z=None):
-        self.live = np.flatnonzero(kept.any(axis=1))
+        live_mask = kept.any(axis=1)
+        self.live = np.flatnonzero(live_mask)
         units, cols = np.nonzero(kept[self.live].T)  # row-major, so CSR order
         self.take = (self.live[cols] + 1, units)     # positions in W, bias row first
         indptr = np.zeros(kept.shape[1] + 1, dtype=np.intp)
         np.cumsum(np.bincount(units, minlength=kept.shape[1]), out=indptr[1:])
         self.matrix = sparse.csr_array((np.zeros(units.size), cols, indptr),
                                        shape=(kept.shape[1], self.live.size))
-        self.z_t = None if z is None else z.T[self.live]
+        self.z_t = None
+        if z is not None:
+            # z.T[live], copied 128 rows at a time: faster than that
+            # strided gather, with the same bytes.
+            self.z_t = np.empty((self.live.size, z.shape[0]), dtype=z.dtype)
+            for s in range(0, z.shape[0], 128):
+                self.z_t[:, s:s + 128] = z[s:s + 128].compress(live_mask, axis=1).T
 
     def pre(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``z @ w[1:] + w[0]`` through the kept weights of ``w``."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .model import VariationalState, memory_problems
+from .model import BLOCK_VALUES, VariationalState, memory_problems
 from .numkernel import RngStream, sigmoid, xlogy
 
 __all__ = [
@@ -124,43 +124,68 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
     block, its logits, then its uniforms, row by row.  Returns
     ``(corr, constant)`` where ``constant`` flags positions whose draws
     never varied; their rows and columns are zero by convention
-    (diagonal included), non-constant positions have unit diagonal.
+    (diagonal included), non-constant positions have a diagonal of
+    exactly 1.0.
 
-    Before any draw, raises ``ConfigError`` when the arrays would not
-    fit in physical memory: the n_samples x n_weights draw matrix and
-    three of its size (the deviations of ``std``, the live columns and
-    ``np.corrcoef``'s centred copy), plus two n_weights x n_weights
-    matrices (the result and ``np.corrcoef``'s).
+    Only co-occurrence counts are kept.  Each block's 0/1 indicators go
+    into a float32 buffer of ``rows = min(n_samples, max(1, 8 *
+    BLOCK_VALUES // n_weights))`` rows, and each full buffer (and the
+    last) adds ``buf.T @ buf`` into a float32 Gram matrix G.  Sums of
+    0/1 products are exact integers in float32 up to 2**24, in any
+    summation order, so G holds the exact counts and its diagonal the
+    column counts c.  With n samples, ``n*G_ij - c_i*c_j`` and
+    ``s_i = sqrt(n*c_i - c_i**2)`` are formed in float64, where the
+    products are exact, and ``corr_ij = (n*G_ij - c_i*c_j) / (s_i*s_j)``,
+    clipped to [-1, 1], depends on the draws alone.
+
+    Before any draw, raises ``ConfigError`` when ``n_samples`` exceeds
+    2**24, and when ``4*n_w**2 + 16*n_w**2 + 4*rows*n_w`` bytes would
+    not fit in physical memory (n_w = n_weights: the Gram, the float64
+    result and its one n_w x n_w temporary, and the buffer).  Beyond
+    that come the layer's ``logit_factor()`` and at most six float64
+    arrays of one block's size, ``max(BLOCK_VALUES, n_weights + rank)``
+    values or fewer, at a time: none grows with ``n_samples``.
     """
     if not (0 <= layer < state.n_transitions):
         raise DomainError(f"layer index {layer} out of range")
     if n_samples < 2:
         raise DomainError("need at least two samples to correlate")
+    what = f"the layer {layer} inclusion correlations"
+    if n_samples > 2**24:
+        raise ConfigError(f"{what} count in float32, exact up to 2**24 samples, "
+                          f"got {n_samples}")
     lp = state.layers[layer]
     n_w = lp.n_weights
-    problems = memory_problems(8 * (4 * n_samples * n_w + 2 * n_w * n_w),
-                               f"the layer {layer} inclusion correlations")
+    rows = min(n_samples, max(1, 8 * BLOCK_VALUES // n_w))
+    problems = memory_problems(20 * n_w * n_w + 4 * rows * n_w, what)
     if problems:
         raise ConfigError("; ".join(problems))
     if state.prior.fixed_dense:
-        draws = np.ones((n_samples, n_w))
-    else:
-        draws = np.empty((n_samples, n_w))
-        start = 0
-        for logits, _ in lp.logit_blocks(rng, n_samples, lp.logit_factor()):
-            rows = logits.shape[0]
-            u = rng.uniform(rows * n_w).reshape(rows, n_w)
-            draws[start:start + rows] = u < sigmoid(logits)
-            start += rows
-    sd = draws.std(axis=0)
+        return np.zeros((n_w, n_w)), np.ones(n_w, dtype=bool)
+    buf = np.empty((rows, n_w), dtype=np.float32)
+    gram = np.zeros((n_w, n_w), dtype=np.float32)
+    fill = 0
+    for logits, _ in lp.logit_blocks(rng, n_samples, lp.logit_factor()):
+        k = logits.shape[0]
+        if fill + k > rows:
+            gram += buf[:fill].T @ buf[:fill]
+            fill = 0
+        u = rng.uniform(k * n_w).reshape(k, n_w)
+        np.less(u, sigmoid(logits), out=buf[fill:fill + k])
+        fill += k
+    gram += buf[:fill].T @ buf[:fill]
+    counts = np.diag(gram).astype(np.float64)
+    corr = gram.astype(np.float64)
+    del buf, gram
+    corr *= n_samples
+    corr -= np.outer(counts, counts)
+    sd = np.sqrt(n_samples * counts - counts * counts)
     constant = sd == 0.0
-    corr = np.zeros((n_w, n_w))
-    live = np.nonzero(~constant)[0]
-    if live.size:
-        sub = draws[:, live]
-        c = np.corrcoef(sub, rowvar=False)
-        c = np.atleast_2d(c)
-        corr[np.ix_(live, live)] = c
+    sd[constant] = 1.0  # their numerators are all zero
+    corr /= np.outer(sd, sd)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    live = np.flatnonzero(~constant)
+    corr[live, live] = 1.0
     return corr, constant
 
 

@@ -245,12 +245,10 @@ def export_predictions_csv(path, result: PredictiveResult, decisions: DoubtDecis
     ``classify_with_doubt(result.probs, 0.0)`` gives plain argmax rows.
     """
     probs = result.probs
-    n, c = probs.shape
+    cols = ["row"] + [f"p_class{j}" for j in range(probs.shape[1])] + ["decision", "abstained"]
+    lines = [",".join(cols) + "\n"]
+    for i, (p, d) in enumerate(zip(probs.tolist(), decisions.decisions.tolist())):
+        dec, flag = (d, 0) if d >= 0 else (-1, 1)
+        lines.append(f"{i},{','.join(map(repr, p))},{dec},{flag}\n")
     with open(path, "w") as fh:
-        cols = ["row"] + [f"p_class{j}" for j in range(c)] + ["decision", "abstained"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(n):
-            d = int(decisions.decisions[i])
-            dec, flag = (d, 0) if d >= 0 else (-1, 1)
-            row = [str(i)] + [repr(float(v)) for v in probs[i]] + [str(dec), str(flag)]
-            fh.write(",".join(row) + "\n")
+        fh.write("".join(lines))

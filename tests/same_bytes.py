@@ -22,7 +22,9 @@ field with a median_fixed posttrain, mean field fixed_dense, mvn_full
 with a sampled-KL train and a median_fixed posttrain, and low rank at
 r=4 (draws=2, median_fixed posttrain) and at r=0.  Per run the sha256
 covers ``trace.jsonl``, every checkpoint file, ``marginal_inclusion``,
-``median_model``, ``inclusion_correlation`` on both layers, one
+``median_model``, ``inclusion_correlation`` on both layers (for
+mvn_full also layer 0 at 40,000 draws, which flushes the count buffer
+twice before the last time), one
 ``sample_network``, ``kl_state`` at that draw in both KL modes and, for
 the two mean-field runs, from the state alone (the correlated families
 need a draw), ``elbo_estimate`` in both KL modes with and without
@@ -47,7 +49,7 @@ the commands write and every stdout and exit code, with the scratch
 directory replaced by ``<work>`` and the ``epoch_seconds=`` timing
 dropped.
 
-That makes 253 digests: 134 from the library and 119 from the CLI.
+That makes 254 digests: 135 from the library and 119 from the CLI.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -150,6 +152,12 @@ def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
         rng = RngStream(SEED, 11)
         corr, constant = inclusion_correlation(state, layer, 300, rng)
         out[f"{name}/inclusion_correlation{layer}"] = _digest(corr, constant, rng)
+    if name == "full":
+        # 40,000 draws of layer 0's 35 weights fill the count buffer
+        # (8 * 2**16 // 35 rows) twice before the last, partial one.
+        rng = RngStream(SEED, 11)
+        corr, constant = inclusion_correlation(state, 0, 40_000, rng)
+        out[f"{name}/inclusion_correlation0_flush"] = _digest(corr, constant, rng)
 
     rng = RngStream(SEED, 12)
     net = sample_network(state, 0.1, "relaxed", rng)

@@ -475,8 +475,23 @@ class TestEvalCommand:
             ["eval", str(trained["ckpt"]), "--csv", str(trained["csv"]), "--out", str(out),
              "--corr-layer", "0", "--corr-samples", "12345678901234567890"], capsys)
         assert code == 2
-        assert err.startswith("config error: the layer 0 inclusion correlations need about ")
+        assert err.startswith("config error: the layer 0 inclusion correlations count in "
+                              "float32, exact up to 2**24 samples, got 12345678901234567890")
         assert not (out / "correlation_layer0.csv").exists()
+
+    def test_correlation_csv_bytes_match_per_value_repr(self, trained, tmp_path, capsys,
+                                                        monkeypatch):
+        corr = np.array([[1.0, -0.0, 5e-324], [0.1 + 0.2, 1.0, -1.0], [0.0, 0.5, 1.0]])
+        constant = np.array([False, True, False])
+        monkeypatch.setattr(cli, "inclusion_correlation", lambda *args: (corr, constant))
+        out = tmp_path / "ev_bytes"
+        code, _, _ = _run_main(
+            ["eval", str(trained["ckpt"]), "--csv", str(trained["csv"]), "--out", str(out),
+             "--corr-layer", "0"], capsys)
+        assert code == 0
+        expected = "0,1,0\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                       for row in corr)
+        assert (out / "correlation_layer0.csv").read_bytes() == expected.encode()
 
     def test_refused_corr_layer_writes_nothing(self, trained, tmp_path, capsys):
         out = tmp_path / "ev_big"

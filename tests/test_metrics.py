@@ -1,5 +1,8 @@
 """Evaluation metrics: accuracy, entropy CDFs, correlations, summaries."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,48 @@ class TestEntropyCdf:
         assert float(lines[-1].split(",")[1]) == 1.0
 
 
+def _block_draws(lp, n, rng):
+    """0/1 indicator draws, one ``logit_blocks`` block at a time, as int64."""
+    parts = []
+    for logits, _ in lp.logit_blocks(rng, n, lp.logit_factor()):
+        u = rng.uniform(logits.size).reshape(logits.shape)
+        parts.append(u < sigmoid(logits))
+    return np.concatenate(parts).astype(np.int64)
+
+
+def _exact_reference(draws):
+    """Correlations from integer co-occurrence counts, one entry at a time.
+
+    Python ints keep the numerator n*G_ij - c_i*c_j and the variances
+    exact; each entry then takes one float division by s_i*s_j and is
+    clipped to [-1, 1].  Constant positions are zero, the other
+    diagonal entries 1.0.
+    """
+    n, n_w = draws.shape
+    gram = (draws.T @ draws).tolist()
+    counts = [gram[i][i] for i in range(n_w)]
+    sd = [math.sqrt(n * c - c * c) for c in counts]
+    corr = np.zeros((n_w, n_w))
+    for i in range(n_w):
+        for j in range(n_w):
+            if sd[i] and sd[j]:
+                value = (n * gram[i][j] - counts[i] * counts[j]) / (sd[i] * sd[j])
+                corr[i, j] = 1.0 if i == j else min(1.0, max(-1.0, value))
+    return corr, np.array([s == 0.0 for s in sd])
+
+
+_FAMILIES = ((Family.MF, 0), (Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 2))
+
+
+def _varied_state(family, rank, seed):
+    """A (20, 3) state whose layer-0 logits spread over about N(0, 1)."""
+    st = make_state(family, rank=rank, seed=seed, widths=(20, 3))
+    lp = st.layers[0]
+    logits = lp.omega if family is Family.MF else lp.xi
+    logits[...] = np.random.default_rng(seed).normal(size=logits.shape)
+    return st
+
+
 class TestInclusionCorrelation:
     def test_mf_draws_are_nearly_independent(self):
         st = make_state(seed=64, widths=(3, 2))
@@ -135,16 +180,65 @@ class TestInclusionCorrelation:
         rng, ref = RngStream(11, 42), RngStream(11, 42)
         corr, constant = inclusion_correlation(st, 0, n_samples, rng)
         u = ref.uniform(n_samples * n_w).reshape(n_samples, n_w)
-        draws = (u < sigmoid(lp.omega).reshape(-1)).astype(np.float64)
+        draws = (u < sigmoid(lp.omega).reshape(-1)).astype(np.int64)
         assert not np.any(constant)
-        np.testing.assert_array_equal(corr, np.corrcoef(draws, rowvar=False))
+        np.testing.assert_array_equal(corr, _exact_reference(draws)[0])
         np.testing.assert_array_equal(rng.state_words(), ref.state_words())
+
+    @pytest.mark.parametrize("family,rank", _FAMILIES)
+    def test_live_diagonal_is_exactly_one(self, family, rank):
+        st = _varied_state(family, rank, 70)
+        corr, constant = inclusion_correlation(st, 0, 500, RngStream(15, 42))
+        assert not np.all(constant)
+        np.testing.assert_array_equal(np.diag(corr), np.where(constant, 0.0, 1.0))
+
+    @pytest.mark.parametrize("family,rank", _FAMILIES[1:])
+    def test_counts_match_exact_reference_across_flushes(self, family, rank):
+        # 63 weights: the count buffer holds 8 * 2**16 // 63 = 8322 rows,
+        # so these draws flush it twice before the last, partial time.
+        st = _varied_state(family, rank, 71)
+        n_samples = 2 * (8 * BLOCK_VALUES // 63) + 100
+        corr, constant = inclusion_correlation(st, 0, n_samples, RngStream(16, 42))
+        draws = _block_draws(st.layers[0], n_samples, RngStream(16, 42))
+        ref_corr, ref_constant = _exact_reference(draws)
+        np.testing.assert_array_equal(constant, ref_constant)
+        np.testing.assert_array_equal(corr, ref_corr)
+        live = np.flatnonzero(~constant)
+        expected = np.corrcoef(draws[:, live], rowvar=False)
+        np.testing.assert_allclose(corr[np.ix_(live, live)], expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("family,rank", _FAMILIES)
+    def test_stream_ends_after_block_draws(self, family, rank):
+        st = _varied_state(family, rank, 72)
+        rng, ref = RngStream(17, 42), RngStream(17, 42)
+        inclusion_correlation(st, 0, 3000, rng)
+        _block_draws(st.layers[0], 3000, ref)
+        np.testing.assert_array_equal(rng.state_words(), ref.state_words())
+
+    def test_peak_memory_does_not_grow_with_draws(self):
+        # 63 weights at 5000 draws: the Gram, the result and its
+        # temporary, and the 5000-row buffer take 20 * 63**2 + 4 * 5000 * 63
+        # bytes; at most six block-sized float64 arrays (8 * 2**16 bytes
+        # each) are live at once, and 2**17 bytes cover the logit factor
+        # and small arrays.  Keeping the draw matrix and three copies of
+        # it would need 4 * 5000 * 63 * 8 = 10,080,000 bytes.
+        st = _varied_state(Family.MVN_FULL, 0, 73)
+        bound = 20 * 63**2 + 4 * 5000 * 63 + 6 * 8 * BLOCK_VALUES + 2**17
+        tracemalloc.start()
+        try:
+            inclusion_correlation(st, 0, 5000, RngStream(18, 42))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_fixed_dense_is_all_constant(self):
         st = make_state(prior=PriorConfig(fixed_dense=True), widths=(3, 2))
-        corr, constant = inclusion_correlation(st, 0, 50, RngStream(10, 42))
+        rng = RngStream(10, 42)
+        corr, constant = inclusion_correlation(st, 0, 50, rng)
         assert np.all(constant)
         np.testing.assert_array_equal(corr, 0.0)
+        np.testing.assert_array_equal(rng.state_words(), RngStream(10, 42).state_words())
 
     @staticmethod
     def _physical_memory(monkeypatch, nbytes):
@@ -152,30 +246,45 @@ class TestInclusionCorrelation:
                             {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}.get)
 
     def test_bytes_bound_before_any_draw(self, monkeypatch):
-        # n_w = 8 weights, 10 samples: the draw matrix and three of its
-        # size plus two 8 x 8 matrices, 8 * (4 * 80 + 2 * 64) = 3584 bytes.
+        # n_w = 8 weights, 10 samples: the float32 Gram, the float64
+        # result and its temporary, and a 10-row float32 buffer,
+        # 20 * 64 + 4 * 10 * 8 = 1600 bytes.
         st = make_state(seed=68, widths=(3, 2))
-        self._physical_memory(monkeypatch, 3584)
+        self._physical_memory(monkeypatch, 1600)
         inclusion_correlation(st, 0, 10, RngStream(12, 42))
-        self._physical_memory(monkeypatch, 3583)
+        self._physical_memory(monkeypatch, 1599)
         rng, ref = RngStream(12, 42), RngStream(12, 42)
-        message = ("the layer 0 inclusion correlations need about 3584 bytes, "
-                   "over the 3583 bytes of physical memory")
+        message = ("the layer 0 inclusion correlations need about 1600 bytes, "
+                   "over the 1599 bytes of physical memory")
         with pytest.raises(ConfigError, match=message):
             inclusion_correlation(st, 0, 10, rng)
-        # an absurd sample count fails the same way, not in numpy
+        # an absurd sample count is refused before any draw, not in numpy
         big = 12345678901234567890
-        with pytest.raises(ConfigError, match=f"need about {8 * (4 * big * 8 + 128)} bytes"):
+        with pytest.raises(ConfigError, match=f"exact up to 2\\*\\*24 samples, got {big}"):
             inclusion_correlation(st, 0, big, rng)
+        np.testing.assert_array_equal(rng.state_words(), ref.state_words())
+
+    def test_more_than_exact_float32_counts_is_refused(self, monkeypatch):
+        # Counts past 2**24 would round in float32.  With 1 GiB of
+        # memory the draws of any version that kept them would not fit
+        # either, so no version draws here.
+        st = make_state(seed=68, widths=(3, 2))
+        self._physical_memory(monkeypatch, 2**30)
+        rng, ref = RngStream(12, 42), RngStream(12, 42)
+        message = (f"^the layer 0 inclusion correlations count in float32, "
+                   f"exact up to 2\\*\\*24 samples, got {2**24 + 1}$")
+        with pytest.raises(ConfigError, match=message):
+            inclusion_correlation(st, 0, 2**24 + 1, rng)
         np.testing.assert_array_equal(rng.state_words(), ref.state_words())
 
     def test_desk_scale_layer_zero_is_refused(self, monkeypatch):
         # 784-64-32-10: layer 0 holds 785 x 64 = 50,240 weights, so the
-        # result alone is a 50,240 x 50,240 matrix (about 20 GB).
+        # result alone is a 50,240 x 50,240 matrix (about 20 GB); the
+        # buffer holds 8 * 2**16 // 50,240 = 10 rows.
         st = make_state(seed=69, widths=(784, 64, 32, 10))
         self._physical_memory(monkeypatch, 16 * 2**30)
         n_w = 785 * 64
-        with pytest.raises(ConfigError, match=f"need about {8 * (4 * 1000 * n_w + 2 * n_w**2)} "
+        with pytest.raises(ConfigError, match=f"need about {20 * n_w**2 + 4 * 10 * n_w} "
                                               f"bytes, over the {16 * 2**30} bytes"):
             inclusion_correlation(st, 0, 1000, RngStream(13, 42))
 

@@ -10,8 +10,9 @@ from slabnn.model import (Family, LayerParams, PriorConfig, SampledLayer,
                           SampledNetwork, median_model, posterior_mean_weights,
                           sample_network)
 from slabnn.numkernel import RngStream, log_softmax
-from slabnn.predictor import (PredictionMode, classify_with_doubt,
-                              density_level, export_predictions_csv, predict)
+from slabnn.predictor import (DoubtDecisions, PredictionMode, PredictiveResult,
+                              classify_with_doubt, density_level,
+                              export_predictions_csv, predict)
 
 
 def _features(n=9, p=4, seed=50):
@@ -261,6 +262,13 @@ class TestSparseMedianModel:
         assert layers[0] is not None and layers[1] is None
         self._check_against_dense(st, x, exact=False)
 
+    def test_live_columns_copy_is_the_gather(self):
+        st = _sparse_state()
+        x = _features(n=300, p=784)  # not a multiple of the 128-row copy blocks
+        kept = elbo.MaskedProducts(median_model(st), x).layers[0]
+        assert kept.z_t.shape == (kept.live.size, 300)
+        assert kept.z_t.tobytes() == x.T[kept.live].tobytes()
+
     def test_fully_pruned_first_layer(self):
         st = _sparse_state(kept=0)
         st.layers[0].omega[...] = -4.0  # the bias row goes too
@@ -374,6 +382,17 @@ class TestExport:
             cols = ln.split(",")
             assert int(cols[3]) == dec
             assert int(cols[4]) == (1 if dec < 0 else 0)
+
+    def test_bytes_match_per_value_repr(self, tmp_path):
+        probs = np.array([[-0.0, 5e-324, 1.0], [0.1 + 0.2, 0.5, 1.0 - 2.0**-53]])
+        decisions = DoubtDecisions(np.array([2, -1]), 0.5)
+        path = tmp_path / "p.csv"
+        export_predictions_csv(path, PredictiveResult(probs, None, []), decisions)
+        expected = "row,p_class0,p_class1,p_class2,decision,abstained\n"
+        for i, (dec, flag) in enumerate(((2, 0), (-1, 1))):
+            row = [str(i)] + [repr(float(v)) for v in probs[i]] + [str(dec), str(flag)]
+            expected += ",".join(row) + "\n"
+        assert path.read_bytes() == expected.encode()
 
     def test_export_at_zero_threshold_is_argmax(self, tmp_path):
         st = make_state(seed=63)
