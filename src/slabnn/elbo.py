@@ -165,7 +165,9 @@ class _KeptWeights:
 
     A live input is one with at least one kept weight.  ``z_t`` is the
     transposed live-column copy of a fixed input block, or None when the
-    input changes per forward and is gathered each time.
+    input changes per forward and is gathered each time.  The pattern and
+    ``z_t`` are read-only after construction and each ``pre`` call fills
+    its own data array, so threads may call ``pre`` at once.
     """
 
     def __init__(self, kept: np.ndarray, z=None):
@@ -175,8 +177,13 @@ class _KeptWeights:
         self.take = (self.live[cols] + 1, units)     # positions in W, bias row first
         indptr = np.zeros(kept.shape[1] + 1, dtype=np.intp)
         np.cumsum(np.bincount(units, minlength=kept.shape[1]), out=indptr[1:])
-        self.matrix = sparse.csr_array((np.zeros(units.size), cols, indptr),
-                                       shape=(kept.shape[1], self.live.size))
+        pattern = sparse.csr_array((np.zeros(units.size), cols, indptr),
+                                   shape=(kept.shape[1], self.live.size))
+        # In the index dtype scipy chose, so a per-call matrix shares them uncopied.
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
+        self.shape = pattern.shape
         self.z_t = None
         if z is not None:
             # z.T[live], copied 128 rows at a time: faster than that
@@ -187,10 +194,11 @@ class _KeptWeights:
 
     def pre(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``z @ w[1:] + w[0]`` through the kept weights of ``w``."""
-        self.matrix.data[...] = w[self.take]
+        matrix = sparse.csr_array((w[self.take], self.indices, self.indptr),
+                                  shape=self.shape)
         z_t = self.z_t if self.z_t is not None else z.T[self.live]
         pre = np.empty((z.shape[0], w.shape[1]))
-        np.add((self.matrix @ z_t).T, w[0, :], out=pre)
+        np.add((matrix @ z_t).T, w[0, :], out=pre)
         return pre
 
 
@@ -227,12 +235,15 @@ def forward_logits(sampled: SampledNetwork, features: np.ndarray,
                    products: MaskedProducts = None):
     """Run the sampled network on a design block.
 
-    Returns the output logits and the activation tape (per transition:
-    the input block and the pre-activation block) that backward passes
-    reuse.  Raises ``NumericError`` naming the first transition whose
-    activations stop being finite.  ``products``, built for this block
-    and the masks the draw was made under, changes only how each
-    transition's product is formed.
+    Returns the output logits and the activation tape (per transition,
+    its input block ``z_in``) that backward passes reuse.  A hidden relu
+    runs in place on its pre-activation block, so a relu's derivative
+    mask is read back as ``z_in > 0`` of the next transition, which is
+    ``pre > 0`` for the finite blocks a forward lets through.  Raises
+    ``NumericError`` naming the first transition whose activations stop
+    being finite.  ``products``, built for this block and the masks the
+    draw was made under, changes only how each transition's product is
+    formed.
     """
     spec = sampled.spec
     x = np.ascontiguousarray(features, dtype=np.float64)
@@ -251,12 +262,10 @@ def forward_logits(sampled: SampledNetwork, features: np.ndarray,
         pre = z @ w[1:, :] + w[0, :] if kept is None else kept.pre(z, w)
         if not np.all(np.isfinite(pre)):
             raise NumericError(f"non-finite activations at transition {t}")
-        tape.append({"z_in": z, "pre": pre})
-        if t < n_trans - 1:
-            act = spec.activations[t]
-            z = np.maximum(pre, 0.0) if act == "relu" else pre
-        else:
-            z = pre
+        tape.append({"z_in": z})
+        if t < n_trans - 1 and spec.activations[t] == "relu":
+            np.maximum(pre, 0.0, out=pre)
+        z = pre
     return z, tape
 
 
@@ -291,9 +300,10 @@ def _backprop_loglik(sampled: SampledNetwork, batch: Batch, tape, scale: float):
         dz = dpre @ w[1:, :].T
         d_weights[t] = dw
         if t > 0:
-            # Derivative of the hidden activation; relu uses 1[pre > 0].
+            # Derivative of the hidden activation; relu uses 1[pre > 0],
+            # which is 1[z_in > 0] of this transition's input.
             if spec.activations[t - 1] == "relu":
-                dz = dz * (tape[t - 1]["pre"] > 0.0)
+                dz = dz * (z_in > 0.0)
             dpre = dz
     return d_weights
 

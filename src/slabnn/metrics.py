@@ -142,9 +142,11 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
     2**24, and when ``4*n_w**2 + 16*n_w**2 + 4*rows*n_w`` bytes would
     not fit in physical memory (n_w = n_weights: the Gram, the float64
     result and its one n_w x n_w temporary, and the buffer).  Beyond
-    that come the layer's ``logit_factor()`` and at most six float64
+    that come the layer's ``logit_factor()`` and at most four float64
     arrays of one block's size, ``max(BLOCK_VALUES, n_weights + rank)``
-    values or fewer, at a time: none grows with ``n_samples``.
+    values or fewer, at a time: none grows with ``n_samples``.  The loop
+    drops a block's arrays before the next is drawn; the block the
+    generator last yielded stays alive until it draws the next.
     """
     if not (0 <= layer < state.n_transitions):
         raise DomainError(f"layer index {layer} out of range")
@@ -165,7 +167,7 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
     buf = np.empty((rows, n_w), dtype=np.float32)
     gram = np.zeros((n_w, n_w), dtype=np.float32)
     fill = 0
-    for logits, _ in lp.logit_blocks(rng, n_samples, lp.logit_factor()):
+    for logits, noise in lp.logit_blocks(rng, n_samples, lp.logit_factor()):
         k = logits.shape[0]
         if fill + k > rows:
             gram += buf[:fill].T @ buf[:fill]
@@ -173,6 +175,7 @@ def inclusion_correlation(state: VariationalState, layer: int, n_samples: int,
         u = rng.uniform(k * n_w).reshape(k, n_w)
         np.less(u, sigmoid(logits), out=buf[fill:fill + k])
         fill += k
+        del logits, noise, u  # before the next block is drawn
     gram += buf[:fill].T @ buf[:fill]
     counts = np.diag(gram).astype(np.float64)
     corr = gram.astype(np.float64)

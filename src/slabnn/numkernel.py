@@ -29,7 +29,11 @@ position so that subsequent draws continue the original sequence.  The
 blocked logit draws of ``model.LayerParams.logit_blocks`` take one
 ``std_normal`` call per block and split it into rows, so a block holds
 the numbers of as many one-row draws, in order, and leaves the stream
-where they would.
+where they would.  A sampled ``predictor.predict`` may run its
+replicates on several threads; each reads its own stream, writes only
+its own arrays and is stored at its own index, so replicate threads do
+not change bytes.  BLAS's own thread count can: a product that a
+multi-threaded BLAS splits may sum in another order.
 
 ``exp``, ``log`` and ``log1p`` run numpy's CPU-dispatched SIMD loops,
 whose last bits can differ from the C math library's and between

@@ -34,20 +34,40 @@ the logit factor of a drawn layer (``LayerParams.logit_factor``; for
 the full family the dense Cholesky factor) or the mask and kept
 positions of a fixed one.  A med/sim replicate draws slab noise for
 the kept weights only, so its cost in random numbers falls with the
-median model's size.
+median model's size.  A replicate keeps only its effective weights and
+indicators through its forward; the draw's noise and slab arrays are
+dropped first.
 
 Replicate r consumes stream (seed, stream_id + 1 + r) derived from the
 passed rng's key, so the first replicates of an R=1 and an R=10 call
-with the same rng are identical.  The inclusion probabilities are exact
-for every family and draw nothing, so the deterministic modes (all/mea,
-med/mea) run without an rng.  A result
-records the masks each replicate used, which is what the density level
-summarizes (union across replicates, biases included).
+with the same rng are identical.  Replicates share nothing they write,
+so a sampled call may run them on k = min(R, cores // blas_threads)
+threads at once: ``cores`` is the CPUs this process may run on, and
+``blas_threads`` the first of ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to a positive integer,
+else ``cores`` (so k = 1 when BLAS is not pinned and already fills the
+cores).  Threads run only when one replicate's forward is at least
+``THREAD_WORK`` multiply-adds, a property of the call's inputs alone.
+The calling thread runs its share and k - 1 threads start inside the
+call and are joined before it returns; none outlives it.  Thread j (the
+caller is 0) runs replicates j, j + k, ... and each result is placed by
+its index, so every replicate's bytes are those of the sequential loop,
+whatever k is.  If replicates fail, the error of the lowest-numbered
+failing one is raised, as the sequential loop does, once every thread
+has finished.  Each extra thread costs about one replicate's working
+set of resident memory, which its malloc arena keeps after the call.
+
+The inclusion probabilities are exact for every family and draw
+nothing, so the deterministic modes (all/mea, med/mea) run without an
+rng.  A result records the masks each replicate used, which is what the
+density level summarizes (union across replicates, biases included).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 
@@ -74,6 +94,19 @@ BETA_RULES = ("sim", "mea")
 
 # Classify only when the top model-averaged probability exceeds this.
 DOUBT_THRESHOLD = 0.95
+
+# A sampled call runs its replicates on threads only when one replicate's
+# forward takes at least this many multiply-adds: rows times the weights
+# (bias rows included) of each dense transition, plus the kept weights of
+# a transition ``MaskedProducts`` makes sparse.  perfbench on a 2-core VM
+# with one BLAS thread, R = 10, the caller and one worker thread:
+# - 2,000 rows of 784-64-32-10 (105M): sim/sim 13.3k to 25.3k rows/s;
+# - 5,000 rows of the same widths (263M): 15.7k to 30.0k rows/s;
+# - 3,000 rows of 60-15-5 (3.0M): two sessions disagreed.  One saw threads
+#   lose (117k/93k to 78k/84k rows/s, the threads handing the GIL back and
+#   forth over small arrays), a later one saw them gain (107-121k to
+#   160-176k), so calls that small stay sequential until that is settled.
+THREAD_WORK = 2**24
 
 
 @dataclass(frozen=True)
@@ -139,9 +172,12 @@ class DoubtDecisions:
         return int(np.sum(self.decisions < 0))
 
 
-def _probs(net: SampledNetwork, features, products: MaskedProducts = None) -> np.ndarray:
-    """Softmax class probabilities of one network on a design block."""
-    logits, _ = forward_logits(net, features, products=products)
+def _probs(spec, weights, features, products: MaskedProducts = None) -> np.ndarray:
+    """Softmax class probabilities of the network with these effective weights."""
+    layers = [SampledLayer(alpha=None, gamma_tilde=None, beta=w, effective=w,
+                           eps=None, tau=None) for w in weights]
+    logits, _ = forward_logits(SampledNetwork(layers=layers, spec=spec, delta=0.0),
+                               features, products=products)
     return np.exp(log_softmax(logits))
 
 
@@ -180,27 +216,84 @@ def predict(state: VariationalState, features, mode: PredictionMode,
 
     if mode.beta == "mea":  # med/mea is the posterior mean with the mask as alpha_hat
         weights = posterior_mean_weights(state, alpha_hat=mask or alpha_hat)
-        layers = [SampledLayer(alpha=None, gamma_tilde=None, beta=w, effective=w,
-                               eps=None, tau=None) for w in weights]
-        net = SampledNetwork(layers=layers, spec=state.spec, delta=0.0)
         masks = [mask or [np.ones(layer.shape) for layer in state.layers]]
-        return PredictiveResult(probs=_probs(net, x, products), replicate_probs=None,
-                                masks=masks, alpha_hat=alpha_hat)
+        return PredictiveResult(probs=_probs(state.spec, weights, x, products),
+                                replicate_probs=None, masks=masks, alpha_hat=alpha_hat)
 
     # Sampled slabs: one derived stream per replicate; the median mask is
     # held fixed and shared by every replicate's record.  Every replicate
     # reads one set of per-layer constants built here.
     consts = _layer_consts(state, mask)
-    rep_probs = []
-    rep_masks = []
-    for r in range(mode.replicates):
+
+    def replicate(r):
         sub = RngStream(rng.seed, rng.stream_id + 1 + r)
         net = sample_network(state, 0.0, "hard", sub, fixed_masks=mask, consts=consts)
-        rep_probs.append(_probs(net, x, products))
-        rep_masks.append(mask or [lay.gamma_tilde for lay in net.layers])
-    stacked = np.stack(rep_probs, axis=0)
+        weights = [lay.effective for lay in net.layers]
+        masks = mask or [lay.gamma_tilde for lay in net.layers]
+        del net  # its noise and other draw arrays are dead weight in the forward
+        return _probs(state.spec, weights, x, products), masks
+
+    kept_layers = products.layers if products is not None else [None] * state.n_transitions
+    work = x.shape[0] * sum(layer.n_weights if kept is None else kept.indices.size
+                            for layer, kept in zip(state.layers, kept_layers))
+    done = _run_replicates(replicate, mode.replicates,
+                           _replicate_threads(mode.replicates, work))
+    stacked = np.stack([p for p, _ in done], axis=0)
     return PredictiveResult(probs=stacked.mean(axis=0), replicate_probs=stacked,
-                            masks=rep_masks, alpha_hat=alpha_hat)
+                            masks=[m for _, m in done], alpha_hat=alpha_hat)
+
+
+def _replicate_threads(replicates: int, work: int) -> int:
+    """How many threads run a sampled call's replicates; see the module docstring."""
+    if work < THREAD_WORK:
+        return 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            blas = n
+            break
+    return max(1, min(replicates, cores // blas))
+
+
+def _run_replicates(fn, n: int, k: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, computed by the caller and k - 1 threads.
+
+    Thread j (the caller is 0) runs indices j, j + k, ... in increasing
+    order up to its first failure.  Every thread is joined before this
+    returns or raises, and then the exception of the lowest failing
+    index is raised.
+    """
+    results = [None] * n
+    errors = [None] * n
+
+    def work(first):
+        for r in range(first, n, k):
+            try:
+                results[r] = fn(r)
+            except Exception as exc:  # re-raised by the caller once all are joined
+                errors[r] = exc
+                return
+
+    threads = []
+    try:
+        for first in range(1, k):
+            thread = Thread(target=work, args=(first,), name=f"slabnn-replicates-{first}")
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def classify_with_doubt(probs, threshold: float = DOUBT_THRESHOLD) -> DoubtDecisions:

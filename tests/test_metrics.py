@@ -232,6 +232,24 @@ class TestInclusionCorrelation:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_one_block_at_a_time(self):
+        # (20, 3) is 63 weights: the Gram, the result and its temporary,
+        # and the 5000-row buffer take 20 * 63**2 + 4 * 5000 * 63 bytes.
+        # Four block-sized float64 arrays (8 * 2**16 bytes each) are the
+        # most one block needs: its logits and noise, which the generator
+        # holds until it draws the next block, its uniforms and their
+        # sigmoid.  Keeping a block's arrays while the next is drawn
+        # holds six.  2**17 bytes cover the logit factor and small arrays.
+        st = _varied_state(Family.MVN_FULL, 0, 73)
+        bound = 20 * 63**2 + 4 * 5000 * 63 + 4 * 8 * BLOCK_VALUES + 2**17
+        tracemalloc.start()
+        try:
+            inclusion_correlation(st, 0, 5000, RngStream(18, 42))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_fixed_dense_is_all_constant(self):
         st = make_state(prior=PriorConfig(fixed_dense=True), widths=(3, 2))
         rng = RngStream(10, 42)

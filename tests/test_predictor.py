@@ -1,10 +1,14 @@
 """Prediction modes, abstention, density, and CSV export."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, make_state
-from slabnn import elbo
+from slabnn import elbo, predictor
 from slabnn.errors import ConfigError, DomainError, NumericError, ShapeError
 from slabnn.model import (Family, LayerParams, PriorConfig, SampledLayer,
                           SampledNetwork, median_model, posterior_mean_weights,
@@ -403,3 +407,173 @@ class TestExport:
         for i, cols in enumerate(rows):
             assert int(cols[3]) == int(np.argmax(res.probs[i]))
             assert cols[4] == "0"
+
+
+def _pin(monkeypatch, cores, gate, openblas=None, omp=None):
+    """Fake ``cores`` CPUs, set the BLAS thread variables and the work gate."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp),
+                       ("MKL_NUM_THREADS", None)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(predictor, "THREAD_WORK", gate, raising=False)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads ``predict`` starts, in order."""
+    threads = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(predictor, "Thread", Counting)
+    return threads
+
+
+def _varied_state(family, rank, seed, widths=(6, 5, 3), fixed_dense=False):
+    """A state whose logits spread over N(0, 4): about half of each mask kept."""
+    st = make_state(family, rank, seed=seed, widths=widths,
+                    prior=PriorConfig(fixed_dense=fixed_dense), init_tau=0.3)
+    for layer in st.layers:
+        logits = layer.omega if family is Family.MF else layer.xi
+        logits[...] = np.random.default_rng(seed).normal(scale=2.0, size=logits.shape)
+    return st
+
+
+def _sparse_family_state(family, rank, seed):
+    """A 64-4-2 state whose median mask keeps 5 of layer 0's 256 non-bias weights."""
+    st = make_state(family, rank, seed=seed, widths=(64, 4, 2))
+    for l, layer in enumerate(st.layers):
+        logits = layer.omega if family is Family.MF else layer.xi
+        logits[...] = 4.0 if l else -4.0
+    logits = st.layers[0].omega if family is Family.MF else st.layers[0].xi
+    logits[0] = 4.0
+    flat = logits[1:].reshape(-1)
+    flat[np.random.default_rng(seed).permutation(flat.size)[:5]] = 4.0
+    st.layers[0].kappa[...] *= 20.0
+    return st
+
+
+def _result_bytes(res):
+    return (res.probs.tobytes(), res.replicate_probs.tobytes(),
+            [[m.tobytes() for m in rep] for rep in res.masks])
+
+
+class TestReplicateThreads:
+    """Replicates of one sampled call run on the caller and k - 1 threads."""
+
+    @pytest.mark.parametrize("family,rank", ALL_FAMILIES)
+    def test_threaded_replicates_are_the_sequential_bytes(self, monkeypatch, family, rank):
+        # Guard: whatever k is, every replicate reads its own stream and
+        # lands at its own index.  4 cores at 1 BLAS thread run min(R, 4)
+        # threads; at 4 BLAS threads the same call runs sequentially.
+        sparse_st = _sparse_family_state(family, rank, seed=81)
+        x_sparse = _features(n=40, p=64)
+        assert elbo.MaskedProducts(median_model(sparse_st), x_sparse).layers[0] is not None
+        cases = [(_varied_state(family, rank, 82), _features(n=30, p=6), "sim"),
+                 (_varied_state(family, rank, 83), _features(n=30, p=6), "med"),
+                 (sparse_st, x_sparse, "med"),
+                 (_varied_state(family, rank, 84, fixed_dense=True), _features(n=30, p=6),
+                  "all")]
+        for st, x, gamma in cases:
+            for replicates in (1, 2, 3, 5):
+                mode = PredictionMode(gamma, "sim", replicates)
+                got = []
+                for blas in ("1", "4"):
+                    _pin(monkeypatch, cores=4, gate=0, openblas=blas)
+                    got.append(_result_bytes(predict(st, x, mode, rng=RngStream(6, 99))))
+                assert got[0] == got[1], (gamma, replicates)
+
+    def test_kept_weights_pre_is_reentrant(self):
+        # Six threads share one sparse transition, each multiplying its
+        # own weights through it while the interpreter switches threads
+        # every microsecond; a product read through another call's
+        # weights would differ from the sequential one.
+        st = _sparse_state()
+        x = _features(n=64, p=784)
+        kept = elbo.MaskedProducts(median_model(st), x).layers[0]
+        weights = [RngStream(90, i).std_normal(785 * 16).reshape(785, 16) for i in range(6)]
+        refs = [kept.pre(x, w).tobytes() for w in weights]
+        calls, wrong = [0] * 6, [0] * 6
+
+        def hammer(i):
+            for n in range(200):
+                j = (i + n) % 6
+                if kept.pre(x, weights[j]).tobytes() != refs[j]:
+                    wrong[i] += 1
+                calls[i] += 1
+
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == [200] * 6
+        assert wrong == [0] * 6
+
+    def test_threads_start_above_the_gate_with_pinned_blas(self, monkeypatch, started):
+        # 9 rows through 5x3 + 4x2 = 23 weights is 207 multiply-adds.
+        st = make_state(seed=61)
+        x = _features()
+        mode = PredictionMode("sim", "sim", 5)
+        _pin(monkeypatch, cores=4, gate=208, openblas="1")
+        predict(st, x, mode, rng=RngStream(1, 99))
+        assert started == []
+        _pin(monkeypatch, cores=4, gate=207)  # BLAS not pinned: it fills the cores
+        predict(st, x, mode, rng=RngStream(1, 99))
+        assert started == []
+        _pin(monkeypatch, cores=4, gate=207, openblas="1")
+        predict(st, x, mode, rng=RngStream(1, 99))
+        assert len(started) == 3  # k = min(5, 4 // 1)
+        _pin(monkeypatch, cores=4, gate=207, openblas="0", omp="2")  # first positive wins
+        predict(st, x, mode, rng=RngStream(1, 99))
+        assert len(started) == 4  # k = 4 // 2
+        predict(st, x, PredictionMode("sim", "sim", 1), rng=RngStream(1, 99))
+        assert len(started) == 4  # k = min(R, ...)
+        assert not any(t.is_alive() for t in started)
+
+    def test_sparse_transition_counts_its_kept_weights(self, monkeypatch, started):
+        # Layer 0 keeps 125 weights and runs sparse; layer 1 (17x3) stays
+        # dense: 20 rows x (125 + 51) multiply-adds.
+        st = _sparse_state()
+        x = _features(n=20, p=784)
+        mode = PredictionMode("med", "sim", 2)
+        _pin(monkeypatch, cores=2, gate=20 * 176 + 1, openblas="1")
+        predict(st, x, mode, rng=RngStream(1, 99))
+        assert started == []
+        _pin(monkeypatch, cores=2, gate=20 * 176, openblas="1")
+        predict(st, x, mode, rng=RngStream(1, 99))
+        assert len(started) == 1
+
+    def test_lowest_failing_replicate_raises_after_every_thread(self, monkeypatch, started):
+        # Replicate 3 fails at once, replicate 2 a little later, so the
+        # first failure seen is not the one a sequential loop raises.
+        draw = predictor.sample_network
+
+        def failing(state, delta, mode, rng, **kwargs):
+            r = rng.stream_id - 100
+            if r == 2:
+                time.sleep(0.05)
+            if r in (2, 3):
+                raise NumericError(f"replicate {r} failed")
+            return draw(state, delta, mode, rng, **kwargs)
+
+        monkeypatch.setattr(predictor, "sample_network", failing)
+        _pin(monkeypatch, cores=4, gate=0, openblas="1")
+        with pytest.raises(NumericError, match="replicate 2 failed"):
+            predict(make_state(seed=62), _features(), PredictionMode("sim", "sim", 6),
+                    rng=RngStream(1, 99))
+        assert len(started) == 3
+        assert not any(t.is_alive() for t in started)
