@@ -15,7 +15,8 @@ Config schema (defaults in parentheses)::
     format = csv | idx | synth_logistic | synth_clusters   required
     # format=csv
     path = FILE                    required; see $SLABNN_DATA_DIR below
-    label_column = INT | none      (-1) column with class labels
+    label_column = INT             (-1) column with class labels; training
+                                   needs them, so 'none' is refused
     has_header = BOOL              (false)
     delimiter = CHAR               (,)
     # format=idx
@@ -64,7 +65,7 @@ Config schema (defaults in parentheses)::
     # gamma=sim needs beta=sim; gamma=all with beta=sim needs fixed_dense
 
     [run]
-    seeds = INT,INT,... (1)
+    seeds = INT,INT,... (1)        distinct, each 0 <= seed < 2**64
     output_dir = DIR (runs)
     run_id = NAME (config file stem)
 
@@ -73,9 +74,20 @@ variable is set, else against the working directory.  CSV labels that
 are all nonnegative integers are the class ids themselves (other tokens
 number by first appearance, see ``dataio.load_csv``); ``train``,
 ``predict`` and ``eval`` exit 2 when a label has no output in the
-network.  All outputs of a
-command are byte-identical across reruns with the same inputs and
-seeds; wall-clock timings appear only in log lines on stdout.
+network.  ``--label-column none`` reads an unlabeled table for
+``predict`` and ``eval``, which then report no accuracies.
+
+``predict`` and ``eval`` refuse bad flags with exit code 2 before they
+predict anything or write a file: ``--threshold`` outside [0, 1) and a
+``--seed`` outside ``RngStream``'s own range (the rule ``[run] seeds``
+is held to) before the checkpoint is read; ``--standardize`` with
+``--images`` or ``--ood-images`` (IDX pixels are consumed pre-scaled,
+as in ``[dataset]``); and an ``eval --corr-layer`` or
+``--corr-samples`` that ``metrics.inclusion_correlation`` refuses.
+
+All outputs of a command are byte-identical across reruns with the
+same inputs and seeds; wall-clock timings appear only in log lines on
+stdout.
 """
 
 from __future__ import annotations
@@ -90,7 +102,7 @@ import sys
 from . import checkpoint as ckpt
 from . import dataio
 from .distributions import HyperParams
-from .errors import ConfigError, FormatError, SlabnnError
+from .errors import ConfigError, DomainError, FormatError, SlabnnError
 from .metrics import (MetricsReport, accuracy, entropy_cdf,
                       inclusion_correlation, layer_inclusion_means,
                       summarize_runs)
@@ -254,6 +266,8 @@ def _dataset_config(rd: _SectionReader) -> dict:
     if fmt == "csv":
         out["path"] = rd.path("path", required=True)
         out["label_column"] = rd.get("label_column", _label_column, default=-1)
+        if out["label_column"] is None:
+            rd.fail("label_column", "training needs labels; 'none' is for predict and eval")
         out["has_header"] = rd.get("has_header", _boolean, default=False)
         out["delimiter"] = rd.get("delimiter", default=",")
         if len(out["delimiter"]) != 1:
@@ -395,8 +409,9 @@ def load_config(path: str) -> RunConfig:
     seeds = rn.get("seeds", _int_list, default=(1,))
     if len(set(seeds)) != len(seeds):
         rn.fail("seeds", "duplicate seeds")
-    elif min(seeds) < 0:
-        rn.fail("seeds", "seeds must be nonnegative")
+    for seed in seeds:
+        if rn.build(RngStream, seed) is None:  # the stream's own seed rule
+            break
     output_dir = rn.get("output_dir", default="runs")
     run_id = rn.get("run_id", default=os.path.splitext(os.path.basename(path))[0])
 
@@ -411,18 +426,15 @@ def load_config(path: str) -> RunConfig:
 
 
 def _build_datasets(ds: dict):
-    """Materialize (train, eval, has_labels) from a dataset config dict."""
+    """Materialize the labeled (train, eval) pair from a dataset config dict."""
     fmt = ds["format"]
-    has_labels = True
     if fmt == "csv":
         full = dataio.load_csv(ds["path"], label_column=ds["label_column"],
                                has_header=ds["has_header"], delimiter=ds["delimiter"])
-        has_labels = ds["label_column"] is not None
     elif fmt == "idx":
         full = dataio.load_idx(ds["train_images"], ds["train_labels"])
         if ds.get("test_images"):
-            test = dataio.load_idx(ds["test_images"], ds["test_labels"])
-            return full, test, True
+            return full, dataio.load_idx(ds["test_images"], ds["test_labels"])
     elif fmt == "synth_logistic":
         full, _, _ = dataio.synth_logistic(ds["n"], ds["p"], ds["k_true"],
                                            ds["coef_scale"], ds["data_seed"])
@@ -434,7 +446,7 @@ def _build_datasets(ds: dict):
     test_n = ds["test_n"] if ds["test_n"] is not None else 0
     train_ds, test_ds = dataio.split(full, train_n, test_n, ds["split_seed"],
                                      standardize=ds["standardize"])
-    return train_ds, (test_ds if test_ds.n else train_ds), has_labels
+    return train_ds, (test_ds if test_ds.n else train_ds)
 
 
 def _predict(state, data, mode, seed):
@@ -473,12 +485,12 @@ def _stable_copy(report: MetricsReport) -> MetricsReport:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    train_ds, eval_ds, has_labels = _build_datasets(cfg.dataset)
+    train_ds, eval_ds = _build_datasets(cfg.dataset)
     if train_ds.p != cfg.spec.widths[0]:
         print(f"error: dataset has {train_ds.p} features but widths start at "
               f"{cfg.spec.widths[0]}", file=sys.stderr)
         return 2
-    problem = _class_problem(train_ds, has_labels, cfg.spec)
+    problem = _class_problem(train_ds, True, cfg.spec)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
@@ -497,7 +509,7 @@ def cmd_train(args) -> int:
                              checkpoint_dir=seed_dir)
         trace.to_jsonl(os.path.join(seed_dir, "trace.jsonl"))
         result = _predict(state, eval_ds, cfg.predict_mode, seed)
-        report, doubt = _report(result, eval_ds, has_labels, cfg.threshold,
+        report, doubt = _report(result, eval_ds, True, cfg.threshold,
                                 cfg.run_id, seed, state)
         report.epoch_time_s = trace.mean_epoch_seconds()
         export_predictions_csv(os.path.join(seed_dir, "predictions.csv"),
@@ -509,10 +521,9 @@ def cmd_train(args) -> int:
             f" epoch_seconds={report.epoch_time_s:.3f}"
         print(f"[seed {seed}] final_elbo={trace.final_elbo()!r} "
               f"density={report.density!r}{timing}")
-        if has_labels:
-            print(f"[seed {seed}] accuracy={report.all_class_accuracy!r} "
-                  f"doubt_accuracy={report.doubt_accuracy!r} "
-                  f"doubt_classified={report.doubt_classified}")
+        print(f"[seed {seed}] accuracy={report.all_class_accuracy!r} "
+              f"doubt_accuracy={report.doubt_accuracy!r} "
+              f"doubt_classified={report.doubt_classified}")
     stable = [_stable_copy(r) for r in reports]
     MetricsReport.write_csv(os.path.join(base, "metrics.csv"), stable)
     summary = summarize_runs(stable)
@@ -546,32 +557,40 @@ def _data_from_flags(args, prefix="") -> tuple:
         return data, column is not None
     if labels is None:
         raise ConfigError("IDX input needs both images and labels paths")
+    if args.standardize:
+        raise ConfigError("--standardize: IDX pixels are consumed pre-scaled")
     data = dataio.load_idx(_resolve_path(images), _resolve_path(labels))
     return data, True
 
 
 def _prelude(args) -> tuple:
-    """(mode, state, data, has_labels, predictions) for predict and eval.
+    """(mode, state, data, has_labels) for predict and eval.
 
-    The mode flags and ``--threshold`` are checked before any file is
-    read; flags left unset take ``PredictionMode``'s defaults.  Labels
-    the network has no output for raise ``ConfigError`` before anything
-    is predicted.
+    The mode flags, ``--threshold`` and ``--seed`` (by ``RngStream``'s
+    own rule) are checked before any file is read; flags left unset take
+    ``PredictionMode``'s defaults.  Labels the network has no output
+    for, and ``--standardize`` with IDX input, raise ``ConfigError``;
+    the callers predict nothing before this returns.
     """
     flags = {k: getattr(args, k) for k in ("gamma", "beta", "replicates")}
     mode = PredictionMode(**{k: v for k, v in flags.items() if v is not None})
     if not 0.0 <= args.threshold < 1.0:
         raise ConfigError("--threshold: must lie in [0, 1)")
+    try:
+        RngStream(args.seed)
+    except DomainError as exc:
+        raise ConfigError(f"--seed: {exc}") from None
     state = ckpt.load_checkpoint(args.checkpoint).state
     data, has_labels = _data_from_flags(args)
     problem = _class_problem(data, has_labels, state.spec)
     if problem:
         raise ConfigError(problem)
-    return mode, state, data, has_labels, _predict(state, data, mode, args.seed)
+    return mode, state, data, has_labels
 
 
 def cmd_predict(args) -> int:
-    mode, _, data, has_labels, result = _prelude(args)
+    mode, state, data, has_labels = _prelude(args)
+    result = _predict(state, data, mode, args.seed)
     report, doubt = _report(result, data, has_labels, args.threshold,
                             os.path.basename(args.checkpoint), args.seed)
     export_predictions_csv(args.out, result, doubt)
@@ -589,18 +608,25 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    mode, state, data, has_labels, result = _prelude(args)
-    report, _ = _report(result, data, has_labels, args.threshold,
-                        os.path.basename(args.checkpoint), args.seed, state)
-    # Everything that can fail or refuse runs before the first write.
-    ood = None
+    mode, state, data, has_labels = _prelude(args)
+    # Every refusal comes before the first prediction, everything that
+    # can fail before the first write.  The streams are disjoint, so the
+    # order of the correlations and the predictions moves no byte.
+    ood_data = ood = None
     if args.ood_csv is not None or args.ood_images is not None:
         ood_data, _ = _data_from_flags(args, prefix="ood_")
-        ood = _predict(state, ood_data, mode, args.seed)
     if args.corr_layer is not None:
-        corr, constant = inclusion_correlation(
-            state, args.corr_layer, args.corr_samples,
-            RngStream(args.seed, STREAM_METRICS_ALPHA + 1))
+        try:
+            corr, constant = inclusion_correlation(
+                state, args.corr_layer, args.corr_samples,
+                RngStream(args.seed, STREAM_METRICS_ALPHA + 1))
+        except DomainError as exc:  # a layer or sample count it refuses
+            raise ConfigError(str(exc)) from None
+    result = _predict(state, data, mode, args.seed)
+    if ood_data is not None:
+        ood = _predict(state, ood_data, mode, args.seed)
+    report, _ = _report(result, data, has_labels, args.threshold,
+                        os.path.basename(args.checkpoint), args.seed, state)
     os.makedirs(args.out, exist_ok=True)
     cdf_in = entropy_cdf(result.probs)
     cdf_in.to_csv(os.path.join(args.out, "entropy_in.csv"))

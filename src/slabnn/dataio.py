@@ -13,6 +13,7 @@ part.
 from __future__ import annotations
 
 import csv as _csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -78,6 +79,32 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _read_idx(path, magic, dims, count=None):
+    """The uint8 payload and the ``dims`` header sizes of one IDX file.
+
+    Checks, in order, that the header is complete, that its magic is
+    ``magic``, that the first size equals ``count`` when one is given
+    (the image count a label file must match), and that the payload
+    has exactly the bytes the sizes call for.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head = 4 * (1 + dims)
+    if len(raw) < head:
+        raise FormatError(f"{path}: truncated IDX header at byte offset {len(raw)}")
+    found, *sizes = struct.unpack(f">{1 + dims}I", raw[:head])
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x} at byte offset 0; "
+                          f"expected 0x{magic:08x}")
+    if count is not None and sizes[0] != count:
+        raise FormatError(f"label count {sizes[0]} does not match image count {count}")
+    expected = head + math.prod(sizes)
+    if len(raw) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, have {len(raw)}; "
+                          f"payload ends at byte offset {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, offset=head), sizes
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Read an IDX image/label pair into flat [0, 1] features.
 
@@ -86,45 +113,9 @@ def load_idx(images_path, labels_path) -> Dataset:
     payloads must be complete, otherwise ``FormatError`` reports the
     byte offset of the problem.
     """
-    with open(images_path, "rb") as fh:
-        img_raw = fh.read()
-    if len(img_raw) < 16:
-        raise FormatError(f"{images_path}: truncated IDX header at byte offset {len(img_raw)}")
-    magic, count, rows, cols = struct.unpack(">IIII", img_raw[:16])
-    if magic != IDX_MAGIC_IMAGES:
-        raise FormatError(
-            f"{images_path}: bad magic 0x{magic:08x} at byte offset 0; "
-            f"expected 0x{IDX_MAGIC_IMAGES:08x}"
-        )
-    expected = 16 + count * rows * cols
-    if len(img_raw) != expected:
-        raise FormatError(
-            f"{images_path}: expected {expected} bytes, have {len(img_raw)}; "
-            f"payload ends at byte offset {len(img_raw)}"
-        )
-    pixels = np.frombuffer(img_raw, dtype=np.uint8, offset=16)
+    pixels, (count, rows, cols) = _read_idx(images_path, IDX_MAGIC_IMAGES, 3)
     features = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
-
-    with open(labels_path, "rb") as fh:
-        lab_raw = fh.read()
-    if len(lab_raw) < 8:
-        raise FormatError(f"{labels_path}: truncated IDX header at byte offset {len(lab_raw)}")
-    magic_l, count_l = struct.unpack(">II", lab_raw[:8])
-    if magic_l != IDX_MAGIC_LABELS:
-        raise FormatError(
-            f"{labels_path}: bad magic 0x{magic_l:08x} at byte offset 0; "
-            f"expected 0x{IDX_MAGIC_LABELS:08x}"
-        )
-    if count_l != count:
-        raise FormatError(
-            f"label count {count_l} does not match image count {count}"
-        )
-    if len(lab_raw) != 8 + count:
-        raise FormatError(
-            f"{labels_path}: expected {8 + count} bytes, have {len(lab_raw)}; "
-            f"payload ends at byte offset {len(lab_raw)}"
-        )
-    labels = np.frombuffer(lab_raw, dtype=np.uint8, offset=8).astype(np.int64)
+    labels = _read_idx(labels_path, IDX_MAGIC_LABELS, 1, count)[0].astype(np.int64)
     n_classes = int(labels.max()) + 1 if labels.size else 2
     return Dataset(features, labels, max(n_classes, 2),
                    provenance=f"idx:{images_path}")
@@ -154,6 +145,7 @@ def write_idx(dataset: Dataset, images_path, labels_path, image_shape=None):
 
 def _standardize(features, shift=None, scale=None):
     # Population convention: divide by sqrt(mean squared deviation).
+    # Without a fitted (shift, scale), fits one on these features.
     if shift is None:
         shift = features.mean(axis=0)
         scale = features.std(axis=0)
@@ -262,7 +254,7 @@ def split(dataset: Dataset, train_n: int, test_n: int, seed: int,
     norm = dataset.normalization
     if standardize:
         tr_feats, norm = _standardize(tr_feats)
-        te_feats = (te_feats - norm[0]) / norm[1]
+        te_feats, _ = _standardize(te_feats, *norm)
     train = Dataset(tr_feats, dataset.labels[tr_idx], dataset.n_classes, norm,
                     dataset.label_names, dataset.provenance + "#train")
     test = Dataset(te_feats, dataset.labels[te_idx], dataset.n_classes, norm,

@@ -50,7 +50,9 @@ Gradients are reverse-mode by hand.  The chain runs
                 = xi + F eps1 + sqrt(d) eps2  (low rank)
 
 plus the closed-form KL derivatives and, during pre-training, the
-hyperprior log densities of the point-estimated prior values.
+hyperprior log densities of the point-estimated prior values.  Which
+parameters a phase differentiates is ``model.PHASE_GROUPS``, the one
+phase policy, which the trainer's step sizes obey as well.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ from scipy import sparse, special
 
 from .distributions import kl_bernoulli, kl_gaussian, logpdf_beta, logpdf_inv_gamma
 from .errors import DomainError, NumericError, ShapeError
-from .model import Family, SampledNetwork, VariationalState, sample_network
+from .model import (PARAM_GROUP, PHASE_GROUPS, STRUCTURE_GROUPS, Family, SampledNetwork,
+                    VariationalState, sample_network)
 from .numkernel import RngStream, log_sigmoid, log_softmax, sigmoid
 
 __all__ = [
@@ -88,6 +91,9 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 # density.  A single forward gains little or loses even at 1%: the
 # one-off copy of the live input columns costs about what it saves.
 SPARSE_SHARE = 1.0 / 32.0
+
+# The prior values' and hyperprior shapes' groups: those only pre-training moves.
+_PRIOR_GROUPS = PHASE_GROUPS["pretrain"] - PHASE_GROUPS["train"]
 
 
 @dataclass
@@ -124,27 +130,20 @@ class Batch:
 class GradientBundle:
     """Per-parameter gradient arrays mirroring ``VariationalState``.
 
-    ``layers[l][name]`` matches the state array of the same name; the
-    entry is None for parameter groups the current phase or draw does
-    not differentiate (structure parameters of a fixed draw or in
-    post-training, prior and hyperprior parameters outside
-    pre-training).
+    ``layers[l][name]`` matches the state array of the same name when
+    the parameter's group (``PARAM_GROUP``) is in ``groups``, and is
+    None otherwise; a name missing from ``PARAM_GROUP`` raises
+    ``KeyError`` here.  ``with_structure`` says whether any structure
+    group is differentiated, ``with_priors`` whether every group of the
+    prior values and their hyperprior shapes is.
     """
 
-    def __init__(self, state: VariationalState, with_structure: bool, with_priors: bool):
-        self.with_structure, self.with_priors = with_structure, with_priors
-        prior_names = set(state.layers[0].SCALARS) if state.layers else set()
-        self.layers = []
-        for layer in state.layers:
-            grads = {}
-            for name in layer.param_names():
-                if name in prior_names:
-                    grads[name] = np.zeros_like(getattr(layer, name)) if with_priors else None
-                elif name in ("kappa", "rho"):
-                    grads[name] = np.zeros_like(getattr(layer, name))
-                else:
-                    grads[name] = np.zeros_like(getattr(layer, name)) if with_structure else None
-            self.layers.append(grads)
+    def __init__(self, state: VariationalState, groups):
+        self.with_structure = not STRUCTURE_GROUPS.isdisjoint(groups)
+        self.with_priors = _PRIOR_GROUPS.issubset(groups)
+        self.layers = [{name: np.zeros_like(getattr(layer, name))
+                        if PARAM_GROUP[name] in groups else None
+                        for name in layer.param_names()} for layer in state.layers]
 
     def get(self, layer: int, name: str):
         return self.layers[layer][name]
@@ -450,8 +449,9 @@ def _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, phase=None):
     """The one M-draw loop: the mean of ``scale * sum loglik - KL`` over M draws.
 
     M and ``kl_mode`` are checked before anything is drawn.  Given a
-    ``phase``, it also returns the mean gradient bundle that phase
-    differentiates, else None.
+    ``phase``, it also returns the mean gradient bundle of the groups
+    ``PHASE_GROUPS[phase]`` names, less the structure groups for a
+    fixed draw, else None.
     """
     if M < 1:
         raise DomainError("M must be at least 1")
@@ -464,9 +464,10 @@ def _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, phase=None):
         loglik, tape = forward(sampled, batch)
         if phase is not None:
             if bundle is None:
-                drawn = sampled.layers[0].logits is not None
-                bundle = GradientBundle(state, drawn and phase != "posttrain",
-                                        phase == "pretrain")
+                groups = PHASE_GROUPS[phase]
+                if sampled.layers[0].logits is None:
+                    groups = groups - STRUCTURE_GROUPS
+                bundle = GradientBundle(state, groups)
             d_weights = _backprop_loglik(sampled, batch, tape, scale)
         kl = _kl_sum(state, sampled.layers, kl_mode, bundle, d_weights, sampled.delta)
         acc += scale * float(np.sum(loglik)) - kl
@@ -503,22 +504,23 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
     Runs the same draw loop as ``elbo_estimate``, so on a fresh stream
     with the same key the returned value is the estimate's, bit for
     bit, and the gradient is the derivative of that same function of
-    the parameters at fixed noise.  ``phase="pretrain"`` also fills the
-    prior and hyperprior gradient entries (the differentiated objective
-    is then estimate + hyperprior log densities); other phases leave
-    them as None.  ``phase="posttrain"``, where the structure groups
-    are frozen, and a fixed draw (see ``sample_network``) leave the
-    structure entries None.  The gradient is not scanned for
-    finiteness here: ``trainer.adam_step`` refuses a non-finite one.
+    the parameters at fixed noise.  The entries filled are those of the
+    groups ``model.PHASE_GROUPS[phase]`` names, the one phase policy,
+    less the structure groups when the draw is fixed (see
+    ``sample_network``); the others are None.  Where the prior and
+    hyperprior entries are filled (pre-training), the differentiated
+    objective is estimate + hyperprior log densities.  The gradient is
+    not scanned for finiteness here: ``trainer.adam_step`` refuses a
+    non-finite one.
 
     Returns ``(value, GradientBundle)`` where value is the plain ELBO
     estimate (hyperprior terms are part of the gradient objective only,
     they never enter the reported trace value).
     """
-    if phase not in ("pretrain", "train", "posttrain"):
+    if phase not in PHASE_GROUPS:
         raise DomainError(f"unknown phase {phase!r}")
     value, bundle = _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, phase)
-    if phase == "pretrain":
+    if bundle.with_priors:
         _add_hyperprior_grads(state, bundle)
     if not np.isfinite(value):
         raise NumericError("ELBO estimate is not finite")

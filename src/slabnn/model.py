@@ -43,7 +43,11 @@ pre-training phase.
 All per-layer parameters are exposed through a fixed named ordering
 (``VariationalState.param_items``), which the trainer, the gradient
 bundle and the checkpoint format share.  Scalars are stored as
-shape-(1,) arrays so every parameter is a mutable numpy buffer.
+shape-(1,) arrays so every parameter is a mutable numpy buffer.  Each
+parameter belongs to one step-size group (``PARAM_GROUP``), and
+``PHASE_GROUPS`` is the one phase policy: the groups each training
+phase differentiates and may move, which the ELBO gradient and the
+trainer both read.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ from .numkernel import RngStream, sigmoid, softplus, softplus_inv
 
 __all__ = [
     "Family",
+    "GROUPS",
+    "PARAM_GROUP",
+    "STRUCTURE_GROUPS",
+    "PHASE_GROUPS",
     "NetworkSpec",
     "PriorConfig",
     "LayerParams",
@@ -368,6 +376,40 @@ class LayerParams:
         if r:
             grads["factor"] += np.outer(dvec, noise[:r])
         grads["log_diag"] += dvec * noise[r:] * 0.5 * np.sqrt(self.diag())
+
+
+# Step-size groups; every parameter ``LayerParams.param_shapes`` names
+# maps to exactly one.
+GROUPS = ("weights", "omega", "xi", "cov", "sigma2", "psi", "psi_hyper", "beta_hyper")
+
+PARAM_GROUP = {
+    "kappa": "weights",
+    "rho": "weights",
+    "omega": "omega",
+    "xi": "xi",
+    "chol_raw": "cov",
+    "factor": "cov",
+    "log_diag": "cov",
+    "log_sigma2": "sigma2",
+    "logit_psi": "psi",
+    "a_psi": "psi_hyper",
+    "b_psi": "psi_hyper",
+    "a_beta": "beta_hyper",
+    "b_beta": "beta_hyper",
+}
+
+# The inclusion structure's groups; a fixed draw differentiates none.
+STRUCTURE_GROUPS = frozenset({"omega", "xi", "cov"})
+
+# The one phase policy, in schedule order: the groups each phase
+# differentiates and may move.  Pre-training moves every group, the
+# prior values and their hyperprior shapes included; training fits the
+# slabs and the inclusion structure; post-training fine-tunes the slabs.
+PHASE_GROUPS = {
+    "pretrain": frozenset(GROUPS),
+    "train": STRUCTURE_GROUPS | {"weights"},
+    "posttrain": frozenset({"weights"}),
+}
 
 
 class VariationalState:

@@ -8,11 +8,14 @@ post-training phase freezes the inclusion structure as well and only
 fine-tunes slab means and sds, either resampling indicators as usual or
 conditioning on the median probability mask.
 
-Each parameter belongs to one step-size group; a phase assigns a step
-size per group and a zero (or absent) entry freezes that group,
-bit-exactly.  ADAM moments restart at every phase boundary since the
-objective and the live groups change there.  One optimizer step per
-minibatch, ascent direction:
+Each parameter belongs to one step-size group (``model.PARAM_GROUP``);
+a phase assigns a step size per group and a zero (or absent) entry
+freezes that group, bit-exactly.  Which groups a phase may move at all
+is ``model.PHASE_GROUPS``, the one phase policy: ``PhaseConfig``
+refuses a nonzero step outside it, and ``elbo_gradient`` differentiates
+exactly those groups.  ADAM moments restart at every phase boundary
+since the objective and the live groups change there.  One optimizer
+step per minibatch, ascent direction:
 
     theta <- theta + lr * m_hat / (sqrt(v_hat) + 1e-8).
 
@@ -36,8 +39,9 @@ import numpy as np
 from . import checkpoint as ckpt
 from .elbo import Batch, GradientBundle, elbo_gradient
 from .errors import ConfigError, NumericError
-from .model import (Family, LayerParams, NetworkSpec, PriorConfig, VariationalState,
-                    init_state, marginal_inclusion, median_model)
+from .model import (GROUPS, PARAM_GROUP, PHASE_GROUPS, STRUCTURE_GROUPS, Family,
+                    LayerParams, NetworkSpec, PriorConfig, VariationalState, init_state,
+                    marginal_inclusion, median_model)
 from .numkernel import RngStream
 
 __all__ = [
@@ -60,26 +64,7 @@ __all__ = [
     "live_groups",
 ]
 
-# Step-size groups; every state parameter maps to exactly one.
-GROUPS = ("weights", "omega", "xi", "cov", "sigma2", "psi", "psi_hyper", "beta_hyper")
-
-PARAM_GROUP = {
-    "kappa": "weights",
-    "rho": "weights",
-    "omega": "omega",
-    "xi": "xi",
-    "chol_raw": "cov",
-    "factor": "cov",
-    "log_diag": "cov",
-    "log_sigma2": "sigma2",
-    "logit_psi": "psi",
-    "a_psi": "psi_hyper",
-    "b_psi": "psi_hyper",
-    "a_beta": "beta_hyper",
-    "b_beta": "beta_hyper",
-}
-
-PHASE_NAMES = ("pretrain", "train", "posttrain")
+PHASE_NAMES = tuple(PHASE_GROUPS)
 
 # The trainer's stream ids per run seed; checkpoints keep the positions
 # of the shuffle and sample streams.
@@ -95,9 +80,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Upper bound on a phase's draws M.  Every step samples and backpropagates
 # M networks, so an absurd M would run without end; it fails validation.
 MAX_DRAWS = 1024
-
-_PRETRAIN_ONLY = ("sigma2", "psi", "psi_hyper", "beta_hyper")
-_STRUCTURE = ("omega", "xi", "cov")
 
 # The stock step sizes per family and phase, read by ``default_phases``
 # and by the INI reader for every group a phase section leaves unset.
@@ -186,18 +168,10 @@ class PhaseConfig:
             elif not 0.0 <= value < np.inf:
                 problems.append(f"{self.name}: step size for {group} must be "
                                 f"nonnegative and finite")
-        if self.name != "pretrain":
-            for group in _PRETRAIN_ONLY:
-                if self.lr.get(group, 0.0) != 0.0:
-                    problems.append(
-                        f"{self.name}: group {group} may only move during pretrain"
-                    )
-        if self.name == "posttrain":
-            for group in _STRUCTURE:
-                if self.lr.get(group, 0.0) != 0.0:
-                    problems.append(
-                        f"posttrain: structure group {group} must be frozen"
-                    )
+            elif value != 0.0 and group not in PHASE_GROUPS.get(self.name, GROUPS):
+                problems.append(f"{self.name}: structure group {group} must be frozen"
+                                if group in STRUCTURE_GROUPS else
+                                f"{self.name}: group {group} may only move during pretrain")
         return problems
 
 
@@ -212,7 +186,7 @@ def live_groups(family: Family, prior: PriorConfig) -> set:
     """
     live = {PARAM_GROUP[name] for name in LayerParams.param_shapes(family, (1, 1))}
     if prior.fixed_dense:
-        live -= {*_STRUCTURE, "psi", "psi_hyper"}
+        live -= STRUCTURE_GROUPS | {"psi", "psi_hyper"}
     if not prior.learn_psi:
         live.discard("psi")
     if not prior.learn_hyper:
@@ -305,7 +279,7 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
             continue
         param = getattr(state.layers[l], name)
         param += step * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        if name in ("a_beta", "b_beta", "a_psi", "b_psi"):
+        if PARAM_GROUP[name] in ("psi_hyper", "beta_hyper"):
             np.clip(param, HYPER_CLAMP[0], HYPER_CLAMP[1], out=param)
 
 

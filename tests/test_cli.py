@@ -108,6 +108,24 @@ seeds = 1
         assert "not a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new,expected", [
+        ("replicates = 3", "replicates = 3\nthreshold = 1.0",
+         "[predict] threshold: must lie in [0, 1)"),
+        ("seeds = 1,2", "seeds = 2,1,2", "[run] seeds: duplicate seeds"),
+        # RngStream's own bound, 0 <= seed < 2**64, on both sides
+        ("seeds = 1,2", "seeds = 1,-1", "[run] seed must fit in an unsigned 64-bit integer"),
+        ("seeds = 1,2", "seeds = 1,18446744073709551616",
+         "[run] seed must fit in an unsigned 64-bit integer"),
+    ], ids=["threshold", "duplicate_seeds", "negative_seed", "seed_2**64"])
+    def test_refused_predict_and_run_keys_write_nothing(self, tmp_path, capsys,
+                                                         old, new, expected):
+        cfg, out = _write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+        code, stdout, err = _run_main(["train", str(cfg)], capsys)
+        assert code == 2
+        assert err == f"config error: {expected}\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_undecodable_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_bytes(GOOD_CONFIG.encode().replace(b"smoke", b"sm\xffke"))
@@ -377,6 +395,22 @@ class TestPredictCommand:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_bad_seed_exits_two_before_reading(self, trained, tmp_path, capsys,
+                                               monkeypatch, command, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the checkpoint before checking --seed")
+
+        monkeypatch.setattr(cli.ckpt, "load_checkpoint", refuse)
+        code, stdout, err = _run_main(
+            [command, str(trained["ckpt"]), "--csv", str(trained["csv"]),
+             "--seed", seed, "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err == "config error: --seed: seed must fit in an unsigned 64-bit integer\n"
+        assert stdout == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_label_without_output_exits_two(self, trained, tmp_path, capsys, command):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0,3.0,4.0,0\n1.0,2.0,3.0,4.0,7\n")
@@ -504,6 +538,41 @@ class TestEvalCommand:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flags,expected", [
+        ("eval", ["--csv", "{csv}", "--corr-layer", "5"], "layer index 5 out of range"),
+        ("eval", ["--csv", "{csv}", "--corr-layer", "0", "--corr-samples", "1"],
+         "need at least two samples to correlate"),
+        ("eval", ["--csv", "{csv}", "--corr-layer", "0", "--corr-samples", "16777217"],
+         "the layer 0 inclusion correlations count in float32, exact up to 2**24 samples, "
+         "got 16777217"),
+        ("predict", ["--images", "{images}", "--labels", "{labels}", "--standardize"],
+         "--standardize: IDX pixels are consumed pre-scaled"),
+        ("eval", ["--images", "{images}", "--labels", "{labels}", "--standardize"],
+         "--standardize: IDX pixels are consumed pre-scaled"),
+        ("eval", ["--csv", "{csv}", "--ood-images", "{images}", "--ood-labels", "{labels}",
+                  "--standardize"], "--standardize: IDX pixels are consumed pre-scaled"),
+    ], ids=["corr_layer", "corr_samples_1", "corr_samples_2**24+1", "predict_idx_standardize",
+            "eval_idx_standardize", "eval_ood_idx_standardize"])
+    def test_refused_flags_predict_nothing(self, trained, tmp_path, capsys, monkeypatch,
+                                           command, flags, expected):
+        _, images, labels = _idx_pair(tmp_path, 12)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return predictor.predict(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "predict", counting)
+        flags = [f.format(csv=trained["csv"], images=images, labels=labels) for f in flags]
+        out = tmp_path / "out"
+        code, stdout, err = _run_main([command, str(trained["ckpt"]), *flags,
+                                       "--out", str(out)], capsys)
+        assert code == 2
+        assert err == f"config error: {expected}\n"
+        assert stdout == ""
+        assert calls == []
+        assert not out.exists()
+
     def test_unreadable_ood_data_writes_nothing(self, trained, tmp_path, capsys):
         narrow = tmp_path / "narrow.csv"
         narrow.write_text("1.0,2.0,0\n3.0,4.0,1\n")
@@ -598,26 +667,62 @@ def _idx_pair(tmp_path, n):
 
 
 class TestDataFormats:
-    @pytest.mark.parametrize("fmt", ["csv", "idx", "synth_logistic"])
+    @pytest.mark.parametrize("fmt", ["csv", "idx", "synth_logistic", "idx_test_pair"])
     def test_train_on_each_format(self, tmp_path, capsys, fmt):
         data, images, labels = _idx_pair(tmp_path, 30)
+        eval_rows = 30
         if fmt == "csv":
             path = tmp_path / "data.csv"
             path.write_text("".join(",".join(map(repr, row.tolist())) + f",{label}\n"
                                     for row, label in zip(data.features, data.labels)))
             keys = f"path = {path}\n"
-        elif fmt == "idx":
+        elif fmt.startswith("idx"):
             keys = f"train_images = {images}\ntrain_labels = {labels}\n"
+            if fmt == "idx_test_pair":
+                test, test_images, test_labels = _idx_pair(tmp_path, 12)
+                keys += f"test_images = {test_images}\ntest_labels = {test_labels}\n"
+                eval_rows = test.n
         else:
             keys = "n = 30\np = 4\nk_true = 2\ndata_seed = 4\n"
         cfg = tmp_path / "run.ini"
-        cfg.write_text(FORMAT_RUN.format(fmt=fmt, keys=keys, out=tmp_path / "out"))
+        cfg.write_text(FORMAT_RUN.format(fmt=fmt.removesuffix("_test_pair"), keys=keys,
+                                         out=tmp_path / "out"))
         code, stdout, _ = _run_main(["train", str(cfg)], capsys)
         assert code == 0
-        assert "train_rows=30 eval_rows=30" in stdout
+        assert f"train_rows=30 eval_rows={eval_rows}" in stdout
         seed_dir = tmp_path / "out" / "fmt" / "seed1"
-        assert len((seed_dir / "predictions.csv").read_text().splitlines()) == 31
+        lines = (seed_dir / "predictions.csv").read_text().splitlines()
+        assert len(lines) == 1 + eval_rows
         assert (seed_dir / "checkpoint_final.lbnn").exists()
+
+    @pytest.mark.parametrize("fmt,keys,expected", [
+        ("csv", "path = {csv}\nlabel_column = none\n",
+         "label_column: training needs labels; 'none' is for predict and eval"),
+        ("csv", "path = {csv}\ndelimiter = ab\n", "delimiter: must be a single character"),
+        ("idx", "{train}test_images = {images}\n",
+         "test_images and test_labels must come together"),
+        ("synth_logistic", "p = 3\nk_true = 4\n", "k_true: must not exceed p"),
+        ("idx", "{train}{test}train_n = 20\ntest_n = 10\n",
+         "a test IDX pair and a split cannot be combined"),
+        ("idx", "{train}standardize = true\n", "standardize: IDX pixels are consumed pre-scaled"),
+    ], ids=["unlabeled_csv", "long_delimiter", "unpaired_test_images", "k_true_over_p",
+            "idx_test_pair_and_split", "idx_standardize"])
+    def test_dataset_problems_exit_two_writing_nothing(self, tmp_path, capsys,
+                                                        fmt, keys, expected):
+        data, images, labels = _idx_pair(tmp_path, 30)
+        csv = tmp_path / "data.csv"
+        csv.write_text("".join(",".join(map(repr, row.tolist())) + f",{label}\n"
+                               for row, label in zip(data.features, data.labels)))
+        keys = keys.format(csv=csv, images=images,
+                           train=f"train_images = {images}\ntrain_labels = {labels}\n",
+                           test=f"test_images = {images}\ntest_labels = {labels}\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FORMAT_RUN.format(fmt=fmt, keys=keys, out=tmp_path / "out"))
+        code, stdout, err = _run_main(["train", str(cfg)], capsys)
+        assert code == 2
+        assert err == f"config error: [dataset] {expected}\n"
+        assert stdout == ""
+        assert not (tmp_path / "out").exists()
 
     def test_predict_and_eval_read_idx_flags(self, trained, tmp_path, capsys):
         _, images, labels = _idx_pair(tmp_path, 12)

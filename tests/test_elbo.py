@@ -6,7 +6,7 @@ from scipy import stats
 
 from conftest import ALL_FAMILIES, make_batch, make_state
 from slabnn.distributions import kl_bernoulli, kl_gaussian
-from slabnn.elbo import (Batch, elbo_estimate, elbo_gradient, forward,
+from slabnn.elbo import (Batch, elbo_estimate, elbo_gradient, forward, forward_logits,
                          hyperprior_logdensity, kl_state)
 from slabnn.errors import DomainError, NumericError, ShapeError
 from slabnn.model import Family, PriorConfig, sample_network
@@ -340,3 +340,10 @@ class TestEstimatorIdentities:
             elbo_gradient(st, make_batch(n=4, p=5), 1, 0.1, RngStream(0, 2))
         with pytest.raises(DomainError):
             elbo_gradient(st, bad, 1, 0.1, RngStream(0, 2))
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_non_finite_activations_name_their_transition(self, t):
+        sampled = sample_network(make_state(), 0.1, "relaxed", RngStream(0, 2))
+        sampled.layers[t].effective[0, 0] = np.inf  # a bias: every row's pre-activation
+        with pytest.raises(NumericError, match=f"^non-finite activations at transition {t}$"):
+            forward_logits(sampled, make_batch().features)

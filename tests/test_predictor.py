@@ -79,6 +79,11 @@ class TestPredict:
         predict(st, _features(), PredictionMode("sim", "sim", 5), rng=RngStream(4, 99))
         assert len(calls) == st.n_transitions == 2
 
+    @pytest.mark.parametrize("gamma", ["sim", "med"])
+    def test_sampled_modes_need_an_rng(self, gamma):
+        with pytest.raises(DomainError, match="^this prediction mode needs an rng$"):
+            predict(make_state(seed=54), _features(), PredictionMode(gamma, "sim"))
+
     def test_deterministic_modes_need_no_rng_for_mf(self):
         st = make_state(seed=54)
         x = _features()

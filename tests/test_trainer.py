@@ -67,6 +67,26 @@ class TestPhaseConfig:
             PhaseConfig("posttrain", epochs=1, lr={"weights": 0.1},
                         gamma_policy="frozen")
 
+    @pytest.mark.parametrize("name,lr,policy,expected", [
+        ("pretrain", dict.fromkeys(GROUPS, 0.1), "resample", []),
+        ("train", {"weights": 0.1, "omega": 0.1, "xi": 0.1, "cov": 0.1, "psi": 0.0},
+         "resample", []),
+        ("train", {"weights": 0.1, "sigma2": 1e-3}, "resample",
+         ["train: group sigma2 may only move during pretrain"]),
+        ("posttrain", {"weights": 0.1, "beta_hyper": 1e-5, "omega": 0.0, "cov": 0.1},
+         "resample", ["posttrain: group beta_hyper may only move during pretrain",
+                      "posttrain: structure group cov must be frozen"]),
+        ("train", {"weights": 0.1}, "median_fixed",
+         ["median_fixed is only valid in the posttrain phase"]),
+    ])
+    def test_phase_group_rules(self, name, lr, policy, expected):
+        phase = PhaseConfig("train", epochs=1, lr={"weights": 0.1})
+        phase.name, phase.lr, phase.gamma_policy = name, lr, policy
+        assert phase.validate() == expected
+        if expected:
+            with pytest.raises(ConfigError, match=re.escape(expected[0])):
+                PhaseConfig(name, epochs=1, lr=lr, gamma_policy=policy)
+
     def test_draws_bounded_above(self):
         phase = PhaseConfig("train", epochs=1, lr={"weights": 0.1}, draws=MAX_DRAWS)
         assert MAX_DRAWS >= 64
