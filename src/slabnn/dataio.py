@@ -126,11 +126,14 @@ def write_idx(dataset: Dataset, images_path, labels_path, image_shape=None):
 
     Features must lie in [0, 1]; they are quantized to bytes by
     rounding feature * 255, so data previously loaded by ``load_idx``
-    round-trips value-exactly.  ``image_shape`` defaults to (1, p).
+    round-trips value-exactly.  Labels are bytes too, so they must not
+    exceed 255.  ``image_shape`` defaults to (1, p).
     """
     feats = dataset.features
     if np.any(feats < 0.0) or np.any(feats > 1.0):
         raise DomainError("IDX features must lie in [0, 1]")
+    if np.any(dataset.labels > 255):
+        raise DomainError(f"IDX labels are bytes, got label {dataset.labels.max()}")
     rows, cols = image_shape if image_shape is not None else (1, dataset.p)
     if rows * cols != dataset.p:
         raise ShapeError(f"image shape {rows}x{cols} does not match width {dataset.p}")

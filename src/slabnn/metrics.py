@@ -96,19 +96,22 @@ class EntropyCdf:
 def entropy_cdf(probs) -> EntropyCdf:
     """Entropies -sum p log p of each row, packaged as an empirical CDF.
 
-    Rows must be probability vectors: nonnegative, summing to one
-    within 1e-8.  Entropy uses the natural logarithm, so the maximum
-    possible value is log(n_classes).
+    Rows must be probability vectors: finite, nonnegative, summing to
+    one within 1e-8; ``DomainError`` names the first row whose sum is
+    off or not finite.  Entropy uses the natural logarithm, so the
+    maximum possible value is log(n_classes).
     """
     p = np.ascontiguousarray(probs, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 1:
         raise ShapeError("probs must be a nonempty (n, classes) matrix")
+    sums = p.sum(axis=1)
+    # A row with a non-finite entry has a non-finite sum, and a NaN sum
+    # fails this test where ``> 1e-8`` would pass it.
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= 1e-8))[0]
+    if bad.size:
+        raise DomainError(f"row {bad[0]} does not sum to 1 (got {float(sums[bad[0]])!r})")
     if np.any(p < 0.0):
         raise DomainError("probabilities must be nonnegative")
-    sums = p.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > 1e-8)[0]
-    if bad.size:
-        raise DomainError(f"row {bad[0]} does not sum to 1 (got {sums[bad[0]]!r})")
     ent = -np.sum(xlogy(p, p), axis=1)
     return EntropyCdf(values=np.sort(ent))
 

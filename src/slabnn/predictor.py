@@ -41,21 +41,20 @@ dropped first.
 Replicate r consumes stream (seed, stream_id + 1 + r) derived from the
 passed rng's key, so the first replicates of an R=1 and an R=10 call
 with the same rng are identical.  Replicates share nothing they write,
-so a sampled call may run them on k = min(R, cores // blas_threads)
-threads at once: ``cores`` is the CPUs this process may run on, and
-``blas_threads`` the first of ``OPENBLAS_NUM_THREADS``,
+so every sampled call runs them on k = min(R, cores // blas_threads)
+threads at once, whatever its size: ``cores`` is the CPUs this process
+may run on, and ``blas_threads`` the first of ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to a positive integer,
 else ``cores`` (so k = 1 when BLAS is not pinned and already fills the
-cores).  Threads run only when one replicate's forward is at least
-``THREAD_WORK`` multiply-adds, a property of the call's inputs alone.
-The calling thread runs its share and k - 1 threads start inside the
-call and are joined before it returns; none outlives it.  Thread j (the
-caller is 0) runs replicates j, j + k, ... and each result is placed by
-its index, so every replicate's bytes are those of the sequential loop,
-whatever k is.  If replicates fail, the error of the lowest-numbered
-failing one is raised, as the sequential loop does, once every thread
-has finished.  Each extra thread costs about one replicate's working
-set of resident memory, which its malloc arena keeps after the call.
+cores).  The calling thread runs its share and k - 1 threads start
+inside the call and are joined before it returns; none outlives it.
+Thread j (the caller is 0) runs replicates j, j + k, ... and each
+result is placed by its index, so every replicate's bytes are those of
+the sequential loop, whatever k is.  If replicates fail, the error of
+the lowest-numbered failing one is raised, as the sequential loop does,
+once every thread has finished.  Each extra thread costs about one
+replicate's working set of resident memory, which its malloc arena
+keeps after the call.
 
 The inclusion probabilities are exact for every family and draw
 nothing, so the deterministic modes (all/mea, med/mea) run without an
@@ -94,19 +93,6 @@ BETA_RULES = ("sim", "mea")
 
 # Classify only when the top model-averaged probability exceeds this.
 DOUBT_THRESHOLD = 0.95
-
-# A sampled call runs its replicates on threads only when one replicate's
-# forward takes at least this many multiply-adds: rows times the weights
-# (bias rows included) of each dense transition, plus the kept weights of
-# a transition ``MaskedProducts`` makes sparse.  perfbench on a 2-core VM
-# with one BLAS thread, R = 10, the caller and one worker thread:
-# - 2,000 rows of 784-64-32-10 (105M): sim/sim 13.3k to 25.3k rows/s;
-# - 5,000 rows of the same widths (263M): 15.7k to 30.0k rows/s;
-# - 3,000 rows of 60-15-5 (3.0M): two sessions disagreed.  One saw threads
-#   lose (117k/93k to 78k/84k rows/s, the threads handing the GIL back and
-#   forth over small arrays), a later one saw them gain (107-121k to
-#   160-176k), so calls that small stay sequential until that is settled.
-THREAD_WORK = 2**24
 
 
 @dataclass(frozen=True)
@@ -233,20 +219,14 @@ def predict(state: VariationalState, features, mode: PredictionMode,
         del net  # its noise and other draw arrays are dead weight in the forward
         return _probs(state.spec, weights, x, products), masks
 
-    kept_layers = products.layers if products is not None else [None] * state.n_transitions
-    work = x.shape[0] * sum(layer.n_weights if kept is None else kept.indices.size
-                            for layer, kept in zip(state.layers, kept_layers))
-    done = _run_replicates(replicate, mode.replicates,
-                           _replicate_threads(mode.replicates, work))
+    done = _run_replicates(replicate, mode.replicates, _replicate_threads(mode.replicates))
     stacked = np.stack([p for p, _ in done], axis=0)
     return PredictiveResult(probs=stacked.mean(axis=0), replicate_probs=stacked,
                             masks=[m for _, m in done], alpha_hat=alpha_hat)
 
 
-def _replicate_threads(replicates: int, work: int) -> int:
+def _replicate_threads(replicates: int) -> int:
     """How many threads run a sampled call's replicates; see the module docstring."""
-    if work < THREAD_WORK:
-        return 1
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     blas = cores
@@ -319,8 +299,8 @@ def density_level(masks) -> float:
     layer); bias rows count like any other connection.  Deterministic
     all-connection modes give exactly 1.0.
     """
-    if not masks:
-        raise DomainError("need at least one replicate's masks")
+    if not masks or not masks[0]:
+        raise DomainError("need at least one replicate's masks of at least one layer")
     union = [np.zeros_like(m) for m in masks[0]]
     for rep in masks:
         if len(rep) != len(union):
@@ -336,8 +316,12 @@ def export_predictions_csv(path, result: PredictiveResult, decisions: DoubtDecis
     """Write one row per observation: probabilities, decision, abstain flag.
 
     ``classify_with_doubt(result.probs, 0.0)`` gives plain argmax rows.
+    A decision count other than the row count raises ``ShapeError``
+    before the file is opened.
     """
     probs = result.probs
+    if len(decisions.decisions) != len(probs):
+        raise ShapeError(f"{len(probs)} probability rows but {len(decisions.decisions)} decisions")
     cols = ["row"] + [f"p_class{j}" for j in range(probs.shape[1])] + ["decision", "abstained"]
     lines = [",".join(cols) + "\n"]
     for i, (p, d) in enumerate(zip(probs.tolist(), decisions.decisions.tolist())):

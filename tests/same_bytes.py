@@ -39,15 +39,14 @@ at widths 784-16-3 adds ``predict`` med/sim (R=3) and med/mea on a
 median mask that keeps 125 of layer 0's 12,544 non-bias weights, and
 one ``sample_network`` draw under that mask, which pins the order in
 which a fixed draw fills its kept slabs.  The same state adds
-``predict`` sim/sim (R=4) on 1,400 rows, 1,400 x 12,611 multiply-adds
-per replicate, just above ``predictor.THREAD_WORK``: with BLAS pinned
-to one thread on a machine of two or more cores its replicates run on
-threads, and the digest must not depend on that.  Its first product,
-1,400 x 785 by 785 x 16, is large enough for a multi-threaded OpenBLAS
-to split, which sums in another order.  So the script pins OpenBLAS to
-one thread, as the benchmark does, unless ``OPENBLAS_NUM_THREADS`` is
-already set; digests made under another setting compare only with
-each other.
+``predict`` sim/sim and med/sim (R=4) on 1,400 rows: with BLAS pinned
+to one thread on a machine of two or more cores their replicates run
+on threads, and the digests must not depend on that.  The sim/sim
+call's first product, 1,400 x 785 by 785 x 16, is large enough for a
+multi-threaded OpenBLAS to split, which sums in another order.  So the
+script pins OpenBLAS to one thread, as the benchmark does, unless
+``OPENBLAS_NUM_THREADS`` is already set; digests made under another
+setting compare only with each other.
 
 The CLI section runs ``slabnn train`` on one INI config per family
 (mean field, mvn_full, and low rank at r=2; pretrain, a sampled-KL
@@ -58,7 +57,7 @@ the commands write and every stdout and exit code, with the scratch
 directory replaced by ``<work>`` and the ``epoch_seconds=`` timing
 dropped.
 
-That makes 255 digests: 136 from the library and 119 from the CLI.
+That makes 256 digests: 137 from the library and 119 from the CLI.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -208,7 +207,7 @@ def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
 
 def sparse_digests() -> dict:
     """Median-model predictions, a draw whose first-layer mask is 1% dense, and
-    a sim/sim call above the replicate-thread gate."""
+    sim/sim and med/sim calls whose replicates run on threads."""
     from slabnn.dataio import synth_clusters
     from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state, median_model,
                               sample_network)
@@ -236,9 +235,11 @@ def sparse_digests() -> dict:
         [(ls.alpha, ls.gamma_tilde, ls.beta, ls.effective, ls.eps, ls.tau,
           ls.logits is None) for ls in net.layers], rng)
     rows = synth_clusters(1400, 784, 3, separation=1.0, seed=SEED)
-    res = predict(state, rows.features, PredictionMode("sim", "sim", 4),
-                  rng=RngStream(SEED, 999))
-    out["threads/predict/sim_sim"] = _digest(res.probs, res.replicate_probs, res.masks)
+    for gamma in ("sim", "med"):
+        res = predict(state, rows.features, PredictionMode(gamma, "sim", 4),
+                      rng=RngStream(SEED, 999))
+        out[f"threads/predict/{gamma}_sim"] = _digest(
+            res.probs, res.replicate_probs, res.masks)
     return out
 
 

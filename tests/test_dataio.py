@@ -86,6 +86,12 @@ class TestIdx:
             write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx",
                       image_shape=(1, 2))
 
+    def test_write_rejects_labels_above_a_byte(self, tmp_path):
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 300]), 301)
+        with pytest.raises(DomainError, match="label 300"):
+            write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_rejects_bad_shape_product(self, tmp_path):
         ds = Dataset(np.zeros((1, 4)), np.array([0]), 2)
         with pytest.raises(ShapeError):

@@ -80,6 +80,15 @@ class TestEntropyCdf:
         with pytest.raises(DomainError):
             entropy_cdf(np.array([[1.5, -0.5]]))
 
+    def test_non_finite_row_refused(self):
+        # The first non-finite row is named, before any sign problem.
+        with pytest.raises(DomainError, match=r"row 0 does not sum to 1 \(got nan\)"):
+            entropy_cdf(np.array([[np.nan, np.nan], [0.5, 0.5]]))
+        with pytest.raises(DomainError, match=r"row 1 does not sum to 1 \(got nan\)"):
+            entropy_cdf(np.array([[0.5, 0.5], [np.nan, 1.0], [-1.0, 2.0]]))
+        with pytest.raises(DomainError, match=r"row 0 does not sum to 1 \(got inf\)"):
+            entropy_cdf(np.array([[np.inf, 0.0]]))
+
     def test_csv_format(self, tmp_path):
         cdf = entropy_cdf(np.array([[0.5, 0.5], [1.0, 0.0]]))
         path = tmp_path / "cdf.csv"

@@ -372,6 +372,8 @@ class TestDensity:
     def test_empty_masks_rejected(self):
         with pytest.raises(DomainError):
             density_level([])
+        with pytest.raises(DomainError, match="at least one layer"):
+            density_level([[]])
 
 
 class TestExport:
@@ -391,6 +393,14 @@ class TestExport:
             cols = ln.split(",")
             assert int(cols[3]) == dec
             assert int(cols[4]) == (1 if dec < 0 else 0)
+
+    def test_decisions_must_match_rows(self, tmp_path):
+        probs = np.full((5, 2), 0.5)
+        path = tmp_path / "p.csv"
+        with pytest.raises(ShapeError, match="5 probability rows but 2 decisions"):
+            export_predictions_csv(path, PredictiveResult(probs, None, []),
+                                   DoubtDecisions(np.array([0, 1]), 0.5))
+        assert not path.exists()
 
     def test_bytes_match_per_value_repr(self, tmp_path):
         probs = np.array([[-0.0, 5e-324, 1.0], [0.1 + 0.2, 0.5, 1.0 - 2.0**-53]])
@@ -414,8 +424,8 @@ class TestExport:
             assert cols[4] == "0"
 
 
-def _pin(monkeypatch, cores, gate, openblas=None, omp=None):
-    """Fake ``cores`` CPUs, set the BLAS thread variables and the work gate."""
+def _pin(monkeypatch, cores, openblas=None, omp=None):
+    """Fake ``cores`` CPUs and set the BLAS thread variables."""
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
     for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp),
@@ -424,7 +434,6 @@ def _pin(monkeypatch, cores, gate, openblas=None, omp=None):
             monkeypatch.delenv(var, raising=False)
         else:
             monkeypatch.setenv(var, value)
-    monkeypatch.setattr(predictor, "THREAD_WORK", gate, raising=False)
 
 
 @pytest.fixture
@@ -491,7 +500,7 @@ class TestReplicateThreads:
                 mode = PredictionMode(gamma, "sim", replicates)
                 got = []
                 for blas in ("1", "4"):
-                    _pin(monkeypatch, cores=4, gate=0, openblas=blas)
+                    _pin(monkeypatch, cores=4, openblas=blas)
                     got.append(_result_bytes(predict(st, x, mode, rng=RngStream(6, 99))))
                 assert got[0] == got[1], (gamma, replicates)
 
@@ -528,39 +537,39 @@ class TestReplicateThreads:
         assert calls == [200] * 6
         assert wrong == [0] * 6
 
-    def test_threads_start_above_the_gate_with_pinned_blas(self, monkeypatch, started):
-        # 9 rows through 5x3 + 4x2 = 23 weights is 207 multiply-adds.
+    def test_thread_count_follows_cores_and_blas(self, monkeypatch, started):
         st = make_state(seed=61)
         x = _features()
         mode = PredictionMode("sim", "sim", 5)
-        _pin(monkeypatch, cores=4, gate=208, openblas="1")
+        _pin(monkeypatch, cores=4)  # BLAS not pinned: it fills the cores
         predict(st, x, mode, rng=RngStream(1, 99))
         assert started == []
-        _pin(monkeypatch, cores=4, gate=207)  # BLAS not pinned: it fills the cores
-        predict(st, x, mode, rng=RngStream(1, 99))
-        assert started == []
-        _pin(monkeypatch, cores=4, gate=207, openblas="1")
+        _pin(monkeypatch, cores=4, openblas="1")
         predict(st, x, mode, rng=RngStream(1, 99))
         assert len(started) == 3  # k = min(5, 4 // 1)
-        _pin(monkeypatch, cores=4, gate=207, openblas="0", omp="2")  # first positive wins
+        _pin(monkeypatch, cores=4, openblas="0", omp="2")  # first positive wins
         predict(st, x, mode, rng=RngStream(1, 99))
         assert len(started) == 4  # k = 4 // 2
         predict(st, x, PredictionMode("sim", "sim", 1), rng=RngStream(1, 99))
         assert len(started) == 4  # k = min(R, ...)
         assert not any(t.is_alive() for t in started)
 
-    def test_sparse_transition_counts_its_kept_weights(self, monkeypatch, started):
-        # Layer 0 keeps 125 weights and runs sparse; layer 1 (17x3) stays
-        # dense: 20 rows x (125 + 51) multiply-adds.
-        st = _sparse_state()
-        x = _features(n=20, p=784)
-        mode = PredictionMode("med", "sim", 2)
-        _pin(monkeypatch, cores=2, gate=20 * 176 + 1, openblas="1")
-        predict(st, x, mode, rng=RngStream(1, 99))
-        assert started == []
-        _pin(monkeypatch, cores=2, gate=20 * 176, openblas="1")
-        predict(st, x, mode, rng=RngStream(1, 99))
-        assert len(started) == 1
+    def test_small_calls_run_threaded_with_the_sequential_bytes(self, monkeypatch, started):
+        # Call size does not matter: 9 rows through 5-3-2 (207
+        # multiply-adds) and a 784-16-3 median model keeping 125 of
+        # layer 0's weights both run on threads at pinned BLAS.
+        cases = [(make_state(seed=61), _features(), "sim"),
+                 (_sparse_state(), _features(n=20, p=784), "med")]
+        for st, x, gamma in cases:
+            mode = PredictionMode(gamma, "sim", 4)
+            _pin(monkeypatch, cores=4, openblas="4")
+            sequential = _result_bytes(predict(st, x, mode, rng=RngStream(7, 99)))
+            assert started == []
+            _pin(monkeypatch, cores=4, openblas="1")
+            assert _result_bytes(predict(st, x, mode, rng=RngStream(7, 99))) == sequential
+            assert len(started) == 3, gamma
+            assert not any(t.is_alive() for t in started)
+            started.clear()
 
     def test_lowest_failing_replicate_raises_after_every_thread(self, monkeypatch, started):
         # Replicate 3 fails at once, replicate 2 a little later, so the
@@ -576,7 +585,7 @@ class TestReplicateThreads:
             return draw(state, delta, mode, rng, **kwargs)
 
         monkeypatch.setattr(predictor, "sample_network", failing)
-        _pin(monkeypatch, cores=4, gate=0, openblas="1")
+        _pin(monkeypatch, cores=4, openblas="1")
         with pytest.raises(NumericError, match="replicate 2 failed"):
             predict(make_state(seed=62), _features(), PredictionMode("sim", "sim", 6),
                     rng=RngStream(1, 99))
