@@ -102,18 +102,18 @@ import sys
 from . import checkpoint as ckpt
 from . import dataio
 from .distributions import HyperParams
-from .errors import ConfigError, DomainError, FormatError, SlabnnError
+from .errors import ConfigError, DomainError, FormatError, ShapeError, SlabnnError
 from .metrics import (MetricsReport, accuracy, entropy_cdf,
                       inclusion_correlation, layer_inclusion_means,
                       summarize_runs)
-from .model import (Family, NetworkSpec, PriorConfig, family_problems,
+from .model import (GROUPS, Family, NetworkSpec, PriorConfig, family_problems,
                     marginal_inclusion, memory_problems)
 from .numkernel import RngStream
 from .predictor import (BETA_RULES, DOUBT_THRESHOLD, GAMMA_RULES, PredictionMode,
                         classify_with_doubt, density_level, export_predictions_csv,
                         predict)
-from .trainer import (GROUPS, PHASE_NAMES, STOCK_LR, PhaseConfig, default_phases,
-                      live_groups, train, validate_schedule)
+from .trainer import (PHASE_NAMES, STOCK_LR, PhaseConfig, default_phases, live_groups,
+                      train, validate_schedule)
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -615,6 +615,9 @@ def cmd_eval(args) -> int:
     ood_data = ood = None
     if args.ood_csv is not None or args.ood_images is not None:
         ood_data, _ = _data_from_flags(args, prefix="ood_")
+        width = state.spec.widths[0]
+        if ood_data.features.shape[1] != width:  # predict's own refusal, made early
+            raise ShapeError(f"features must be (n, {width}), got {ood_data.features.shape}")
     if args.corr_layer is not None:
         try:
             corr, constant = inclusion_correlation(

@@ -43,9 +43,7 @@ class Dataset:
 
     ``normalization`` holds the (shift, scale) pair applied to the raw
     features, ``label_names`` the original label tokens in class-id
-    order (None when the tokens were the class ids), and ``provenance``
-    a short free-form tag describing where the rows came from (file
-    path, generator call).
+    order (None when the tokens were the class ids).
     """
 
     features: np.ndarray
@@ -53,7 +51,6 @@ class Dataset:
     n_classes: int
     normalization: tuple = None
     label_names: tuple = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -117,8 +114,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     features = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
     labels = _read_idx(labels_path, IDX_MAGIC_LABELS, 1, count)[0].astype(np.int64)
     n_classes = int(labels.max()) + 1 if labels.size else 2
-    return Dataset(features, labels, max(n_classes, 2),
-                   provenance=f"idx:{images_path}")
+    return Dataset(features, labels, max(n_classes, 2))
 
 
 def write_idx(dataset: Dataset, images_path, labels_path, image_shape=None):
@@ -231,8 +227,7 @@ def load_csv(path, label_column: int = -1, has_header: bool = False,
     normalization = None
     if standardize:
         features, normalization = _standardize(features)
-    return Dataset(features, labels, max(n_classes, 2), normalization,
-                   label_names=names, provenance=f"csv:{path}")
+    return Dataset(features, labels, max(n_classes, 2), normalization, names)
 
 
 def split(dataset: Dataset, train_n: int, test_n: int, seed: int,
@@ -259,9 +254,9 @@ def split(dataset: Dataset, train_n: int, test_n: int, seed: int,
         tr_feats, norm = _standardize(tr_feats)
         te_feats, _ = _standardize(te_feats, *norm)
     train = Dataset(tr_feats, dataset.labels[tr_idx], dataset.n_classes, norm,
-                    dataset.label_names, dataset.provenance + "#train")
+                    dataset.label_names)
     test = Dataset(te_feats, dataset.labels[te_idx], dataset.n_classes, norm,
-                   dataset.label_names, dataset.provenance + "#test")
+                   dataset.label_names)
     return train, test
 
 
@@ -285,8 +280,7 @@ def synth_logistic(n: int, p: int, k_true: int, coef_scale: float, seed: int):
     prob = sigmoid(x @ coefs)
     labels = (rng.uniform(n) < prob).astype(np.int64)
     support = coefs != 0.0
-    tag = f"synth_logistic(n={n},p={p},k={k_true},scale={coef_scale},seed={seed})"
-    return Dataset(x, labels, 2, provenance=tag), support, coefs
+    return Dataset(x, labels, 2), support, coefs
 
 
 def bayes_optimal_accuracy(coefs, n_mc: int, seed: int) -> float:
@@ -321,5 +315,4 @@ def synth_clusters(n: int, p: int, n_classes: int, separation: float = 3.0,
     labels = np.arange(n, dtype=np.int64) % n_classes
     noise = spread * rng.std_normal(n * p).reshape(n, p)
     features = means[labels] + noise + shift
-    tag = f"synth_clusters(n={n},p={p},c={n_classes},shift={shift},seed={seed})"
-    return Dataset(features, labels, n_classes, provenance=tag)
+    return Dataset(features, labels, n_classes)

@@ -108,11 +108,17 @@ def softplus(x):
 
 
 def softplus_inv(y):
-    """Inverse of softplus for finite y > 0: log(expm1(y))."""
+    """Inverse of softplus for finite y > 0.
+
+    log(expm1(y)) up to y = 30; above, the same value as
+    y + log(-expm1(-y)), which stays finite where expm1(y) overflows
+    (y > 709.78).
+    """
     arr = np.asarray(y, dtype=np.float64)
     if not np.all((arr > 0.0) & (arr < np.inf)):
         raise DomainError("softplus_inv requires finite y > 0")
-    out = np.log(np.expm1(arr))
+    out = np.where(arr > 30.0, arr + np.log(-np.expm1(-arr)),
+                   np.log(np.expm1(np.minimum(arr, 30.0))))
     return float(out) if arr.ndim == 0 else out
 
 

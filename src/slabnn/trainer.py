@@ -45,8 +45,6 @@ from .model import (GROUPS, PARAM_GROUP, PHASE_GROUPS, STRUCTURE_GROUPS, Family,
 from .numkernel import RngStream
 
 __all__ = [
-    "GROUPS",
-    "PARAM_GROUP",
     "STREAM_INIT",
     "STREAM_SHUFFLE",
     "STREAM_SAMPLE",

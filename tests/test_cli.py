@@ -573,7 +573,14 @@ class TestEvalCommand:
         assert calls == []
         assert not out.exists()
 
-    def test_unreadable_ood_data_writes_nothing(self, trained, tmp_path, capsys):
+    def test_unreadable_ood_data_writes_nothing(self, trained, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return predictor.predict(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "predict", counting)
         narrow = tmp_path / "narrow.csv"
         narrow.write_text("1.0,2.0,0\n3.0,4.0,1\n")
         out = tmp_path / "ev_ood"
@@ -581,8 +588,9 @@ class TestEvalCommand:
             ["eval", str(trained["ckpt"]), "--csv", str(trained["csv"]),
              "--ood-csv", str(narrow), "--out", str(out)], capsys)
         assert code == 1
-        assert "features" in err
+        assert err == "error: features must be (n, 4), got (2, 2)\n"
         assert stdout == ""
+        assert calls == []
         assert not out.exists()
 
     def test_absurd_replicates_exit_two_without_writing(self, trained, tmp_path, capsys,

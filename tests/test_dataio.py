@@ -49,7 +49,6 @@ class TestIdx:
             [0.0, 0.5019607843137255, 1.0, 0.25098039215686274])
         np.testing.assert_array_equal(ds.labels, [3, 1])
         assert ds.n_classes == 4
-        assert ds.provenance.startswith("idx:")
 
     def test_round_trip_values(self, tmp_path):
         img, lab = _write_idx_pair(tmp_path, list(range(16)), [0, 1, 2, 1],

@@ -126,6 +126,17 @@ def test_softplus_inverse_and_large_arguments():
             softplus_inv(y)
 
 
+@pytest.mark.filterwarnings("error")
+def test_softplus_inverse_finite_up_to_the_largest_doubles():
+    # expm1 overflows above y = 709.78; the inverse must not.
+    y = np.concatenate([np.logspace(-1, 308, 400),
+                        [30.0, np.nextafter(30.0, 31.0), 709.78, 710.0, 1e308]])
+    x = softplus_inv(y)
+    assert np.all(np.isfinite(x))
+    assert np.max(_ulps(softplus(x), y)) <= 2.0
+    assert softplus_inv(710.0) == 710.0
+
+
 def test_log_sigmoid_matches_log_of_sigmoid():
     x = np.array([-40.0, -1.0, 0.0, 1.0, 40.0])
     np.testing.assert_allclose(log_sigmoid(x[1:4]), np.log(sigmoid(x[1:4])), atol=1e-12)

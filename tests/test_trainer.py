@@ -12,12 +12,12 @@ from slabnn.checkpoint import load_checkpoint, read_manifest
 from slabnn.dataio import synth_clusters
 from slabnn.elbo import Batch, elbo_gradient
 from slabnn.errors import ConfigError, NumericError
-from slabnn.model import Family, NetworkSpec, PriorConfig, init_state, median_model
+from slabnn.model import (GROUPS, PARAM_GROUP, Family, NetworkSpec, PriorConfig,
+                          init_state, median_model)
 from slabnn.numkernel import RngStream, sigmoid
-from slabnn.trainer import (GROUPS, HYPER_CLAMP, MAX_DRAWS, PARAM_GROUP, STOCK_LR,
-                            STREAM_INIT, AdamMoments, PhaseConfig, TrainingAborted,
-                            adam_step, default_phases, run_phase, train,
-                            validate_schedule)
+from slabnn.trainer import (HYPER_CLAMP, MAX_DRAWS, STOCK_LR, STREAM_INIT, AdamMoments,
+                            PhaseConfig, TrainingAborted, adam_step, default_phases,
+                            run_phase, train, validate_schedule)
 
 
 class TestPhaseConfig:
