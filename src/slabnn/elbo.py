@@ -80,6 +80,7 @@ __all__ = [
     "hyperprior_logdensity",
     "elbo_estimate",
     "elbo_gradient",
+    "gradient_groups",
 ]
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -445,29 +446,41 @@ def hyperprior_logdensity(state: VariationalState) -> float:
     return float(total)
 
 
-def _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, phase=None):
+def gradient_groups(phase: str, fixed: bool) -> frozenset:
+    """The groups ``elbo_gradient`` differentiates in ``phase``.
+
+    ``PHASE_GROUPS[phase]``, less the structure groups when the draw is
+    ``fixed`` (see ``sample_network``).
+    """
+    return PHASE_GROUPS[phase] - STRUCTURE_GROUPS if fixed else PHASE_GROUPS[phase]
+
+
+def _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, phase=None, noise=None):
     """The one M-draw loop: the mean of ``scale * sum loglik - KL`` over M draws.
 
-    M and ``kl_mode`` are checked before anything is drawn.  Given a
-    ``phase``, it also returns the mean gradient bundle of the groups
-    ``PHASE_GROUPS[phase]`` names, less the structure groups for a
-    fixed draw, else None.
+    M and ``kl_mode`` are checked before anything is drawn.  Given
+    ``noise``, each draw takes its next item, as the loop reaches it,
+    else draws from ``rng``.  Given a ``phase``, it also returns the
+    mean gradient bundle of ``gradient_groups``, else None.
     """
     if M < 1:
         raise DomainError("M must be at least 1")
     _check_kl_mode(kl_mode)
+    noise = None if noise is None else iter(noise)
     scale = batch.n_total / batch.size
     acc = 0.0
     bundle = d_weights = None
-    for _ in range(M):
-        sampled = sample_network(state, delta, "relaxed", rng, fixed_masks=fixed_masks)
+    for m in range(M):
+        drawn = None
+        if noise is not None and (drawn := next(noise, None)) is None:
+            raise ShapeError(f"noise holds {m} draws, fewer than M = {M}")
+        sampled = sample_network(state, delta, "relaxed", rng, fixed_masks=fixed_masks,
+                                 noise=drawn)
         loglik, tape = forward(sampled, batch)
         if phase is not None:
             if bundle is None:
-                groups = PHASE_GROUPS[phase]
-                if sampled.layers[0].logits is None:
-                    groups = groups - STRUCTURE_GROUPS
-                bundle = GradientBundle(state, groups)
+                bundle = GradientBundle(
+                    state, gradient_groups(phase, sampled.layers[0].logits is None))
             d_weights = _backprop_loglik(sampled, batch, tape, scale)
         kl = _kl_sum(state, sampled.layers, kl_mode, bundle, d_weights, sampled.delta)
         acc += scale * float(np.sum(loglik)) - kl
@@ -498,20 +511,26 @@ def elbo_estimate(state: VariationalState, batch: Batch, M: int, delta: float,
 
 def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
                   rng: RngStream, phase: str = "train", kl_mode: str = "analytic",
-                  fixed_masks=None):
+                  fixed_masks=None, noise=None):
     """ELBO estimate together with its gradient with respect to every parameter.
 
     Runs the same draw loop as ``elbo_estimate``, so on a fresh stream
     with the same key the returned value is the estimate's, bit for
     bit, and the gradient is the derivative of that same function of
-    the parameters at fixed noise.  The entries filled are those of the
-    groups ``model.PHASE_GROUPS[phase]`` names, the one phase policy,
-    less the structure groups when the draw is fixed (see
-    ``sample_network``); the others are None.  Where the prior and
-    hyperprior entries are filled (pre-training), the differentiated
-    objective is estimate + hyperprior log densities.  The gradient is
-    not scanned for finiteness here: ``trainer.adam_step`` refuses a
-    non-finite one.
+    the parameters at fixed noise.  The entries filled are those of
+    ``gradient_groups``: the groups ``model.PHASE_GROUPS[phase]`` names,
+    the one phase policy, less the structure groups when the draw is
+    fixed (see ``sample_network``); the others are None.  Where the
+    prior and hyperprior entries are filled (pre-training), the
+    differentiated objective is estimate + hyperprior log densities.
+    The gradient is not scanned for finiteness here:
+    ``trainer.adam_step`` refuses a non-finite one.
+
+    ``noise``, an iterable of M ``model.draw_noise`` results drawn in
+    advance (the trainer's epoch worker draws them), stands in for the
+    draws from ``rng``, which is then not read; each is taken when its
+    draw comes, and the result is the same bytes as drawing the same
+    numbers here.
 
     Returns ``(value, GradientBundle)`` where value is the plain ELBO
     estimate (hyperprior terms are part of the gradient objective only,
@@ -519,7 +538,7 @@ def elbo_gradient(state: VariationalState, batch: Batch, M: int, delta: float,
     """
     if phase not in PHASE_GROUPS:
         raise DomainError(f"unknown phase {phase!r}")
-    value, bundle = _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, phase)
+    value, bundle = _draws(state, batch, M, delta, rng, kl_mode, fixed_masks, phase, noise)
     if bundle.with_priors:
         _add_hyperprior_grads(state, bundle)
     if not np.isfinite(value):

@@ -33,7 +33,9 @@ The indicators of a draw are either sampled from that family or held
 fixed (a fixed_dense state, or a mask such as the median model's);
 ``sample_network`` alone decides which, and records a fixed draw as
 ``SampledLayer.logits is None``.  A fixed draw draws slab noise for the
-weights its mask keeps only.
+weights its mask keeps only.  A draw's random numbers come from
+``draw_noise``, which reads no parameter value, so they can be drawn
+ahead of the state they are applied to.
 
 Per layer the state also carries the point-estimated prior slab
 variance ``log_sigma2`` and prior inclusion probability ``logit_psi``
@@ -76,11 +78,13 @@ __all__ = [
     "VariationalState",
     "SampledLayer",
     "SampledNetwork",
+    "LayerNoise",
     "family_problems",
     "memory_problems",
     "pack_lower",
     "unpack_lower",
     "init_state",
+    "draw_noise",
     "sample_network",
     "marginal_inclusion",
     "median_model",
@@ -313,39 +317,58 @@ class LayerParams:
             return np.sqrt(self.diag())
         return None
 
+    @property
+    def logit_width(self) -> int:
+        """Logit noise values per draw: 0 for mean field, rank + n_weights otherwise."""
+        return 0 if self.family is Family.MF else self.n_weights + self.rank
+
+    def logit_noise(self, rng: RngStream, n: int) -> np.ndarray:
+        """``n`` rows of logit noise, one ``rng.std_normal`` call; reads no parameter.
+
+        A row is laid out as ``route_logit_grad`` reads it: eps
+        (n_weights values) for the full family, eps1 (rank values) then
+        eps2 (n_weights values) for low rank.  Mean field draws nothing
+        and its rows are empty.
+        """
+        if self.family is Family.MF:
+            return np.empty((n, 0))
+        return rng.std_normal(n * self.logit_width).reshape(n, self.logit_width)
+
+    def logits_from_noise(self, noise: np.ndarray, factor) -> np.ndarray:
+        """The logits of each row of ``noise`` (``logit_noise`` layout), one row each.
+
+        ``factor`` is this layer's ``logit_factor()`` at its current
+        values.  One matrix product for all rows: xi + eps L^T, or
+        xi + eps1 F^T + sd eps2.  Mean field's rows are read-only views
+        of ``omega``.
+        """
+        if self.family is Family.MF:
+            return np.broadcast_to(self.omega.reshape(1, -1), (noise.shape[0], self.n_weights))
+        if self.family is Family.MVN_FULL:
+            return self.xi + noise @ factor
+        r = self.rank
+        logits = np.tile(self.xi, (noise.shape[0], 1))
+        if r:
+            logits += noise[:, :r] @ self.factor.T
+        logits += factor * noise[:, r:]
+        return logits
+
     def logit_blocks(self, rng: RngStream, n: int, factor):
         """Yield ``(logits, noise)`` blocks that hold ``n`` logit draws in order.
 
         ``factor`` is this layer's ``logit_factor()`` at its current
         values.  Row i of a block is one draw: ``logits`` (rows,
-        n_weights) and its ``noise`` row in the layout
-        ``route_logit_grad`` reads, eps (n_weights values) for the full
-        family, eps1 (rank values) then eps2 (n_weights values) for low
-        rank.  A block's noise is one ``rng.std_normal`` call of at
-        most ``BLOCK_VALUES`` values (at least one row), so the stream
-        ends where n one-row calls leave it, and a block costs one
-        matrix product, xi + eps L^T or xi + eps1 F^T + sd eps2.  Mean
-        field draws nothing: its logits are read-only rows of
-        ``omega``, its noise rows are empty, and its blocks split by
+        n_weights) and its ``noise`` row (``logit_noise``).  A block's
+        noise is one ``logit_noise`` call of at most ``BLOCK_VALUES``
+        values (at least one row), so the stream ends where n one-row
+        calls leave it, and a block costs one ``logits_from_noise``
+        product.  Mean field draws nothing and its blocks split by
         n_weights, the uniforms a caller draws per row.
         """
-        n_w = self.n_weights
-        r = self.rank
-        rows = max(1, BLOCK_VALUES // (n_w + r))
+        rows = max(1, BLOCK_VALUES // (self.n_weights + self.rank))
         for start in range(0, n, rows):
-            k = min(rows, n - start)
-            if self.family is Family.MF:
-                yield np.broadcast_to(self.omega.reshape(1, -1), (k, n_w)), np.empty((k, 0))
-                continue
-            noise = rng.std_normal(k * (n_w + r)).reshape(k, n_w + r)
-            if self.family is Family.MVN_FULL:
-                logits = self.xi + noise @ factor
-            else:
-                logits = np.tile(self.xi, (k, 1))
-                if r:
-                    logits += noise[:, :r] @ self.factor.T
-                logits += factor * noise[:, r:]
-            yield logits, noise
+            noise = self.logit_noise(rng, min(rows, n - start))
+            yield self.logits_from_noise(noise, factor), noise
 
     def inclusion(self) -> np.ndarray:
         """Exact marginal inclusion probabilities alpha_hat, as a weight matrix.
@@ -460,7 +483,7 @@ class SampledLayer:
     eps: np.ndarray            # slab noise
     tau: np.ndarray            # softplus(rho) at draw time
     logits: np.ndarray = None  # inclusion logits, matrix view; None marks a fixed draw
-    noise: np.ndarray = None   # logit noise row of this draw (see LayerParams.logit_blocks)
+    noise: np.ndarray = None   # logit noise row of this draw (see LayerParams.logit_noise)
 
 
 @dataclass
@@ -591,8 +614,53 @@ def _layer_consts(state: VariationalState, fixed_masks=None) -> list:
     return consts
 
 
+@dataclass(frozen=True)
+class LayerNoise:
+    """One layer's share of a network draw's noise; see ``draw_noise``."""
+
+    eps: np.ndarray           # slab noise, matrix; 0 at a fixed mask's dropped weights
+    nu: np.ndarray = None     # uniforms of the indicators, matrix; None for a fixed draw
+    logit: np.ndarray = None  # logit noise row (``LayerParams.logit_noise``); None if fixed
+
+
+def draw_noise(state: VariationalState, rng: RngStream, kept=None) -> list:
+    """One network draw's noise, one ``LayerNoise`` per layer, in the stream's order.
+
+    ``kept`` is None for a draw whose indicators are drawn.  A fixed
+    draw passes one entry per layer: the kept positions of its mask in
+    the flattened matrix, in row-major order, or None when the mask
+    keeps every weight (``_LayerConsts.kept``).
+
+    This is the one place that states the draw order.  Per layer:
+    structure noise first (``LayerParams.logit_noise``: full eps, low
+    rank eps1 then eps2, mean field none), then the uniform nu matrix,
+    then the slab eps matrix.  A fixed draw skips the structure and nu
+    draws and draws slab noise for the kept weights only: one
+    ``std_normal(n_kept)`` call whose values fill the kept positions in
+    row-major order, the dropped entries of ``eps`` staying 0.  An
+    all-ones mask therefore draws what a drawn layer's slab does.
+
+    It reads the state's family, shapes and rank, never a parameter
+    value, so one thread may draw while another updates the state.
+    """
+    noise = []
+    for l, layer in enumerate(state.layers):
+        shape, n_w = layer.shape, layer.n_weights
+        logit = nu = None
+        if kept is None:
+            logit = layer.logit_noise(rng, 1)[0]
+            nu = rng.uniform(n_w).reshape(shape)
+        if kept is None or kept[l] is None:
+            eps = rng.std_normal(n_w).reshape(shape)
+        else:
+            eps = np.zeros(shape)
+            eps.reshape(-1)[kept[l]] = rng.std_normal(kept[l].size)
+        noise.append(LayerNoise(eps=eps, nu=nu, logit=logit))
+    return noise
+
+
 def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStream,
-                   fixed_masks=None, consts=None) -> SampledNetwork:
+                   fixed_masks=None, consts=None, noise=None) -> SampledNetwork:
     """Draw one set of weights from the variational distribution.
 
     ``mode`` is "relaxed" (Concrete indicators at temperature delta > 0)
@@ -614,14 +682,12 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
     ``gamma_tilde`` are then the shared read-only mask, and every
     draw's ``tau`` the shared slab sd.
 
-    Noise draw order per layer is fixed and documented: structure noise
-    first (full: eps, low rank: eps1 then eps2, mean field: none), then
-    the uniform nu matrix, then the slab eps matrix.  Fixed draws skip
-    the structure and nu draws entirely and draw slab noise for the kept
-    weights only: one ``std_normal(n_kept)`` call whose values fill the
-    kept positions in row-major order, the dropped entries of ``eps``
-    staying 0.  An all-ones mask therefore draws what a drawn layer's
-    slab does.
+    A draw is two parts: ``draw_noise`` takes the draw's random numbers
+    from ``rng`` (its docstring states their order), and the rest is a
+    pure function of the state and that noise.  ``noise``, a
+    ``draw_noise`` result for this state and these masks drawn in
+    advance, skips the first part, and ``rng`` is then not read; the
+    draw is the same bytes as one that draws the same numbers itself.
 
     Invariant: ``effective = gamma_tilde * beta`` holds exactly, entry
     by entry, for every layer.
@@ -636,33 +702,28 @@ def sample_network(state: VariationalState, delta: float, mode: str, rng: RngStr
     elif (len(consts) != state.n_transitions
           or any((c.mask is not None) != fixed for c in consts)):
         raise ShapeError("consts must be _layer_consts of this state and these masks")
+    if noise is None:
+        noise = draw_noise(state, rng, [c.kept for c in consts] if fixed else None)
+    elif (len(noise) != state.n_transitions
+          or any((z.nu is None) != fixed for z in noise)):
+        raise ShapeError("noise must be draw_noise of this state and these masks")
     layers = []
-    for layer, c in zip(state.layers, consts):
-        shape = layer.shape
-        n_w = layer.n_weights
+    for layer, c, z in zip(state.layers, consts, noise):
         logits_mat = None
-        noise = None
         if c.mask is not None:
             alpha = gamma = c.mask
         else:
-            [(block, noise)] = layer.logit_blocks(rng, 1, c.factor)
-            noise = noise[0]
-            logits_mat = block[0].reshape(shape)
+            block = layer.logits_from_noise(z.logit.reshape(1, -1), c.factor)
+            logits_mat = block[0].reshape(layer.shape)
             alpha = sigmoid(logits_mat)
-            nu = rng.uniform(n_w).reshape(shape)
             if mode == "relaxed":
-                gamma = concrete_from_logits(logits_mat, nu, delta)
+                gamma = concrete_from_logits(logits_mat, z.nu, delta)
             else:
-                gamma = (nu < alpha).astype(np.float64)
-        if c.kept is None:
-            eps = rng.std_normal(n_w).reshape(shape)
-        else:
-            eps = np.zeros(shape)
-            eps.reshape(-1)[c.kept] = rng.std_normal(c.kept.size)
-        beta = layer.kappa + c.tau * eps
+                gamma = (z.nu < alpha).astype(np.float64)
+        beta = layer.kappa + c.tau * z.eps
         layers.append(SampledLayer(
             alpha=alpha, gamma_tilde=gamma, beta=beta, effective=gamma * beta,
-            eps=eps, tau=c.tau, logits=logits_mat, noise=noise,
+            eps=z.eps, tau=c.tau, logits=logits_mat, noise=z.logit,
         ))
     return SampledNetwork(layers=layers, spec=state.spec, delta=float(delta))
 

@@ -6,6 +6,8 @@ primitives the rest of the code builds on: a shift-by-max log-softmax,
 the logistic function and its inverse, softplus with its inverse,
 log-sigmoid, ``xlogy``, and ``RngStream``, a Philox-backed stream keyed
 by ``(seed, stream_id)`` whose state can be serialized exactly.
+``compute_threads`` is the one thread rule: how many threads
+``predictor`` and ``trainer`` may keep busy next to BLAS.
 
 The per-weight transcendentals (``sigmoid``, ``softplus``,
 ``log_sigmoid``, ``logit``, ``xlogy``) are the one copy of each formula
@@ -32,8 +34,12 @@ the numbers of as many one-row draws, in order, and leaves the stream
 where they would.  A sampled ``predictor.predict`` may run its
 replicates on several threads; each reads its own stream, writes only
 its own arrays and is stored at its own index, so replicate threads do
-not change bytes.  BLAS's own thread count can: a product that a
-multi-threaded BLAS splits may sum in another order.
+not change bytes.  Training's epoch worker (``trainer.run_phase``) draws
+the sample stream in the same order as the sequential loop, only on
+another thread: whichever thread draws it, the stream hands out the
+same numbers to the same draws.  BLAS's own thread count can change
+bytes: a product that a multi-threaded BLAS splits may sum in another
+order.
 
 ``exp``, ``log`` and ``log1p`` run numpy's CPU-dispatched SIMD loops,
 whose last bits can differ from the C math library's and between
@@ -44,6 +50,8 @@ scalar references (``tests/test_numkernel.py``).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -60,6 +68,7 @@ __all__ = [
     "xlogy",
     "log_softmax",
     "RngStream",
+    "compute_threads",
 ]
 
 _U64 = np.uint64
@@ -248,3 +257,25 @@ class RngStream:
         stream = cls(int(arr[13]), int(arr[14]))
         stream.set_state_words(arr)
         return stream
+
+
+def compute_threads() -> int:
+    """How many threads may compute at once without crowding BLAS: cores // blas_threads.
+
+    ``cores`` is the CPUs this process may run on; ``blas_threads`` is
+    the first of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+    ``MKL_NUM_THREADS`` set to a positive integer, else ``cores``, so
+    unpinned BLAS, which fills the cores itself, leaves 1.  Never below 1.
+    """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            blas = n
+            break
+    return max(1, cores // blas)

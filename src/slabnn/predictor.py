@@ -42,12 +42,11 @@ Replicate r consumes stream (seed, stream_id + 1 + r) derived from the
 passed rng's key, so the first replicates of an R=1 and an R=10 call
 with the same rng are identical.  Replicates share nothing they write,
 so every sampled call runs them on k = min(R, cores // blas_threads)
-threads at once, whatever its size: ``cores`` is the CPUs this process
-may run on, and ``blas_threads`` the first of ``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to a positive integer,
-else ``cores`` (so k = 1 when BLAS is not pinned and already fills the
-cores).  The calling thread runs its share and k - 1 threads start
-inside the call and are joined before it returns; none outlives it.
+threads at once, whatever its size.  ``cores // blas_threads`` is
+``numkernel.compute_threads``, the one thread rule, which training reads
+too; it is 1 when BLAS is not pinned and already fills the cores.  The
+calling thread runs its share and k - 1 threads start inside the call
+and are joined before it returns; none outlives it.
 Thread j (the caller is 0) runs replicates j, j + k, ... and each
 result is placed by its index, so every replicate's bytes are those of
 the sequential loop, whatever k is.  If replicates fail, the error of
@@ -64,7 +63,6 @@ density level summarizes (union across replicates, biases included).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from threading import Thread
 
@@ -75,7 +73,7 @@ from .errors import ConfigError, DomainError, ShapeError
 from .model import (SampledLayer, SampledNetwork, VariationalState, _layer_consts,
                     marginal_inclusion, median_model, memory_problems,
                     posterior_mean_weights, sample_network)
-from .numkernel import RngStream, log_softmax
+from .numkernel import RngStream, compute_threads, log_softmax
 
 __all__ = [
     "PredictionMode",
@@ -219,26 +217,11 @@ def predict(state: VariationalState, features, mode: PredictionMode,
         del net  # its noise and other draw arrays are dead weight in the forward
         return _probs(state.spec, weights, x, products), masks
 
-    done = _run_replicates(replicate, mode.replicates, _replicate_threads(mode.replicates))
+    done = _run_replicates(replicate, mode.replicates,
+                           min(mode.replicates, compute_threads()))
     stacked = np.stack([p for p, _ in done], axis=0)
     return PredictiveResult(probs=stacked.mean(axis=0), replicate_probs=stacked,
                             masks=[m for _, m in done], alpha_hat=alpha_hat)
-
-
-def _replicate_threads(replicates: int) -> int:
-    """How many threads run a sampled call's replicates; see the module docstring."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    blas = cores
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            blas = n
-            break
-    return max(1, min(replicates, cores // blas))
 
 
 def _run_replicates(fn, n: int, k: int) -> list:

@@ -27,28 +27,54 @@ before anything is updated.  A non-finite ELBO or gradient aborts the
 phase after restoring the last completed epoch's parameters and stream
 positions, which are then what a retained checkpoint contains; the
 run's step count covers the completed epochs only.
+
+Each epoch may run one worker thread beside the caller, with two jobs.
+It draws each network's noise from the sample stream one draw ahead
+(``model.draw_noise``, which reads no parameter value): while the
+caller computes a draw, the worker draws the next, which at the usual
+one draw per step is step s + 1's while the caller computes step s.
+``elbo_gradient`` takes those draws in place of drawing them, and at
+most two draws' noise are alive at a time, whatever the draw count.
+After the caller's finiteness scan, the worker updates the
+second half of each ADAM step (by value count, in ``grads.items()``
+order) while the caller updates the first; the parameter that
+straddles the cut is updated as two contiguous flat views.  The worker
+runs when ``numkernel.compute_threads()`` (cores // blas_threads, the
+rule prediction's replicate threads follow) is at least 2 and a step
+draws plus updates at least ``WORKER_VALUES`` = 2**17 values, about
+where it starts to pay on two cores; otherwise the epoch runs
+sequentially.  It draws exactly the epoch's draws, in the sequential
+order, and is joined before the epoch's record is written, or on any
+exception before the streams roll back, so no thread outlives
+``run_phase`` and no checkpoint sees a stream past the steps taken.
+Every value gets the same float operations on either thread, so the
+bytes do not depend on the worker.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .elbo import Batch, GradientBundle, elbo_gradient
-from .errors import ConfigError, NumericError
+from .elbo import Batch, GradientBundle, elbo_gradient, gradient_groups
+from .errors import ConfigError, DomainError, NumericError
 from .model import (GROUPS, PARAM_GROUP, PHASE_GROUPS, STRUCTURE_GROUPS, Family,
-                    LayerParams, NetworkSpec, PriorConfig, VariationalState, init_state,
-                    marginal_inclusion, median_model)
-from .numkernel import RngStream
+                    LayerParams, NetworkSpec, PriorConfig, VariationalState, _layer_consts,
+                    draw_noise, init_state, marginal_inclusion, median_model)
+from .numkernel import RngStream, compute_threads
 
 __all__ = [
     "STREAM_INIT",
     "STREAM_SHUFFLE",
     "STREAM_SAMPLE",
     "MAX_DRAWS",
+    "WORKER_VALUES",
     "STOCK_LR",
     "PhaseConfig",
     "default_phases",
@@ -78,6 +104,14 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Upper bound on a phase's draws M.  Every step samples and backpropagates
 # M networks, so an absurd M would run without end; it fails validation.
 MAX_DRAWS = 1024
+
+# A step must draw plus update at least this many values for
+# ``run_phase`` to start an epoch worker (see the module docstring).
+# Medians of five 20-step mean-field train epochs, batch 100, 2 cores,
+# one BLAS thread, ms per step sequential -> worker: 6-5-3 (265 values)
+# 0.72 -> 1.42, 60-15-5 (5k) 0.92 -> 1.81, 784-16-10 (64k) 2.87 -> 3.18,
+# 784-32-10 (127k) 4.86 -> 4.60.  The worker pays from about 2**17.
+WORKER_VALUES = 2**17
 
 # The stock step sizes per family and phase, read by ``default_phases``
 # and by the INI reader for every group a phase section leaves unset.
@@ -242,7 +276,8 @@ class AdamMoments:
         self.t = 0
 
 
-def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMoments, lr: dict):
+def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMoments,
+              lr: dict, *, _worker=None):
     """One ADAM ascent step with per-group step sizes.
 
     Every computed gradient is scanned first: a non-finite one raises
@@ -253,6 +288,10 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
     parameters in groups with step size zero (or absent) are left
     bit-identical.  Hyperprior shapes are clamped to [1e-3, 1e3] after
     their update.
+
+    ``_worker``, ``run_phase``'s epoch worker, updates the second half
+    of the step's values (``_halves``) while the caller updates the
+    first; every value gets the same float operations either way.
     """
     for l, name, g in grads.items():
         if g is not None and not np.all(np.isfinite(g)):
@@ -260,25 +299,119 @@ def adam_step(state: VariationalState, grads: GradientBundle, moments: AdamMomen
     moments.t += 1
     c1 = 1.0 - ADAM_BETA1**moments.t
     c2 = 1.0 - ADAM_BETA2**moments.t
+    pieces = []
     for l, name, g in grads.items():
         if g is None:
             continue
         if (l, name) not in moments.m:
             moments.m[(l, name)] = np.zeros_like(g)
             moments.v[(l, name)] = np.zeros_like(g)
-        m = moments.m[(l, name)]
-        v = moments.v[(l, name)]
+        group = PARAM_GROUP[name]
+        pieces.append((getattr(state.layers[l], name), moments.m[(l, name)],
+                       moments.v[(l, name)], g, lr.get(group, 0.0),
+                       group in ("psi_hyper", "beta_hyper")))
+    if _worker is None:
+        _adam_update(pieces, c1, c2, _temporaries(pieces))
+        return
+    first, second = _halves(pieces)
+    # Both halves' buffers come from this thread, so the worker allocates nothing.
+    job = _worker.submit(_adam_update, second, c1, c2, _temporaries(second))
+    _adam_update(first, c1, c2, _temporaries(first))
+    job.result()
+
+
+def _temporaries(pieces) -> np.ndarray:
+    """Two flat buffers the size of the largest piece: ``_adam_update``'s temporaries."""
+    return np.empty((2, max(piece[0].size for piece in pieces)))
+
+
+def _adam_update(pieces, c1: float, c2: float, buffers: np.ndarray):
+    """The moment and parameter updates of ``adam_step`` for each piece, in order.
+
+    A piece is ``(param, m, v, g, step, clamp)``: four arrays of one
+    shape, the group's step size and whether to clamp to ``HYPER_CLAMP``.
+    Every temporary lives in ``buffers`` (``_temporaries(pieces)``), and
+    each value gets the float operations, in order, of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``param += step (m / c1) / (sqrt(v / c2) + eps)``.
+    """
+    for param, m, v, g, step, clamp in pieces:
+        t1, t2 = (buf[:g.size].reshape(g.shape) for buf in buffers)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += t1
+        np.multiply(g, 1.0 - ADAM_BETA2, out=t1)
+        t1 *= g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        step = lr.get(PARAM_GROUP[name], 0.0)
+        v += t1
         if step == 0.0:
             continue
-        param = getattr(state.layers[l], name)
-        param += step * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        if PARAM_GROUP[name] in ("psi_hyper", "beta_hyper"):
+        np.divide(m, c1, out=t1)
+        t1 *= step
+        np.divide(v, c2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += ADAM_EPS
+        t1 /= t2
+        param += t1
+        if clamp:
             np.clip(param, HYPER_CLAMP[0], HYPER_CLAMP[1], out=param)
+
+
+def _halves(pieces) -> tuple:
+    """``pieces`` cut at the midpoint of their values, in order: ``(first, second)``.
+
+    The piece that straddles the cut goes into both halves as two
+    contiguous flat views of its arrays, so the halves share no memory
+    and the elementwise updates give every value the bits they give it
+    whole.
+    """
+    cut = sum(piece[0].size for piece in pieces) // 2
+    first, second = [], []
+    for piece in pieces:
+        size = piece[0].size
+        if cut >= size:
+            first.append(piece)
+        elif cut <= 0:
+            second.append(piece)
+        else:
+            flat = [a.reshape(-1, copy=False) for a in piece[:4]]
+            first.append((*(a[:cut] for a in flat), *piece[4:]))
+            second.append((*(a[cut:] for a in flat), *piece[4:]))
+        cut -= size
+    return first, second
+
+
+def _step_values(state: VariationalState, phase: PhaseConfig, kept) -> int:
+    """Random numbers one step of ``phase`` draws plus the values it updates.
+
+    ``kept`` is what ``draw_noise`` is given: None when indicators are
+    drawn, else the kept positions of each layer's fixed mask.
+    """
+    if kept is None:
+        drawn = sum(lp.logit_width + 2 * lp.n_weights for lp in state.layers)
+    else:
+        drawn = sum(lp.n_weights if k is None else k.size
+                    for lp, k in zip(state.layers, kept))
+    groups = gradient_groups(phase.name, kept is not None)
+    updated = sum(a.size for _, name, a in state.param_items() if PARAM_GROUP[name] in groups)
+    return phase.draws * drawn + updated
+
+
+def _drawn_ahead(worker: ThreadPoolExecutor, draw, count: int):
+    """An iterator of ``count`` results of ``draw()``, each computed on ``worker``.
+
+    The first starts at once.  Taking result i hands ``draw()`` for
+    i + 1 to the worker, so it runs while the caller uses result i, and
+    at most two results are alive at a time.
+    """
+    def results(ahead):
+        for left in range(count - 1, -1, -1):
+            result = ahead.result()
+            if left:
+                ahead = worker.submit(draw)
+            yield result
+
+    return results(worker.submit(draw))
 
 
 def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
@@ -295,35 +428,54 @@ def run_phase(state: VariationalState, data: Batch, phase: PhaseConfig,
     its message names the phase, the epoch, the 1-based minibatch
     within the epoch and the run's step number, counted on from
     ``first_step``, the steps the run took before this phase.
+
+    When ``compute_threads()`` is at least 2 and a step draws plus
+    updates at least ``WORKER_VALUES`` values, each epoch runs one worker
+    thread (see the module docstring); the bytes are those of the
+    sequential loop.
     """
-    fixed_masks = None
+    fixed_masks = kept = None
     if phase.name == "posttrain" and phase.gamma_policy == "median_fixed":
         # Called through this module's name: perfbench/spans.py traces it here.
         fixed_masks = median_model(state, alpha_hat=marginal_inclusion(state))
+    if fixed_masks is not None or state.prior.fixed_dense:
+        kept = [c.kept for c in _layer_consts(state, fixed_masks)]
+    threaded = compute_threads() >= 2 and _step_values(state, phase, kept) >= WORKER_VALUES
     moments = AdamMoments()
     step = first_step
     n = data.size
+    n_draws = len(range(0, n, phase.batch_size)) * phase.draws  # per epoch
     records = []
     for epoch in range(1, phase.epochs + 1):
-        snapshot = state.copy()
         positions = (rng_sample.state_words(), rng_shuffle.state_words())
-        t0 = time.perf_counter()
-        perm = rng_shuffle.permutation(n)
-        acc = 0.0
+        worker = ThreadPoolExecutor(1, "slabnn-epoch") if threaded else None
         try:
-            for batch, start in enumerate(range(0, n, phase.batch_size), 1):
-                step += 1
-                idx = perm[start:start + phase.batch_size]
-                mb = Batch(data.features[idx], data.labels[idx], n_total=n)
-                value, grads = elbo_gradient(
-                    state, mb, phase.draws, phase.delta, rng_sample,
-                    phase=phase.name, kl_mode=phase.kl_mode, fixed_masks=fixed_masks,
-                )
-                adam_step(state, grads, moments, phase.lr)
-                acc += value
-            mean_elbo = acc / batch
-            if not np.isfinite(mean_elbo):
-                raise NumericError("epoch mean ELBO is not finite")
+            try:
+                if worker is not None:  # its first draw overlaps the snapshot
+                    draws = _drawn_ahead(worker, partial(draw_noise, state, rng_sample, kept),
+                                         n_draws)
+                snapshot = state.copy()
+                t0 = time.perf_counter()
+                perm = rng_shuffle.permutation(n)
+                acc = 0.0
+                for batch, start in enumerate(range(0, n, phase.batch_size), 1):
+                    step += 1
+                    idx = perm[start:start + phase.batch_size]
+                    mb = Batch(data.features[idx], data.labels[idx], n_total=n)
+                    noise = None if worker is None else islice(draws, phase.draws)
+                    value, grads = elbo_gradient(
+                        state, mb, phase.draws, phase.delta, rng_sample,
+                        phase=phase.name, kl_mode=phase.kl_mode, fixed_masks=fixed_masks,
+                        noise=noise,
+                    )
+                    adam_step(state, grads, moments, phase.lr, _worker=worker)
+                    acc += value
+                mean_elbo = acc / batch
+                if not np.isfinite(mean_elbo):
+                    raise NumericError("epoch mean ELBO is not finite")
+            finally:
+                if worker is not None:
+                    worker.shutdown(cancel_futures=True)
         except NumericError as exc:
             state.restore_from(snapshot)
             rng_sample.set_state_words(positions[0])
@@ -385,6 +537,10 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
     problems = validate_schedule(phases)
     if problems:
         raise ConfigError("; ".join(problems))
+    data = Batch(features, labels, n_total=np.asarray(features).shape[0])
+    bad = np.flatnonzero(~np.isfinite(data.features).all(axis=1))
+    if bad.size:
+        raise DomainError(f"features must be finite; row {bad[0]} is not")
     live = live_groups(family, prior)
     phases = [replace(p, lr={g: v for g, v in p.lr.items() if g in live})
               for p in phases]
@@ -392,7 +548,6 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
                        rank=rank, init_tau=init_tau)
     rng_shuffle = RngStream(seed, STREAM_SHUFFLE)
     rng_sample = RngStream(seed, STREAM_SAMPLE)
-    data = Batch(features, labels, n_total=np.asarray(features).shape[0])
     report = TrainReport(seed=seed)
     counters = {"phases_completed": 0, "epochs": 0, "steps": 0}
 

@@ -2,8 +2,10 @@
 
 import struct
 import sys
+import threading
 
 import numpy as np
+import pytest
 
 from slabnn.checkpoint import FORMAT_VERSION, MAGIC, _encode_tensor
 from slabnn.elbo import Batch
@@ -34,6 +36,32 @@ def write_tensors(path, tensors: dict):
     blob = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(tensors))]
     blob += [_encode_tensor(n, a) for n, a in tensors.items()]
     path.write_bytes(b"".join(blob))
+
+
+def pin_cores(monkeypatch, cores, openblas=None, omp=None):
+    """Fake ``cores`` CPUs and set the BLAS thread variables."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp),
+                       ("MKL_NUM_THREADS", None)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started during the test, in order."""
+    threads = []
+    start = threading.Thread.start
+
+    def counting(self):
+        threads.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return threads
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -57,7 +57,14 @@ the commands write and every stdout and exit code, with the scratch
 directory replaced by ``<work>`` and the ``epoch_seconds=`` timing
 dropped.
 
-That makes 256 digests: 137 from the library and 119 from the CLI.
+The five ``train()`` runs repeat with the trainer's epoch worker forced
+on (``WORKER_VALUES`` 0 and ``compute_threads`` 2), so the worker draws
+each next step's noise and runs half of each ADAM step even at 6-5-3.
+Each ``threads/train/<run>`` digest covers the run's file names and
+bytes (checkpoints and ``trace.jsonl``), and the script exits 1 when
+one differs from the same digest of the sequential run.
+
+That makes 261 digests: 142 from the library and 119 from the CLI.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -138,20 +145,58 @@ def _digest(*items) -> str:
     return Digest().add(*items).hex()
 
 
-def run_digests(name, family, rank, prior, phases, data, workdir) -> dict:
-    from slabnn.elbo import Batch, elbo_estimate, elbo_gradient, kl_state
-    from slabnn.metrics import inclusion_correlation
-    from slabnn.model import (Family, NetworkSpec, marginal_inclusion, median_model,
-                              sample_network)
-    from slabnn.numkernel import RngStream
-    from slabnn.predictor import PredictionMode, predict
+def _files_digest(ckdir) -> str:
+    """One digest of every file a ``train()`` run left in ``ckdir``, names included."""
+    digest = Digest()
+    for fname in sorted(os.listdir(ckdir)):
+        with open(os.path.join(ckdir, fname), "rb") as fh:
+            digest.add(fname, fh.read())
+    return digest.hex()
+
+
+def _train_run(family, rank, prior, phases, data, ckdir):
+    from slabnn.model import NetworkSpec
     from slabnn.trainer import train
-    out = {}
-    ckdir = os.path.join(workdir, name)
     state, report = train(NetworkSpec(WIDTHS), prior, family, phases,
                           data.features, data.labels, SEED, rank=rank,
                           checkpoint_dir=ckdir)
     report.to_jsonl(os.path.join(ckdir, "trace.jsonl"))
+    return state
+
+
+def thread_digests(data, workdir, sequential) -> dict:
+    """The ``train()`` runs again with the trainer's epoch worker forced on.
+
+    ``sequential`` maps each run's name to ``_files_digest`` of its
+    sequential run; a threaded run that differs is reported on stderr.
+    """
+    from slabnn import trainer
+    saved = trainer.WORKER_VALUES, trainer.compute_threads
+    trainer.WORKER_VALUES, trainer.compute_threads = 0, lambda: 2
+    out = {}
+    try:
+        for name, (family, rank, prior, phases) in _runs().items():
+            ckdir = os.path.join(workdir, "threads", name)
+            _train_run(family, rank, prior, phases, data, ckdir)
+            out[f"threads/train/{name}"] = _files_digest(ckdir)
+            if out[f"threads/train/{name}"] != sequential[name]:
+                print(f"threads/train/{name} differs from the sequential run",
+                      file=sys.stderr)
+    finally:
+        trainer.WORKER_VALUES, trainer.compute_threads = saved
+    return out
+
+
+def run_digests(name, family, rank, prior, phases, data, workdir, sequential) -> dict:
+    from slabnn.elbo import Batch, elbo_estimate, elbo_gradient, kl_state
+    from slabnn.metrics import inclusion_correlation
+    from slabnn.model import Family, marginal_inclusion, median_model, sample_network
+    from slabnn.numkernel import RngStream
+    from slabnn.predictor import PredictionMode, predict
+    out = {}
+    ckdir = os.path.join(workdir, name)
+    state = _train_run(family, rank, prior, phases, data, ckdir)
+    sequential[name] = _files_digest(ckdir)
     for fname in sorted(os.listdir(ckdir)):
         with open(os.path.join(ckdir, fname), "rb") as fh:
             out[f"{name}/{fname}"] = _digest(fh.read())
@@ -370,11 +415,13 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     from slabnn.dataio import synth_clusters  # comparing needs no library
     data = synth_clusters(200, WIDTHS[0], WIDTHS[-1], separation=1.0, seed=SEED)
-    digests = {}
+    digests, sequential = {}, {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, (family, rank, prior, phases) in _runs().items():
             digests.update(run_digests(name, family, rank, prior, phases, data,
-                                       workdir))
+                                       workdir, sequential))
+        threaded = thread_digests(data, workdir, sequential)
+    digests.update(threaded)
     digests.update(sparse_digests())
     codes = {}
     with tempfile.TemporaryDirectory() as workdir:
@@ -382,6 +429,8 @@ def main(argv=None) -> int:
     failed = sorted(tag for tag, code in codes.items() if code != 0)
     if failed:
         print(f"CLI commands failed: {failed}", file=sys.stderr)
+        return 1
+    if any(threaded[f"threads/train/{name}"] != digest for name, digest in sequential.items()):
         return 1
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

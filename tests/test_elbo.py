@@ -9,7 +9,7 @@ from slabnn.distributions import kl_bernoulli, kl_gaussian
 from slabnn.elbo import (Batch, elbo_estimate, elbo_gradient, forward, forward_logits,
                          hyperprior_logdensity, kl_state)
 from slabnn.errors import DomainError, NumericError, ShapeError
-from slabnn.model import Family, PriorConfig, sample_network
+from slabnn.model import Family, PriorConfig, draw_noise, sample_network
 from slabnn.numkernel import RngStream, sigmoid
 
 
@@ -316,6 +316,28 @@ class TestEstimatorIdentities:
                                 differ.append((family.value, rank, seed, fixed is None,
                                                kl_mode, M))
         assert differ == []
+
+    def test_pre_drawn_noise_gives_the_gradient_bytes(self):
+        # M draw_noise results, drawn ahead on the same stream, stand in for
+        # the draws: value and every gradient entry keep their bytes.
+        masks = [np.ones((4, 4)), np.ones((5, 2))]
+        masks[0][1, 0] = 0.0
+        batch = make_batch(n=6, p=3, classes=2, seed=42, n_total=600)
+        for family, rank in ALL_FAMILIES:
+            st = make_state(family, rank, seed=45, widths=(3, 4, 2))
+            for fixed, kept in ((None, None), (masks, [np.flatnonzero(masks[0]), None])):
+                rng = RngStream(46, 2)
+                value, grads = elbo_gradient(st, batch, 2, 0.1, rng, fixed_masks=fixed)
+                ahead = RngStream(46, 2)
+                noise = [draw_noise(st, ahead, kept) for _ in range(2)]
+                got, got_grads = elbo_gradient(st, batch, 2, 0.1, None, fixed_masks=fixed,
+                                               noise=noise)
+                assert got == value
+                for (_, _, a), (_, _, b) in zip(grads.items(), got_grads.items()):
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
+                assert ahead.state_words().tobytes() == rng.state_words().tobytes()
+                with pytest.raises(ShapeError, match="M = 3"):
+                    elbo_gradient(st, batch, 3, 0.1, None, fixed_masks=fixed, noise=noise)
 
     def test_refused_kl_mode_draws_nothing(self):
         rng = RngStream(4, 2)

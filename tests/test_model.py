@@ -7,9 +7,9 @@ from conftest import ALL_FAMILIES, make_state
 from slabnn.distributions import logit_normal_mean
 from slabnn.errors import ConfigError, DomainError, ShapeError
 from slabnn.model import (BLOCK_VALUES, Family, LayerParams, NetworkSpec, PriorConfig,
-                          _layer_consts, family_problems, init_state, marginal_inclusion,
-                          median_model, pack_lower, posterior_mean_weights,
-                          sample_network, unpack_lower)
+                          _layer_consts, draw_noise, family_problems, init_state,
+                          marginal_inclusion, median_model, pack_lower,
+                          posterior_mean_weights, sample_network, unpack_lower)
 from slabnn.numkernel import RngStream, sigmoid, softplus, softplus_inv
 
 
@@ -475,19 +475,31 @@ class TestLogitFactor:
             st = _random_mvn_state(family, rank, (6, 5, 3))
         masks = median_model(st) if fixed else None
         consts = _layer_consts(st, masks)
+        kept = [c.kept for c in consts] if fixed else None
+        # The noise draw reads no parameter value: a state of NaNs draws the same.
+        blank = st.copy()
+        for _, _, arr in blank.param_items():
+            arr[...] = np.nan
         for mode, delta in (("hard", 0.0), ("relaxed", 0.1)):
-            own, shared = RngStream(7, 1), RngStream(7, 1)
+            own, shared, ahead = RngStream(7, 1), RngStream(7, 1), RngStream(7, 1)
             a = sample_network(st, delta, mode, own, fixed_masks=masks)
             b = sample_network(st, delta, mode, shared, fixed_masks=masks, consts=consts)
-            for la, lb in zip(a.layers, b.layers):
+            noise = draw_noise(blank, ahead, kept)
+            c = sample_network(st, delta, mode, None, fixed_masks=masks, noise=noise)
+            for la, lb, lc in zip(a.layers, b.layers, c.layers):
                 for name in ("alpha", "gamma_tilde", "beta", "effective", "eps", "tau",
                              "logits", "noise"):
-                    va, vb = getattr(la, name), getattr(lb, name)
-                    assert (va is None) == (vb is None) == (fixed and name in
-                                                            ("logits", "noise"))
+                    va, vb, vc = getattr(la, name), getattr(lb, name), getattr(lc, name)
+                    assert ((va is None) == (vb is None) == (vc is None)
+                            == (fixed and name in ("logits", "noise")))
                     if va is not None:
-                        assert va.tobytes() == vb.tobytes(), name
-            assert own.state_words().tobytes() == shared.state_words().tobytes()
+                        assert va.tobytes() == vb.tobytes() == vc.tobytes(), name
+            assert (own.state_words().tobytes() == shared.state_words().tobytes()
+                    == ahead.state_words().tobytes())
+        # Noise drawn for the other kind of draw is refused.
+        other = draw_noise(st, RngStream(7, 1), None if fixed else [None] * 2)
+        with pytest.raises(ShapeError):
+            sample_network(st, 0.0, "hard", None, fixed_masks=masks, noise=other)
         with pytest.raises(ShapeError):
             sample_network(st, 0.0, "hard", RngStream(7, 1), fixed_masks=masks,
                            consts=consts[:1])

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy import special
 
+from conftest import pin_cores
 from slabnn.distributions import kl_bernoulli
 from slabnn.errors import DomainError, NumericError, ShapeError
-from slabnn.numkernel import (RngStream, log_sigmoid, log_softmax, logit, sigmoid, softplus,
-                              softplus_inv, xlogy)
+from slabnn.numkernel import (RngStream, compute_threads, log_sigmoid, log_softmax, logit,
+                              sigmoid, softplus, softplus_inv, xlogy)
 
 EPS = np.finfo(float).eps
 N_HALF = 500_000  # each accuracy test checks about 10**6 seeded inputs
@@ -223,3 +224,19 @@ class TestRngStream:
             RngStream(-1, 0)
         with pytest.raises(DomainError):
             RngStream(0, 2**64)
+
+
+def test_compute_threads_is_cores_over_pinned_blas(monkeypatch):
+    # The one thread rule of predict and training: cores // blas_threads,
+    # where the first variable set to a positive integer pins BLAS.
+    pin_cores(monkeypatch, cores=4)  # unpinned BLAS fills the cores itself
+    assert compute_threads() == 1
+    pin_cores(monkeypatch, cores=4, openblas="1")
+    assert compute_threads() == 4
+    pin_cores(monkeypatch, cores=4, openblas="0", omp="2")
+    assert compute_threads() == 2
+    pin_cores(monkeypatch, cores=4, openblas="two", omp="3")
+    assert compute_threads() == 1
+    pin_cores(monkeypatch, cores=2, openblas="8")
+    assert compute_threads() == 1
+

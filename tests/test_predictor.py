@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, make_state
+from conftest import ALL_FAMILIES, make_state, pin_cores
 from slabnn import elbo, predictor
 from slabnn.errors import ConfigError, DomainError, NumericError, ShapeError
 from slabnn.model import (Family, LayerParams, PriorConfig, SampledLayer,
@@ -424,32 +424,6 @@ class TestExport:
             assert cols[4] == "0"
 
 
-def _pin(monkeypatch, cores, openblas=None, omp=None):
-    """Fake ``cores`` CPUs and set the BLAS thread variables."""
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)),
-                        raising=False)
-    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp),
-                       ("MKL_NUM_THREADS", None)):
-        if value is None:
-            monkeypatch.delenv(var, raising=False)
-        else:
-            monkeypatch.setenv(var, value)
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The threads ``predict`` starts, in order."""
-    threads = []
-
-    class Counting(threading.Thread):
-        def start(self):
-            threads.append(self)
-            super().start()
-
-    monkeypatch.setattr(predictor, "Thread", Counting)
-    return threads
-
-
 def _varied_state(family, rank, seed, widths=(6, 5, 3), fixed_dense=False):
     """A state whose logits spread over N(0, 4): about half of each mask kept."""
     st = make_state(family, rank, seed=seed, widths=widths,
@@ -500,7 +474,7 @@ class TestReplicateThreads:
                 mode = PredictionMode(gamma, "sim", replicates)
                 got = []
                 for blas in ("1", "4"):
-                    _pin(monkeypatch, cores=4, openblas=blas)
+                    pin_cores(monkeypatch, cores=4, openblas=blas)
                     got.append(_result_bytes(predict(st, x, mode, rng=RngStream(6, 99))))
                 assert got[0] == got[1], (gamma, replicates)
 
@@ -541,13 +515,13 @@ class TestReplicateThreads:
         st = make_state(seed=61)
         x = _features()
         mode = PredictionMode("sim", "sim", 5)
-        _pin(monkeypatch, cores=4)  # BLAS not pinned: it fills the cores
+        pin_cores(monkeypatch, cores=4)  # BLAS not pinned: it fills the cores
         predict(st, x, mode, rng=RngStream(1, 99))
         assert started == []
-        _pin(monkeypatch, cores=4, openblas="1")
+        pin_cores(monkeypatch, cores=4, openblas="1")
         predict(st, x, mode, rng=RngStream(1, 99))
         assert len(started) == 3  # k = min(5, 4 // 1)
-        _pin(monkeypatch, cores=4, openblas="0", omp="2")  # first positive wins
+        pin_cores(monkeypatch, cores=4, openblas="0", omp="2")  # first positive wins
         predict(st, x, mode, rng=RngStream(1, 99))
         assert len(started) == 4  # k = 4 // 2
         predict(st, x, PredictionMode("sim", "sim", 1), rng=RngStream(1, 99))
@@ -562,10 +536,10 @@ class TestReplicateThreads:
                  (_sparse_state(), _features(n=20, p=784), "med")]
         for st, x, gamma in cases:
             mode = PredictionMode(gamma, "sim", 4)
-            _pin(monkeypatch, cores=4, openblas="4")
+            pin_cores(monkeypatch, cores=4, openblas="4")
             sequential = _result_bytes(predict(st, x, mode, rng=RngStream(7, 99)))
             assert started == []
-            _pin(monkeypatch, cores=4, openblas="1")
+            pin_cores(monkeypatch, cores=4, openblas="1")
             assert _result_bytes(predict(st, x, mode, rng=RngStream(7, 99))) == sequential
             assert len(started) == 3, gamma
             assert not any(t.is_alive() for t in started)
@@ -585,7 +559,7 @@ class TestReplicateThreads:
             return draw(state, delta, mode, rng, **kwargs)
 
         monkeypatch.setattr(predictor, "sample_network", failing)
-        _pin(monkeypatch, cores=4, openblas="1")
+        pin_cores(monkeypatch, cores=4, openblas="1")
         with pytest.raises(NumericError, match="replicate 2 failed"):
             predict(make_state(seed=62), _features(), PredictionMode("sim", "sim", 6),
                     rng=RngStream(1, 99))

@@ -2,16 +2,20 @@
 
 import json
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import make_batch, make_state, write_tensors
+from conftest import make_batch, make_state, pin_cores, write_tensors
+from slabnn import trainer
 from slabnn.checkpoint import load_checkpoint, read_manifest
 from slabnn.dataio import synth_clusters
 from slabnn.elbo import Batch, elbo_gradient
-from slabnn.errors import ConfigError, NumericError
+from slabnn.errors import ConfigError, DomainError, NumericError
 from slabnn.model import (GROUPS, PARAM_GROUP, Family, NetworkSpec, PriorConfig,
                           init_state, median_model)
 from slabnn.numkernel import RngStream, sigmoid
@@ -473,3 +477,183 @@ class TestTrain:
                          ds.features, ds.labels, seed=5)
         mean_alpha = float(np.mean(sigmoid(state.layers[0].omega)))
         assert mean_alpha < 0.35
+
+
+def _worker_runs():
+    """The five runs the epoch worker must not change, as in ``tests/same_bytes.py``."""
+    def phases(family, draws=1, **train_kw):
+        out = default_phases(family, pretrain_epochs=1, train_epochs=2, posttrain_epochs=1)
+        return [replace(p, batch_size=20, draws=draws,
+                        **(train_kw if p.name == "train" else {})) for p in out]
+
+    return {
+        "mf": (Family.MF, 0, PriorConfig(), phases(Family.MF)),
+        "mf_dense": (Family.MF, 0, PriorConfig(fixed_dense=True), phases(Family.MF)[:2]),
+        "full": (Family.MVN_FULL, 0, PriorConfig(),
+                 phases(Family.MVN_FULL, kl_mode="sampled")),
+        "lowrank4": (Family.MVN_LOWRANK, 4, PriorConfig(),
+                     phases(Family.MVN_LOWRANK, draws=2)),
+        "lowrank0": (Family.MVN_LOWRANK, 0, PriorConfig(), phases(Family.MVN_LOWRANK)),
+    }
+
+
+def _force_worker(monkeypatch, on=True):
+    """Two cores at one BLAS thread, and every step above the gate (or, off, below it)."""
+    pin_cores(monkeypatch, cores=2, openblas="1")
+    monkeypatch.setattr(trainer, "WORKER_VALUES", 0 if on else 2**62)
+
+
+def _train_files(run, ckdir):
+    """``train`` on 70 rows (batches of 20, 20, 20, 10); returns (state bytes, files)."""
+    family, rank, prior, phases = run
+    ds = synth_clusters(n=70, p=6, n_classes=3, separation=1.0, seed=15)
+    state, _ = train(NetworkSpec((6, 5, 3)), prior, family, phases, ds.features,
+                     ds.labels, seed=5, rank=rank, checkpoint_dir=ckdir)
+    return ([a.tobytes() for _, _, a in state.param_items()],
+            {p.name: p.read_bytes() for p in sorted(ckdir.iterdir())})
+
+
+class TestEpochWorker:
+    """One thread per epoch draws the next step's noise and half of each ADAM step."""
+
+    @pytest.mark.parametrize("name", sorted(_worker_runs()))
+    def test_worker_runs_are_the_sequential_bytes(self, tmp_path, monkeypatch, started,
+                                                  name):
+        # The interpreter switches threads every microsecond, so the
+        # worker's draws and ADAM halves interleave with the caller's work
+        # at many points; a shared write would show in the bytes.
+        run = _worker_runs()[name]
+        sequential = _train_files(run, tmp_path / "sequential")
+        assert started == []  # a 6-5-3 step is far below WORKER_VALUES
+        _force_worker(monkeypatch)
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _train_files(run, tmp_path / "worker")
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequential
+        # One worker per epoch of every phase.
+        assert len(started) == sum(p.epochs for p in run[3])
+        assert all(t.name.startswith("slabnn-epoch") for t in started)
+        assert threading.active_count() == threads_before
+
+    def test_adam_halves_cut_the_straddling_parameter(self):
+        # 4 + 6 + 1 values: the cut at 5 falls inside the second piece.
+        arrays = [np.arange(4.0).reshape(2, 2), np.arange(6.0).reshape(3, 2), np.ones(1)]
+        pieces = [(a, a + 1, a + 2, a + 3, 0.1, False) for a in arrays]
+        first, second = trainer._halves(pieces)
+        assert [p[0].size for p in first] == [4, 1] and [p[0].size for p in second] == [5, 1]
+        for half in (first[1], second[0]):
+            for view, whole in zip(half[:4], pieces[1][:4]):
+                assert np.shares_memory(view, whole)
+        assert second[1] is pieces[2]
+
+    def test_draws_run_one_ahead_of_their_use(self):
+        # While the caller holds result i, draw i + 1 may run but no later
+        # draw has started, so at most two draws' noise are alive at once.
+        calls = []
+
+        def draw():
+            calls.append(None)
+            return len(calls) - 1
+
+        got = []
+        with ThreadPoolExecutor(1) as worker:
+            for i, result in enumerate(trainer._drawn_ahead(worker, draw, 5)):
+                got.append(result)
+                assert len(calls) <= i + 2
+        assert got == [0, 1, 2, 3, 4] and len(calls) == 5
+
+    @staticmethod
+    def _nan_gradient_at(monkeypatch, step):
+        # The gradient of global step ``step`` holds a NaN, so its
+        # adam_step refuses it after the next step's draw went to the worker.
+        calls = [0]
+
+        def poisoned(*args, **kwargs):
+            value, grads = elbo_gradient(*args, **kwargs)
+            calls[0] += 1
+            if calls[0] == step:
+                grads.get(1, "kappa")[0, 0] = np.nan
+            return value, grads
+
+        monkeypatch.setattr(trainer, "elbo_gradient", poisoned)
+
+    def test_abort_matches_the_sequential_abort(self, tmp_path, monkeypatch, started):
+        # Four steps per epoch after a one-epoch pretrain: step 7 is train
+        # epoch 1 minibatch 3, and the worker has been handed step 8's draw.
+        run = _worker_runs()["lowrank4"]
+        got = []
+        for on in (False, True):
+            _force_worker(monkeypatch, on)
+            self._nan_gradient_at(monkeypatch, 7)
+            ckdir = tmp_path / f"worker={on}"
+            with pytest.raises(TrainingAborted) as err:
+                _train_files(run, ckdir)
+            files = {p.name: p.read_bytes() for p in sorted(ckdir.iterdir())}
+            words = load_checkpoint(ckdir / "checkpoint_final.lbnn").rng_words
+            got.append((str(err.value), files, {k: v.tobytes() for k, v in words.items()}))
+            assert len(started) == (2 if on else 0)
+        assert got[0] == got[1]
+        assert got[0][0].startswith("train epoch 1 minibatch 3 (global step 7) aborted: "
+                                    "non-finite gradient for layer 1 parameter kappa")
+
+    def test_other_errors_join_the_worker(self, tmp_path, monkeypatch, started):
+        calls = [0]
+
+        def failing(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise RuntimeError("injected")
+            return elbo_gradient(*args, **kwargs)
+
+        _force_worker(monkeypatch)
+        monkeypatch.setattr(trainer, "elbo_gradient", failing)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            _train_files(_worker_runs()["mf"], tmp_path)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+        assert threading.active_count() == threads_before
+
+    def test_no_worker_with_unpinned_blas_or_a_small_step(self, monkeypatch, started):
+        ds = synth_clusters(n=40, p=3, n_classes=2, seed=16)
+        phases = _tiny_phases(epochs=2)
+        monkeypatch.setattr(trainer, "WORKER_VALUES", 0)
+        pin_cores(monkeypatch, cores=2)  # BLAS not pinned: it fills the cores
+        train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, phases, ds.features,
+              ds.labels, seed=1)
+        pin_cores(monkeypatch, cores=2, openblas="2")
+        train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, phases, ds.features,
+              ds.labels, seed=1)
+        assert started == []
+        # 3-2 draws 16 and updates 24 values a step.
+        pin_cores(monkeypatch, cores=2, openblas="1")
+        monkeypatch.setattr(trainer, "WORKER_VALUES", 41)
+        train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, phases, ds.features,
+              ds.labels, seed=1)
+        assert started == []
+        monkeypatch.setattr(trainer, "WORKER_VALUES", 40)
+        train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, phases, ds.features,
+              ds.labels, seed=1)
+        assert len(started) == 2
+
+    def test_non_finite_features_refused_before_any_work(self, tmp_path, monkeypatch,
+                                                          started):
+        ds = synth_clusters(n=60, p=3, n_classes=2, seed=17)
+        x = ds.features.copy()
+        x[37, 1] = np.nan
+        x[41, 0] = np.inf
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("init_state ran")
+
+        monkeypatch.setattr(trainer, "init_state", no_init)
+        _force_worker(monkeypatch)
+        with pytest.raises(DomainError, match=r"^features must be finite; row 37 is not$"):
+            train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, _tiny_phases(), x,
+                  ds.labels, seed=1, checkpoint_dir=tmp_path / "ck")
+        assert not (tmp_path / "ck").exists()
+        assert started == []
