@@ -297,9 +297,9 @@ def _backprop_loglik(sampled: SampledNetwork, batch: Batch, tape, scale: float):
         dw = np.empty_like(w)
         dw[0, :] = dpre.sum(axis=0)
         dw[1:, :] = z_in.T @ dpre
-        dz = dpre @ w[1:, :].T
         d_weights[t] = dw
-        if t > 0:
+        if t > 0:  # the input gradient of transition 0 is never used
+            dz = dpre @ w[1:, :].T
             # Derivative of the hidden activation; relu uses 1[pre > 0],
             # which is 1[z_in > 0] of this transition's input.
             if spec.activations[t - 1] == "relu":

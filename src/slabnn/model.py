@@ -27,7 +27,9 @@ inclusion side:
 ``LayerParams`` is the one place that knows the family: parameter
 shapes, initial values, blocked logit draws, exact inclusion
 probabilities and logit-gradient routing.  ``family_problems`` holds the
-rank and size rules.
+rank and size rules.  A correlated layer reuses its last inclusion
+probabilities while its structure arrays keep their bytes, at the cost
+of one copy of those arrays (``LayerParams.inclusion``).
 
 The indicators of a draw are either sampled from that family or held
 fixed (a fixed_dense state, or a mask such as the median model's);
@@ -226,6 +228,7 @@ class LayerParams:
             setattr(self, name, np.zeros(dims))
         for name in ("a_beta", "b_beta", "a_psi", "b_psi"):
             getattr(self, name)[0] = 1.0
+        self._inclusion_memo = None  # (structure bytes, alpha_hat); see ``inclusion``
 
     @staticmethod
     def param_shapes(family: Family, shape, rank: int = 0) -> dict:
@@ -371,14 +374,34 @@ class LayerParams:
             yield self.logits_from_noise(noise, factor), noise
 
     def inclusion(self) -> np.ndarray:
-        """Exact marginal inclusion probabilities alpha_hat, as a weight matrix.
+        """Exact marginal inclusion probabilities alpha_hat, as a fresh weight matrix.
 
         A correlated logit i is marginally N(xi_i, s_i^2), s_i from
         ``logit_sd``, so alpha_hat_i is ``logit_normal_mean(xi_i, s_i)``.
+        A correlated layer keeps its last alpha_hat with a copy of the
+        structure arrays it was computed from (``xi`` and ``chol_raw``,
+        or ``xi``, ``factor`` and ``log_diag``) and returns a copy of it
+        while those arrays hold the same bytes, compared as ``uint64``,
+        so ``-0.0`` for ``0.0`` or a NaN with another payload counts as
+        a change.  Any write that changes a byte, in place or not,
+        recomputes; a reused alpha_hat is the bytes a recomputation
+        gives.  The copy costs the structure arrays' size once more,
+        plus alpha_hat (3.35 MB for a 915-weight full layer).  Mean
+        field computes ``sigmoid(omega)`` every call, which costs what
+        the check would.
         """
         if self.family is Family.MF:
             return sigmoid(self.omega)
-        return logit_normal_mean(self.xi, self.logit_sd()).reshape(self.shape)
+        names = ("xi", "chol_raw") if self.family is Family.MVN_FULL else (
+            "xi", "factor", "log_diag")
+        views = [getattr(self, name).view(np.uint64) for name in names]
+        memo = self._inclusion_memo
+        if memo is not None and all(map(np.array_equal, views, memo[0])):
+            return memo[1].copy()
+        keys = [v.copy() for v in views]
+        alpha = logit_normal_mean(self.xi, self.logit_sd()).reshape(self.shape)
+        self._inclusion_memo = (keys, alpha)
+        return alpha.copy()
 
     def route_logit_grad(self, dlogit: np.ndarray, noise: np.ndarray, grads: dict):
         """Add one draw's logit gradient, given its ``noise`` row, into ``grads``."""
@@ -732,9 +755,11 @@ def marginal_inclusion(state: VariationalState, n_mc: int = 1000,
                        rng: RngStream = None) -> list:
     """Per-weight marginal inclusion probabilities alpha_hat, one matrix per layer.
 
-    Exact for every family (``LayerParams.inclusion``), and nothing is
-    drawn; fixed_dense states give all ones.  ``n_mc`` and ``rng`` are
-    accepted for compatibility and not used.
+    Exact for every family (``LayerParams.inclusion``, which reuses a
+    correlated layer's last result while its structure keeps its bytes),
+    and nothing is drawn; fixed_dense states give all ones.  Every
+    matrix is the caller's own.  ``n_mc`` and ``rng`` are accepted for
+    compatibility and not used.
     """
     if state.prior.fixed_dense:
         return [np.ones(layer.shape) for layer in state.layers]

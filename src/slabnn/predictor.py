@@ -57,8 +57,12 @@ keeps after the call.
 
 The inclusion probabilities are exact for every family and draw
 nothing, so the deterministic modes (all/mea, med/mea) run without an
-rng.  A result records the masks each replicate used, which is what the
-density level summarizes (union across replicates, biases included).
+rng.  A correlated state computes them once while its structure keeps
+its bytes (``LayerParams.inclusion``), so repeated med and mea calls on
+one state, such as ``slabnn eval``'s in-domain and OOD sets, reuse
+them, with the bytes a recomputation gives.  A result records the
+masks each replicate used, which is what the density level summarizes
+(union across replicates, biases included).
 """
 
 from __future__ import annotations

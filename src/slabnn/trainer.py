@@ -63,7 +63,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .elbo import Batch, GradientBundle, elbo_gradient, gradient_groups
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, ShapeError
 from .model import (GROUPS, PARAM_GROUP, PHASE_GROUPS, STRUCTURE_GROUPS, Family,
                     LayerParams, NetworkSpec, PriorConfig, VariationalState, _layer_consts,
                     draw_noise, init_state, marginal_inclusion, median_model)
@@ -532,7 +532,10 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
     checkpointed before the abort propagates, with the counters and
     stream positions of the completed epochs only.  Groups
     outside ``live_groups(family, prior)`` keep their parameters
-    bit-identical whatever the phases' step sizes say.
+    bit-identical whatever the phases' step sizes say.  Non-finite
+    features (``DomainError``), a feature width other than
+    ``spec.widths[0]`` (``ShapeError``) and labels at or above the class
+    count (``DomainError``) are refused before any state is built.
     """
     problems = validate_schedule(phases)
     if problems:
@@ -541,6 +544,10 @@ def train(spec: NetworkSpec, prior: PriorConfig, family: Family, phases: list,
     bad = np.flatnonzero(~np.isfinite(data.features).all(axis=1))
     if bad.size:
         raise DomainError(f"features must be finite; row {bad[0]} is not")
+    if data.features.shape[1] != spec.widths[0]:  # the forward's refusals, made up front
+        raise ShapeError(f"features must be (N, {spec.widths[0]}), got {data.features.shape}")
+    if np.any(data.labels >= spec.n_classes):
+        raise DomainError(f"labels must be below the class count {spec.n_classes}")
     live = live_groups(family, prior)
     phases = [replace(p, lr={g: v for g, v in p.lr.items() if g in live})
               for p in phases]

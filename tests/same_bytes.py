@@ -21,7 +21,11 @@ cover each family and both indicator modes: mean
 field with a median_fixed posttrain, mean field fixed_dense, mvn_full
 with a sampled-KL train and a median_fixed posttrain, and low rank at
 r=4 (draws=2, median_fixed posttrain) and at r=0.  Per run the sha256
-covers ``trace.jsonl``, every checkpoint file, ``marginal_inclusion``,
+covers ``trace.jsonl``, every checkpoint file, ``marginal_inclusion``
+(for the three correlated runs also a second call in a row, which
+reuses alpha_hat, and a call after a one-ulp in-place change of layer
+0's ``xi[0]`` on a copy, which recomputes it; the script exits 1 when
+the reused one differs from the first),
 ``median_model``, ``inclusion_correlation`` on both layers (for
 mvn_full also layer 0 at 40,000 draws, which flushes the count buffer
 twice before the last time), one
@@ -64,7 +68,7 @@ Each ``threads/train/<run>`` digest covers the run's file names and
 bytes (checkpoints and ``trace.jsonl``), and the script exits 1 when
 one differs from the same digest of the sequential run.
 
-That makes 261 digests: 142 from the library and 119 from the CLI.
+That makes 267 digests: 148 from the library and 119 from the CLI.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -203,6 +207,13 @@ def run_digests(name, family, rank, prior, phases, data, workdir, sequential) ->
 
     alpha = marginal_inclusion(state)
     out[f"{name}/marginal_inclusion"] = _digest(alpha)
+    if family is not Family.MF:
+        # A second call in a row reuses alpha_hat; a one-ulp change recomputes it.
+        out[f"{name}/marginal_inclusion/again"] = _digest(marginal_inclusion(state))
+        bumped = state.copy()
+        marginal_inclusion(bumped)
+        bumped.layers[0].xi[0] = np.nextafter(bumped.layers[0].xi[0], np.inf)
+        out[f"{name}/marginal_inclusion/xi_ulp"] = _digest(marginal_inclusion(bumped))
     out[f"{name}/median_model"] = _digest(median_model(state))
     for layer in range(state.n_transitions):
         rng = RngStream(SEED, 11)
@@ -431,6 +442,10 @@ def main(argv=None) -> int:
         print(f"CLI commands failed: {failed}", file=sys.stderr)
         return 1
     if any(threaded[f"threads/train/{name}"] != digest for name, digest in sequential.items()):
+        return 1
+    again = [tag for tag in digests if tag.endswith("/marginal_inclusion/again")]
+    if any(digests[tag] != digests[tag[:-len("/again")]] for tag in again):
+        print("a reused marginal_inclusion differs from the first call", file=sys.stderr)
         return 1
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -13,7 +13,8 @@ from slabnn import cli, dataio, predictor
 from slabnn.checkpoint import read_manifest, save_checkpoint
 from slabnn.cli import load_config, main
 from slabnn.errors import ConfigError
-from slabnn.model import Family, NetworkSpec, PriorConfig, init_state, marginal_inclusion
+from slabnn.model import (Family, LayerParams, NetworkSpec, PriorConfig, init_state,
+                          marginal_inclusion)
 from slabnn.numkernel import RngStream
 from slabnn.trainer import STOCK_LR
 
@@ -502,6 +503,31 @@ class TestEvalCommand:
              "--beta", "sim", "-R", "3", "--out", str(tmp_path / "ev")], capsys)
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("family, rank", [(Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 2)])
+    def test_ood_eval_computes_alpha_hat_once(self, family, rank, trained, tmp_path, capsys,
+                                              monkeypatch):
+        # Both datasets' predicts and the report read one alpha_hat per layer.
+        state = init_state(NetworkSpec((4, 3, 2)), PriorConfig(), family, RngStream(3, 0),
+                           rank=rank)
+        for lp in state.layers:
+            lp.xi[...] = np.linspace(-1.0, 1.0, lp.n_weights)
+        ckpt = tmp_path / "corr.lbnn"
+        save_checkpoint(ckpt, state)
+        calls = []
+        logit_sd = LayerParams.logit_sd
+
+        def counting(self):
+            calls.append(1)
+            return logit_sd(self)
+
+        monkeypatch.setattr(LayerParams, "logit_sd", counting)
+        code, _, _ = _run_main(
+            ["eval", str(ckpt), "--csv", str(trained["csv"]), "--gamma", "med",
+             "--beta", "sim", "-R", "2", "--ood-csv", str(trained["csv"]),
+             "--out", str(tmp_path / "ev")], capsys)
+        assert code == 0
+        assert len(calls) == state.n_transitions
 
     def test_absurd_corr_samples_exit_two_without_csv(self, trained, tmp_path, capsys):
         out = tmp_path / "ev_big"

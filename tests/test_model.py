@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, make_state
+from slabnn import model
 from slabnn.distributions import logit_normal_mean
+from slabnn.elbo import GradientBundle
 from slabnn.errors import ConfigError, DomainError, ShapeError
-from slabnn.model import (BLOCK_VALUES, Family, LayerParams, NetworkSpec, PriorConfig,
-                          _layer_consts, draw_noise, family_problems, init_state,
-                          marginal_inclusion, median_model, pack_lower,
+from slabnn.model import (BLOCK_VALUES, GROUPS, Family, LayerParams, NetworkSpec,
+                          PriorConfig, _layer_consts, draw_noise, family_problems,
+                          init_state, marginal_inclusion, median_model, pack_lower,
                           posterior_mean_weights, sample_network, unpack_lower)
 from slabnn.numkernel import RngStream, sigmoid, softplus, softplus_inv
+from slabnn.trainer import AdamMoments, adam_step
 
 
 class TestNetworkSpec:
@@ -326,6 +329,112 @@ class TestInclusionSummaries:
             np.testing.assert_array_equal(a, 1.0)
         for m in median_model(st):
             np.testing.assert_array_equal(m, 1.0)
+
+
+CORRELATED = [(Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 0), (Family.MVN_LOWRANK, 2)]
+
+
+def _counted(monkeypatch, name):
+    """Calls of ``model.<name>`` from here on, one entry per call."""
+    calls = []
+    fn = getattr(model, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(model, name, counting)
+    return calls
+
+
+def _structure(lp) -> list:
+    """The structure arrays a correlated layer's alpha_hat is computed from."""
+    names = ("xi", "chol_raw") if lp.family is Family.MVN_FULL else ("xi", "factor", "log_diag")
+    return [getattr(lp, name).reshape(-1) for name in names if getattr(lp, name).size]
+
+
+def _fresh(lp) -> bytes:
+    return logit_normal_mean(lp.xi, lp.logit_sd()).reshape(lp.shape).tobytes()
+
+
+class TestInclusionReuse:
+    """A correlated layer reuses alpha_hat while its structure keeps its bytes."""
+
+    @pytest.mark.parametrize("family, rank", CORRELATED)
+    def test_hit_is_a_fresh_computation(self, family, rank, monkeypatch):
+        st = _random_mvn_state(family, rank, (4, 3, 2))
+        first = marginal_inclusion(st)
+        calls = _counted(monkeypatch, "logit_normal_mean")
+        again = marginal_inclusion(st)
+        assert calls == []
+        fresh = marginal_inclusion(st.copy())
+        assert len(calls) == st.n_transitions
+        for a, b, c in zip(first, again, fresh):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("family, rank", CORRELATED)
+    def test_every_changed_byte_recomputes(self, family, rank, monkeypatch):
+        st = _random_mvn_state(family, rank, (4, 3, 2))
+        lp = st.layers[0]
+        calls = _counted(monkeypatch, "logit_normal_mean")
+        lp.inclusion()
+        edits = []
+        for arr in _structure(lp):
+            edits += [(arr, np.nextafter(arr[1], np.inf)), (arr, 0.0), (arr, -0.0)]
+        for arr, value in edits:
+            arr[1] = value
+            before = len(calls)
+            assert lp.inclusion().tobytes() == _fresh(lp)
+            assert len(calls) == before + 1
+            assert lp.inclusion().tobytes() == _fresh(lp)
+            assert len(calls) == before + 1
+
+    @pytest.mark.parametrize("family, rank", CORRELATED)
+    def test_restore_from_recomputes(self, family, rank, monkeypatch):
+        st = _random_mvn_state(family, rank, (4, 3, 2))
+        snap = st.copy()
+        st.layers[0].xi[0] = np.nextafter(st.layers[0].xi[0], np.inf)
+        marginal_inclusion(st)
+        calls = _counted(monkeypatch, "logit_normal_mean")
+        st.restore_from(snap)
+        alpha = marginal_inclusion(st)
+        assert len(calls) == 1  # layer 1 kept its bytes
+        for a, b in zip(alpha, marginal_inclusion(snap)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("family, rank", CORRELATED)
+    @pytest.mark.parametrize("group, recomputes", [("weights", False), ("xi", True),
+                                                   ("cov", True)])
+    def test_adam_step_recomputes_when_the_structure_moves(self, family, rank, group,
+                                                           recomputes, monkeypatch):
+        st = _random_mvn_state(family, rank, (4, 3, 2))
+        marginal_inclusion(st)
+        grads = GradientBundle(st, GROUPS)
+        for _, _, g in grads.items():
+            g[...] = 0.1
+        calls = _counted(monkeypatch, "logit_normal_mean")
+        adam_step(st, grads, AdamMoments(), {group: 0.01})
+        alpha = marginal_inclusion(st)
+        assert len(calls) == (st.n_transitions if recomputes else 0)
+        for a, lp in zip(alpha, st.layers):
+            assert a.tobytes() == _fresh(lp)
+
+    @pytest.mark.parametrize("family, rank", CORRELATED)
+    def test_returned_alpha_is_the_callers(self, family, rank):
+        lp = _random_mvn_state(family, rank, (4, 3, 2)).layers[0]
+        computed = lp.inclusion()
+        computed[...] = 7.0
+        reused = lp.inclusion()
+        assert reused.tobytes() == _fresh(lp)
+        reused[...] = 7.0
+        assert lp.inclusion().tobytes() == _fresh(lp)
+
+    def test_mean_field_computes_every_call(self, monkeypatch):
+        lp = make_state().layers[0]
+        calls = _counted(monkeypatch, "sigmoid")
+        for n in (1, 2, 3):
+            np.testing.assert_array_equal(lp.inclusion(), sigmoid(lp.omega))
+            assert len(calls) == n
 
 
 def _median_state(seed=12, widths=(8, 6, 3)):

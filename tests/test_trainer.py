@@ -15,7 +15,7 @@ from slabnn import trainer
 from slabnn.checkpoint import load_checkpoint, read_manifest
 from slabnn.dataio import synth_clusters
 from slabnn.elbo import Batch, elbo_gradient
-from slabnn.errors import ConfigError, DomainError, NumericError
+from slabnn.errors import ConfigError, DomainError, NumericError, ShapeError
 from slabnn.model import (GROUPS, PARAM_GROUP, Family, NetworkSpec, PriorConfig,
                           init_state, median_model)
 from slabnn.numkernel import RngStream, sigmoid
@@ -655,5 +655,32 @@ class TestEpochWorker:
         with pytest.raises(DomainError, match=r"^features must be finite; row 37 is not$"):
             train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, _tiny_phases(), x,
                   ds.labels, seed=1, checkpoint_dir=tmp_path / "ck")
+        assert not (tmp_path / "ck").exists()
+        assert started == []
+
+    @pytest.mark.parametrize("case", ["labels", "width"])
+    def test_bad_labels_and_width_refused_before_any_work(self, case, tmp_path,
+                                                          monkeypatch, started):
+        ds = synth_clusters(n=60, p=3, n_classes=2, seed=17)
+        x, y = ds.features, ds.labels
+        if case == "labels":
+            y = y + 5
+            error, text = DomainError, r"^labels must be below the class count 2$"
+        else:
+            x = x[:, :2]
+            error, text = ShapeError, r"^features must be \(N, 3\), got \(60, 2\)$"
+        calls = []
+        init_state = trainer.init_state
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return init_state(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "init_state", counting)
+        _force_worker(monkeypatch)
+        with pytest.raises(error, match=text):
+            train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, _tiny_phases(), x, y,
+                  seed=1, checkpoint_dir=tmp_path / "ck")
+        assert calls == []
         assert not (tmp_path / "ck").exists()
         assert started == []
