@@ -461,7 +461,7 @@ def _report(result, data, has_labels, threshold, run_id, seed, state=None):
     doubt = classify_with_doubt(result.probs, threshold)
     report = MetricsReport(run_id=run_id, seed=seed, density=density_level(result.masks))
     if state is not None:
-        report.layer_rho = layer_inclusion_means(result.alpha_hat or marginal_inclusion(state))
+        report.layer_rho = layer_inclusion_means(marginal_inclusion(state))
     if has_labels:
         plain = classify_with_doubt(result.probs, 0.0)
         report.all_class_accuracy = accuracy(plain.decisions, data.labels)

@@ -12,11 +12,15 @@ weights (second) are handled:
   fixed and slab weights are redrawn per replicate.
 * med/mea : the median mask applied to the slab means; deterministic.
 
-The median model runs as the sparse network it is: a layer whose mask
-keeps at most ``elbo.SPARSE_SHARE`` of its non-bias weights has its
-product formed from the kept weights only (``elbo.MaskedProducts``,
-built once per call).  Its probabilities equal the dense ones up to
-rounding; layers above the share stay dense, bit for bit.
+Every forward of a call runs through a product plan
+(``elbo.BlockedProducts``): each dense product is formed on blocks of
+exactly ``elbo.BLOCK_ROWS`` (256) rows, the last one zero-padded, so a
+row's probabilities are the same bytes predicted alone or inside any
+file, in every mode.  The median model runs as the sparse network it
+is: a layer whose mask keeps at most ``elbo.SPARSE_SHARE`` of its
+non-bias weights has its product formed from the kept weights only.
+Its probabilities equal the dense ones up to rounding; layers above
+the share stay dense, bit for bit with the blocked dense forward.
 
 all/sim (every connection kept but slabs sampled) only makes sense for
 fixed-dense states and is rejected otherwise.  sim/mea is not a mode
@@ -55,6 +59,15 @@ once every thread has finished.  Each extra thread costs about one
 replicate's working set of resident memory, which its malloc arena
 keeps after the call.
 
+The mean modes have one network and split its rows instead: a call
+whose dense forward takes at least ``SPLIT_MULTIPLY_ADDS``
+multiply-adds hands contiguous runs of whole 256-row blocks, each with
+a plan of its own, to k = min(compute_threads(), blocks) threads the
+same way, and joins their rows in order.  A row's bytes do not depend
+on its block, so neither do they on k; a failing run is raised as a
+failing replicate is.  A smaller call, such as 60-15-5 on 3,000 rows,
+stays on the calling thread, where a split measured slower.
+
 The inclusion probabilities are exact for every family and draw
 nothing, so the deterministic modes (all/mea, med/mea) run without an
 rng.  A correlated state computes them once while its structure keeps
@@ -72,7 +85,7 @@ from threading import Thread
 
 import numpy as np
 
-from .elbo import MaskedProducts, forward_logits
+from .elbo import BLOCK_ROWS, BlockedProducts, forward_logits
 from .errors import ConfigError, DomainError, ShapeError
 from .model import (SampledLayer, SampledNetwork, VariationalState, _layer_consts,
                     marginal_inclusion, median_model, memory_problems,
@@ -95,6 +108,17 @@ BETA_RULES = ("sim", "mea")
 
 # Classify only when the top model-averaged probability exceeds this.
 DOUBT_THRESHOLD = 0.95
+
+# A mean-mode call splits its row blocks over threads only when its
+# dense forward takes at least this many multiply-adds (rows times the
+# sum of widths[t] * widths[t + 1]).  Medians of all/mea calls on an MF
+# state, 2 cores, one BLAS thread, one thread -> two: 60-15-5 x 3,000
+# rows (2.9M) 0.87 -> 1.16 ms in one pass and 1.15 -> 1.13 in another,
+# 784-16-3 x 512 (6.4M) 0.85 -> 1.02, 60-15-5 x 9,000 (8.8M) 2.24 ->
+# 1.77, 784-16-3 x 1,024 (12.9M) 1.87 -> 1.44, 784-64-32-10 x 2,000
+# (105M) 7.41 -> 5.31.  The split pays from about 2**23; the floor
+# keeps a margin above the calls where it lost.
+SPLIT_MULTIPLY_ADDS = 2**24
 
 
 @dataclass(frozen=True)
@@ -137,7 +161,6 @@ class PredictiveResult:
     probs: np.ndarray                # (n, classes), rows sum to 1
     replicate_probs: np.ndarray      # (R, n, classes) or None for deterministic modes
     masks: list                      # per replicate: list of per-layer 0/1 masks
-    alpha_hat: list = None           # marginal_inclusion(state) as used; None for sim/sim
 
 
 @dataclass
@@ -160,7 +183,7 @@ class DoubtDecisions:
         return int(np.sum(self.decisions < 0))
 
 
-def _probs(spec, weights, features, products: MaskedProducts = None) -> np.ndarray:
+def _probs(spec, weights, features, products: BlockedProducts) -> np.ndarray:
     """Softmax class probabilities of the network with these effective weights."""
     layers = [SampledLayer(alpha=None, gamma_tilde=None, beta=w, effective=w,
                            eps=None, tau=None) for w in weights]
@@ -200,18 +223,18 @@ def predict(state: VariationalState, features, mode: PredictionMode,
 
     alpha_hat = marginal_inclusion(state) if mode.gamma == "med" or mode.deterministic else None
     mask = median_model(state, alpha_hat=alpha_hat) if mode.gamma == "med" else None
-    products = MaskedProducts(mask, x) if mask is not None else None
 
     if mode.beta == "mea":  # med/mea is the posterior mean with the mask as alpha_hat
         weights = posterior_mean_weights(state, alpha_hat=mask or alpha_hat)
         masks = [mask or [np.ones(layer.shape) for layer in state.layers]]
-        return PredictiveResult(probs=_probs(state.spec, weights, x, products),
-                                replicate_probs=None, masks=masks, alpha_hat=alpha_hat)
+        return PredictiveResult(probs=_mean_probs(state.spec, weights, x, mask),
+                                replicate_probs=None, masks=masks)
 
     # Sampled slabs: one derived stream per replicate; the median mask is
     # held fixed and shared by every replicate's record.  Every replicate
-    # reads one set of per-layer constants built here.
+    # reads one set of per-layer constants and one product plan built here.
     consts = _layer_consts(state, mask)
+    products = BlockedProducts(x, mask)
 
     def replicate(r):
         sub = RngStream(rng.seed, rng.stream_id + 1 + r)
@@ -225,7 +248,26 @@ def predict(state: VariationalState, features, mode: PredictionMode,
                            min(mode.replicates, compute_threads()))
     stacked = np.stack([p for p, _ in done], axis=0)
     return PredictiveResult(probs=stacked.mean(axis=0), replicate_probs=stacked,
-                            masks=[m for _, m in done], alpha_hat=alpha_hat)
+                            masks=[m for _, m in done])
+
+
+def _mean_probs(spec, weights, x, mask) -> np.ndarray:
+    """A mean mode's probabilities, its row blocks split over k threads.
+
+    Run j of k takes the rows of blocks j * blocks // k up to
+    (j + 1) * blocks // k with a plan of its own, and the runs are
+    joined in order.  A row's bytes do not depend on its block, so
+    neither do they on k.
+    """
+    blocks = -(-x.shape[0] // BLOCK_ROWS)
+    work = x.shape[0] * sum(a * b for a, b in zip(spec.widths[:-1], spec.widths[1:]))
+    k = min(compute_threads(), blocks) if work >= SPLIT_MULTIPLY_ADDS else 1
+
+    def run(j):
+        rows = x[j * blocks // k * BLOCK_ROWS:(j + 1) * blocks // k * BLOCK_ROWS]
+        return _probs(spec, weights, rows, BlockedProducts(rows, mask))
+
+    return np.concatenate(_run_replicates(run, k, k))
 
 
 def _run_replicates(fn, n: int, k: int) -> list:

@@ -68,7 +68,17 @@ Each ``threads/train/<run>`` digest covers the run's file names and
 bytes (checkpoints and ``trace.jsonl``), and the script exits 1 when
 one differs from the same digest of the sequential run.
 
-That makes 267 digests: 148 from the library and 119 from the CLI.
+A row's probabilities must not depend on the other rows of its call.
+Each ``rows/<mode>`` digest covers the 784-16-3 state's 1,400 rows
+predicted whole in one mode (R=3) and as slices of 1, 37 (across a
+256-row block boundary) and 300 rows (the last ones), with
+``compute_threads`` forced to 1; ``threads/predict/all_mea`` and
+``threads/predict/med_mea`` repeat the whole mean-mode calls with it
+forced to 2, so their row blocks split over two threads.  The script
+exits 1 when a slice differs from its rows in the whole call or a
+threaded call from its one-thread run.
+
+That makes 273 digests: 154 from the library and 119 from the CLI.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -261,14 +271,10 @@ def run_digests(name, family, rank, prior, phases, data, workdir, sequential) ->
     return out
 
 
-def sparse_digests() -> dict:
-    """Median-model predictions, a draw whose first-layer mask is 1% dense, and
-    sim/sim and med/sim calls whose replicates run on threads."""
-    from slabnn.dataio import synth_clusters
-    from slabnn.model import (Family, NetworkSpec, PriorConfig, init_state, median_model,
-                              sample_network)
+def _sparse_state():
+    """The 784-16-3 mean-field state whose median mask keeps 125 of layer 0's weights."""
+    from slabnn.model import Family, NetworkSpec, PriorConfig, init_state
     from slabnn.numkernel import RngStream
-    from slabnn.predictor import PredictionMode, predict
     state = init_state(NetworkSpec((784, 16, 3)), PriorConfig(), Family.MF,
                        RngStream(SEED, 0))
     first = state.layers[0]
@@ -278,6 +284,17 @@ def sparse_digests() -> dict:
     flat[RngStream(SEED, 1).permutation(flat.size)[:125]] = 4.0
     first.kappa[...] *= 20.0
     state.layers[1].omega[...] = 4.0
+    return state
+
+
+def sparse_digests() -> dict:
+    """Median-model predictions, a draw whose first-layer mask is 1% dense, and
+    sim/sim and med/sim calls whose replicates run on threads."""
+    from slabnn.dataio import synth_clusters
+    from slabnn.model import median_model, sample_network
+    from slabnn.numkernel import RngStream
+    from slabnn.predictor import PredictionMode, predict
+    state = _sparse_state()
     data = synth_clusters(200, 784, 3, separation=1.0, seed=SEED)
     out = {}
     for gamma, beta in MODES[2:]:
@@ -296,6 +313,51 @@ def sparse_digests() -> dict:
                       rng=RngStream(SEED, 999))
         out[f"threads/predict/{gamma}_sim"] = _digest(
             res.probs, res.replicate_probs, res.masks)
+    return out
+
+
+# 1 row, 37 rows across the first 256-row block boundary, and the last 300 rows.
+ROW_SLICES = ((700, 701), (250, 287), (1100, 1400))
+
+
+def row_digests(problems) -> dict:
+    """The 784-16-3 state's 1,400 rows whole and in slices, and the mean modes on threads.
+
+    Runs at ``compute_threads`` 1, then the mean modes again at 2, where
+    their rows split over two threads.  A slice whose probabilities
+    differ from its rows in the whole call, or a threaded call that
+    differs from its one-thread run, is added to ``problems``.
+    """
+    from slabnn import predictor
+    from slabnn.dataio import synth_clusters
+    from slabnn.numkernel import RngStream
+    from slabnn.predictor import PredictionMode, predict
+    state = _sparse_state()
+    rows = synth_clusters(1400, 784, 3, separation=1.0, seed=SEED).features
+    out, whole = {}, {}
+    saved = predictor.compute_threads
+    try:
+        predictor.compute_threads = lambda: 1
+        for gamma, beta in MODES:
+            mode = PredictionMode(gamma, beta, 3)
+            res = predict(state, rows, mode, rng=RngStream(SEED, 999))
+            parts = [predict(state, rows[lo:hi], mode, rng=RngStream(SEED, 999)).probs
+                     for lo, hi in ROW_SLICES]
+            out[f"rows/{gamma}_{beta}"] = _digest(res.probs, res.replicate_probs,
+                                                  res.masks, parts)
+            whole[gamma, beta] = res.probs
+            problems += [f"rows/{gamma}_{beta}: rows {lo}:{hi} alone differ from the "
+                         f"whole call" for (lo, hi), part in zip(ROW_SLICES, parts)
+                         if part.tobytes() != res.probs[lo:hi].tobytes()]
+        predictor.compute_threads = lambda: 2
+        for gamma in ("all", "med"):
+            res = predict(state, rows, PredictionMode(gamma, "mea"))
+            out[f"threads/predict/{gamma}_mea"] = _digest(res.probs, res.replicate_probs,
+                                                          res.masks)
+            if res.probs.tobytes() != whole[gamma, "mea"].tobytes():
+                problems.append(f"threads/predict/{gamma}_mea differs from one thread")
+    finally:
+        predictor.compute_threads = saved
     return out
 
 
@@ -434,6 +496,8 @@ def main(argv=None) -> int:
         threaded = thread_digests(data, workdir, sequential)
     digests.update(threaded)
     digests.update(sparse_digests())
+    problems = []
+    digests.update(row_digests(problems))
     codes = {}
     with tempfile.TemporaryDirectory() as workdir:
         digests.update(cli_digests(workdir, codes))
@@ -442,6 +506,9 @@ def main(argv=None) -> int:
         print(f"CLI commands failed: {failed}", file=sys.stderr)
         return 1
     if any(threaded[f"threads/train/{name}"] != digest for name, digest in sequential.items()):
+        return 1
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
         return 1
     again = [tag for tag in digests if tag.endswith("/marginal_inclusion/again")]
     if any(digests[tag] != digests[tag[:-len("/again")]] for tag in again):

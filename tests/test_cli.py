@@ -13,8 +13,7 @@ from slabnn import cli, dataio, predictor
 from slabnn.checkpoint import read_manifest, save_checkpoint
 from slabnn.cli import load_config, main
 from slabnn.errors import ConfigError
-from slabnn.model import (Family, LayerParams, NetworkSpec, PriorConfig, init_state,
-                          marginal_inclusion)
+from slabnn.model import Family, LayerParams, NetworkSpec, PriorConfig, init_state
 from slabnn.numkernel import RngStream
 from slabnn.trainer import STOCK_LR
 
@@ -485,24 +484,24 @@ class TestEvalCommand:
         assert not out.exists()
 
     def test_alpha_hat_computed_once(self, trained, tmp_path, capsys, monkeypatch):
-        # predict's alpha_hat (med rule) is reused for the report's layer_rho.
+        # The report's layer_rho reuses the alpha_hat predict's med rule computed.
         spec = NetworkSpec((4, 3, 2))
         state = init_state(spec, PriorConfig(), Family.MVN_FULL, RngStream(3, 0))
         ckpt = tmp_path / "full.lbnn"
         save_checkpoint(ckpt, state)
         calls = []
+        logit_sd = LayerParams.logit_sd
 
-        def counting(st, *args, **kwargs):
+        def counting(self):
             calls.append(1)
-            return marginal_inclusion(st, *args, **kwargs)
+            return logit_sd(self)
 
-        monkeypatch.setattr(cli, "marginal_inclusion", counting)
-        monkeypatch.setattr(predictor, "marginal_inclusion", counting)
+        monkeypatch.setattr(LayerParams, "logit_sd", counting)
         code, _, _ = _run_main(
             ["eval", str(ckpt), "--csv", str(trained["csv"]), "--gamma", "med",
              "--beta", "sim", "-R", "3", "--out", str(tmp_path / "ev")], capsys)
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == state.n_transitions
 
     @pytest.mark.parametrize("family, rank", [(Family.MVN_FULL, 0), (Family.MVN_LOWRANK, 2)])
     def test_ood_eval_computes_alpha_hat_once(self, family, rank, trained, tmp_path, capsys,

@@ -132,7 +132,7 @@ class TestPredict:
                 w = np.ones(lp.shape) * (lp.kappa + lp.tau() * eps)
                 layers.append(SampledLayer(alpha=None, gamma_tilde=None, beta=None,
                                            effective=w, eps=eps, tau=None))
-            refs.append(_dense_probs(SampledNetwork(layers, dense.spec, 0.0), x))
+            refs.append(_blocked_probs(SampledNetwork(layers, dense.spec, 0.0), x))
         assert res.replicate_probs.tobytes() == np.stack(refs).tobytes()
         assert res.probs.tobytes() == np.stack(refs).mean(axis=0).tobytes()
 
@@ -233,8 +233,9 @@ def _sparse_state(kept=125, seed=70, widths=(784, 16, 3)):
     return st
 
 
-def _dense_probs(net, x):
-    logits, _ = elbo.forward_logits(net, x)
+def _blocked_probs(net, x):
+    """The dense forward through predict's row blocks."""
+    logits, _ = elbo.forward_logits(net, x, products=elbo.BlockedProducts(x))
     return np.exp(log_softmax(logits))
 
 
@@ -246,7 +247,10 @@ def _mean_network(st, mask):
 
 
 class TestSparseMedianModel:
-    """Below the share, the median rules multiply through the kept weights only."""
+    """Below the share, the median rules multiply through the kept weights only.
+
+    The dense reference runs through the same row blocks as ``predict``.
+    """
 
     def _check_against_dense(self, st, x, exact):
         mask = median_model(st)
@@ -255,26 +259,26 @@ class TestSparseMedianModel:
         sim = predict(st, x, PredictionMode("med", "sim", 3), rng=RngStream(8, 99))
         for r in range(3):
             net = sample_network(st, 0.0, "hard", RngStream(8, 100 + r), fixed_masks=mask)
-            ref = _dense_probs(net, x)
+            ref = _blocked_probs(net, x)
             compare(sim.replicate_probs[r], ref)
             np.testing.assert_array_equal(np.argmax(sim.replicate_probs[r], axis=1),
                                           np.argmax(ref, axis=1))
         mea = predict(st, x, PredictionMode("med", "mea"))
-        ref = _dense_probs(_mean_network(st, mask), x)
+        ref = _blocked_probs(_mean_network(st, mask), x)
         compare(mea.probs, ref)
         np.testing.assert_array_equal(np.argmax(mea.probs, axis=1), np.argmax(ref, axis=1))
 
     def test_sparse_mask_matches_dense_forward(self):
         st = _sparse_state()  # 125 of 12,544 weights: 1% dense
         x = _features(n=200, p=784)
-        layers = elbo.MaskedProducts(median_model(st), x).layers
+        layers = elbo.BlockedProducts(x, median_model(st)).layers
         assert layers[0] is not None and layers[1] is None
         self._check_against_dense(st, x, exact=False)
 
     def test_live_columns_copy_is_the_gather(self):
         st = _sparse_state()
         x = _features(n=300, p=784)  # not a multiple of the 128-row copy blocks
-        kept = elbo.MaskedProducts(median_model(st), x).layers[0]
+        kept = elbo.BlockedProducts(x, median_model(st)).layers[0]
         assert kept.z_t.shape == (kept.live.size, 300)
         assert kept.z_t.tobytes() == x.T[kept.live].tobytes()
 
@@ -282,20 +286,20 @@ class TestSparseMedianModel:
         st = _sparse_state(kept=0)
         st.layers[0].omega[...] = -4.0  # the bias row goes too
         x = _features(n=50, p=784)
-        assert elbo.MaskedProducts(median_model(st), x).layers[0].live.size == 0
+        assert elbo.BlockedProducts(x, median_model(st)).layers[0].live.size == 0
         self._check_against_dense(st, x, exact=False)
 
     def test_mask_above_share_stays_dense_bit_for_bit(self):
         share = int(elbo.SPARSE_SHARE * 784 * 16)
         st = _sparse_state(kept=share + 1)
         x = _features(n=50, p=784)
-        assert elbo.MaskedProducts(median_model(st), x).layers == [None, None]
+        assert elbo.BlockedProducts(x, median_model(st)).layers == [None, None]
         self._check_against_dense(st, x, exact=True)
 
     def test_share_is_inclusive(self):
         share = int(elbo.SPARSE_SHARE * 784 * 16)
         x = _features(n=5, p=784)
-        assert elbo.MaskedProducts(median_model(_sparse_state(kept=share)), x).layers[0] \
+        assert elbo.BlockedProducts(x, median_model(_sparse_state(kept=share))).layers[0] \
             is not None
 
     def test_nan_in_dropped_column_still_raises(self):
@@ -313,7 +317,7 @@ class TestSparseMedianModel:
     def test_products_bound_to_their_block(self):
         st = _sparse_state()
         x = _features(n=10, p=784)
-        products = elbo.MaskedProducts(median_model(st), x)
+        products = elbo.BlockedProducts(x, median_model(st))
         net = sample_network(st, 0.0, "hard", RngStream(1, 1), fixed_masks=median_model(st))
         with pytest.raises(ShapeError, match="another design block"):
             elbo.forward_logits(net, x.copy(), products=products)
@@ -463,7 +467,7 @@ class TestReplicateThreads:
         # threads; at 4 BLAS threads the same call runs sequentially.
         sparse_st = _sparse_family_state(family, rank, seed=81)
         x_sparse = _features(n=40, p=64)
-        assert elbo.MaskedProducts(median_model(sparse_st), x_sparse).layers[0] is not None
+        assert elbo.BlockedProducts(x_sparse, median_model(sparse_st)).layers[0] is not None
         cases = [(_varied_state(family, rank, 82), _features(n=30, p=6), "sim"),
                  (_varied_state(family, rank, 83), _features(n=30, p=6), "med"),
                  (sparse_st, x_sparse, "med"),
@@ -485,7 +489,7 @@ class TestReplicateThreads:
         # weights would differ from the sequential one.
         st = _sparse_state()
         x = _features(n=64, p=784)
-        kept = elbo.MaskedProducts(median_model(st), x).layers[0]
+        kept = elbo.BlockedProducts(x, median_model(st)).layers[0]
         weights = [RngStream(90, i).std_normal(785 * 16).reshape(785, 16) for i in range(6)]
         refs = [kept.pre(x, w).tobytes() for w in weights]
         calls, wrong = [0] * 6, [0] * 6
@@ -565,3 +569,79 @@ class TestReplicateThreads:
                     rng=RngStream(1, 99))
         assert len(started) == 3
         assert not any(t.is_alive() for t in started)
+
+
+_MODES = [PredictionMode("sim", "sim", 2), PredictionMode("all", "mea"),
+          PredictionMode("med", "sim", 2), PredictionMode("med", "mea")]
+
+# 1 row, 37 rows, across a 256-row boundary, and to the last row; twice each.
+_SLICES = [(0, 1), (500, 501), (3, 40), (600, 637), (230, 300), (700, 790),
+           (963, 1000), (999, 1000)]
+
+
+class TestRowBlocks:
+    """A row's probabilities are the same bytes alone or inside any block of rows."""
+
+    @pytest.mark.parametrize("family,rank,widths", [
+        (Family.MF, 0, (784, 16, 3)), (Family.MF, 0, (784, 64, 32, 10)),
+        (Family.MVN_FULL, 0, (60, 15, 5)), (Family.MVN_LOWRANK, 2, (784, 16, 3))])
+    def test_slices_are_the_bytes_of_the_whole_call(self, family, rank, widths):
+        x = _features(n=1000, p=widths[0])
+        cases = [(_varied_state(family, rank, 91, widths), m) for m in _MODES]
+        cases.append((_varied_state(family, rank, 92, widths, fixed_dense=True),
+                      PredictionMode("all", "sim", 2)))
+        if widths == (784, 16, 3) and family is Family.MF:
+            sparse = _sparse_state()
+            assert elbo.BlockedProducts(x, median_model(sparse)).layers[0] is not None
+            cases += [(sparse, PredictionMode("med", "sim", 2)),
+                      (sparse, PredictionMode("med", "mea"))]
+        for st, mode in cases:
+            whole = predict(st, x, mode, rng=RngStream(6, 99)).probs
+            differ = [(lo, hi) for lo, hi in _SLICES
+                      if predict(st, x[lo:hi], mode, rng=RngStream(6, 99)).probs.tobytes()
+                      != whole[lo:hi].tobytes()]
+            assert differ == [], (mode, differ)
+
+    @pytest.mark.parametrize("gamma", ["all", "med"])
+    def test_mean_modes_split_rows_over_cores_with_the_same_bytes(self, monkeypatch,
+                                                                   started, gamma):
+        # 1,000 rows through 784-64-32-10 (52.5M multiply-adds) are 4 blocks:
+        # one run at 1 core, two at 2, three (1, 1 and 2 blocks) at 3.
+        st = _varied_state(Family.MF, 0, 93, (784, 64, 32, 10))
+        x = _features(n=1000, p=784)
+        got = []
+        for cores in (1, 2, 3):
+            pin_cores(monkeypatch, cores=cores, openblas="1")
+            got.append(predict(st, x, PredictionMode(gamma, "mea")).probs.tobytes())
+            assert len(started) == cores - 1
+            started.clear()
+        assert got[0] == got[1] == got[2]
+
+    def test_call_below_the_floor_starts_no_thread(self, monkeypatch, started):
+        st = _varied_state(Family.MF, 0, 94, (60, 15, 5))
+        x = _features(n=1000, p=60)  # 975k multiply-adds in 4 blocks
+        assert 1000 * (60 * 15 + 15 * 5) < predictor.SPLIT_MULTIPLY_ADDS
+        pin_cores(monkeypatch, cores=4, openblas="1")
+        for gamma in ("all", "med"):
+            predict(st, x, PredictionMode(gamma, "mea"))
+        assert started == []
+
+    @pytest.mark.parametrize("gamma", ["all", "med"])
+    def test_non_finite_row_of_the_second_run_raises_after_both_threads(
+            self, monkeypatch, started, gamma):
+        st = _varied_state(Family.MF, 0, 95, (784, 64, 32, 10))
+        x = _features(n=1000, p=784)
+        x[700, 5] = np.inf  # run 1 holds blocks 2 and 3, rows 512-999
+        pin_cores(monkeypatch, cores=2, openblas="1")
+        with pytest.raises(NumericError, match="non-finite activations at transition 0"):
+            predict(st, x, PredictionMode(gamma, "mea"))
+        assert len(started) == 1
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("family,rank", ALL_FAMILIES)
+    def test_zero_rows_give_zero_rows(self, family, rank):
+        for st, mode in [(_varied_state(family, rank, 96), m) for m in _MODES] + [
+                (_varied_state(family, rank, 96, fixed_dense=True),
+                 PredictionMode("all", "sim", 2))]:
+            res = predict(st, np.zeros((0, 6)), mode, rng=RngStream(6, 99))
+            assert res.probs.shape == (0, 3), mode
