@@ -57,6 +57,7 @@ phase policy, which the trainer's step sizes obey as well.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -103,7 +104,11 @@ SPARSE_SHARE = 1.0 / 32.0
 # call's rows in 256-row blocks.  At 784x64 on 2,000 rows, blocks of
 # 64, 128, 256 and 512 rows took 6.3, 6.2, 5.8 and 6.1 ms against
 # 5.5 ms for one product; at 60x15 on 3,000 rows 0.17 ms each against
-# 0.27 ms.
+# 0.27 ms.  Any one size from 8 to 256 rows keeps the slices' bytes,
+# but not two sizes mixed: at 784x16 a row's bytes in 64-row blocks
+# differ from its bytes in 128-row ones.  Smaller blocks pad less (a
+# 1-row all/mea call at 784-64-32-10 takes 0.62 ms in 64-row blocks,
+# 1.13 ms in 256-row ones) and run 2,000-row calls about 6% slower.
 BLOCK_ROWS = 256
 
 # The prior values' and hyperprior shapes' groups: those only pre-training moves.
@@ -205,6 +210,12 @@ class _KeptWeights:
             for s in range(0, z.shape[0], 128):
                 self.z_t[:, s:s + 128] = z[s:s + 128].compress(live_mask, axis=1).T
 
+    def rows(self, start: int, stop: int) -> "_KeptWeights":
+        """This pattern over rows ``start:stop`` of its fixed input block."""
+        part = copy.copy(self)
+        part.z_t = self.z_t[:, start:stop]
+        return part
+
     def pre(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``z @ w[1:] + w[0]`` through the kept weights of ``w``."""
         matrix = sparse.csr_array((w[self.take], self.indices, self.indptr),
@@ -268,6 +279,29 @@ class BlockedProducts:
             if t == 0 and not np.all(np.isfinite(features)):
                 raise NumericError("non-finite activations at transition 0")
             self.layers.append(_KeptWeights(kept, features if t == 0 else None))
+
+    def rows(self, start: int, stop: int) -> "BlockedProducts":
+        """The plan of rows ``start:stop`` of this block.
+
+        It shares this plan's kept-weight patterns and slices the first
+        transition's live-column copy, so a block split into runs builds
+        neither again.
+        """
+        part = copy.copy(self)
+        part.features = self.features[start:stop]
+        if self.layers and self.layers[0] is not None:
+            part.layers = [self.layers[0].rows(start, stop)] + self.layers[1:]
+        return part
+
+    def multiply_adds(self, widths) -> int:
+        """Multiply-adds per row of a forward through this plan.
+
+        A transition formed from its kept weights counts those; a dense
+        one counts ``widths[t] * widths[t + 1]``.
+        """
+        layers = self.layers or [None] * (len(widths) - 1)
+        return sum(a * b if kept is None else kept.indices.size
+                   for a, b, kept in zip(widths[:-1], widths[1:], layers))
 
     def pre(self, t: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Transition ``t``'s ``z @ w[1:] + w[0]``."""

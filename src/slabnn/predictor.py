@@ -60,13 +60,15 @@ replicate's working set of resident memory, which its malloc arena
 keeps after the call.
 
 The mean modes have one network and split its rows instead: a call
-whose dense forward takes at least ``SPLIT_MULTIPLY_ADDS``
-multiply-adds hands contiguous runs of whole 256-row blocks, each with
-a plan of its own, to k = min(compute_threads(), blocks) threads the
-same way, and joins their rows in order.  A row's bytes do not depend
-on its block, so neither do they on k; a failing run is raised as a
-failing replicate is.  A smaller call, such as 60-15-5 on 3,000 rows,
-stays on the calling thread, where a split measured slower.
+whose forward takes at least ``SPLIT_MULTIPLY_ADDS`` multiply-adds
+(counting a sparse median layer's kept weights only) hands contiguous
+runs of whole 256-row blocks, each through the call's plan cut to its
+rows, to k = min(compute_threads(), blocks) threads the same way, and
+joins their rows in order.  A row's bytes do not depend on its block,
+so neither do they on k; a failing run is raised as a failing
+replicate is.  A smaller call, such as 60-15-5 on 3,000 rows or
+med/mea on a 1%-dense median model, stays on the calling thread,
+where a split measured slower.
 
 The inclusion probabilities are exact for every family and draw
 nothing, so the deterministic modes (all/mea, med/mea) run without an
@@ -109,15 +111,21 @@ BETA_RULES = ("sim", "mea")
 # Classify only when the top model-averaged probability exceeds this.
 DOUBT_THRESHOLD = 0.95
 
-# A mean-mode call splits its row blocks over threads only when its
-# dense forward takes at least this many multiply-adds (rows times the
-# sum of widths[t] * widths[t + 1]).  Medians of all/mea calls on an MF
+# A mean-mode call splits its row blocks over threads only when the
+# forward it runs takes at least this many multiply-adds: rows times
+# the sum over transitions of widths[t] * widths[t + 1], or of the kept
+# weights where a median mask forms the product from those
+# (``BlockedProducts.multiply_adds``).  Medians of all/mea calls on an MF
 # state, 2 cores, one BLAS thread, one thread -> two: 60-15-5 x 3,000
 # rows (2.9M) 0.87 -> 1.16 ms in one pass and 1.15 -> 1.13 in another,
 # 784-16-3 x 512 (6.4M) 0.85 -> 1.02, 60-15-5 x 9,000 (8.8M) 2.24 ->
 # 1.77, 784-16-3 x 1,024 (12.9M) 1.87 -> 1.44, 784-64-32-10 x 2,000
 # (105M) 7.41 -> 5.31.  The split pays from about 2**23; the floor
-# keeps a margin above the calls where it lost.
+# keeps a margin above the calls where it lost.  Med/mea on trained
+# benchmark states, whose median masks form layer 0 (and for the low
+# rank one layer 1) from kept weights: mf_desk x 2,000 rows (5.9M
+# counted, 105M dense) 6.56 -> 7.33 ms, lowrank_eval x 5,000 (1.7M
+# counted, 263M dense) 7.55 -> 6.89 ms; both stay on one thread.
 SPLIT_MULTIPLY_ADDS = 2**24
 
 
@@ -255,17 +263,18 @@ def _mean_probs(spec, weights, x, mask) -> np.ndarray:
     """A mean mode's probabilities, its row blocks split over k threads.
 
     Run j of k takes the rows of blocks j * blocks // k up to
-    (j + 1) * blocks // k with a plan of its own, and the runs are
-    joined in order.  A row's bytes do not depend on its block, so
-    neither do they on k.
+    (j + 1) * blocks // k, through the call's plan cut to those rows,
+    and the runs are joined in order.  A row's bytes do not depend on
+    its block, so neither do they on k.
     """
+    plan = BlockedProducts(x, mask)
     blocks = -(-x.shape[0] // BLOCK_ROWS)
-    work = x.shape[0] * sum(a * b for a, b in zip(spec.widths[:-1], spec.widths[1:]))
+    work = x.shape[0] * plan.multiply_adds(spec.widths)
     k = min(compute_threads(), blocks) if work >= SPLIT_MULTIPLY_ADDS else 1
 
     def run(j):
-        rows = x[j * blocks // k * BLOCK_ROWS:(j + 1) * blocks // k * BLOCK_ROWS]
-        return _probs(spec, weights, rows, BlockedProducts(rows, mask))
+        part = plan.rows(j * blocks // k * BLOCK_ROWS, (j + 1) * blocks // k * BLOCK_ROWS)
+        return _probs(spec, weights, part.features, part)
 
     return np.concatenate(_run_replicates(run, k, k))
 

@@ -74,9 +74,14 @@ predicted whole in one mode (R=3) and as slices of 1, 37 (across a
 256-row block boundary) and 300 rows (the last ones), with
 ``compute_threads`` forced to 1; ``threads/predict/all_mea`` and
 ``threads/predict/med_mea`` repeat the whole mean-mode calls with it
-forced to 2, so their row blocks split over two threads.  The script
-exits 1 when a slice differs from its rows in the whole call or a
-threaded call from its one-thread run.
+forced to 2 and ``SPLIT_MULTIPLY_ADDS`` to 0, so their row blocks split
+over two threads (the sparse med/mea call would stay below the floor).
+The script exits 1 when a slice differs from its rows in the whole call
+or a threaded call from its one-thread run.
+
+Every check that fails prints its reason on stderr and makes the
+script exit 1, after the digests are written, so a failing tree can
+still be compared.
 
 That makes 273 digests: 154 from the library and 119 from the CLI.
 
@@ -323,10 +328,11 @@ ROW_SLICES = ((700, 701), (250, 287), (1100, 1400))
 def row_digests(problems) -> dict:
     """The 784-16-3 state's 1,400 rows whole and in slices, and the mean modes on threads.
 
-    Runs at ``compute_threads`` 1, then the mean modes again at 2, where
-    their rows split over two threads.  A slice whose probabilities
-    differ from its rows in the whole call, or a threaded call that
-    differs from its one-thread run, is added to ``problems``.
+    Runs at ``compute_threads`` 1, then the mean modes again at 2 with
+    the split floor at 0, where their rows split over two threads.  A
+    slice whose probabilities differ from its rows in the whole call,
+    or a threaded call that differs from its one-thread run, is added
+    to ``problems``.
     """
     from slabnn import predictor
     from slabnn.dataio import synth_clusters
@@ -335,7 +341,8 @@ def row_digests(problems) -> dict:
     state = _sparse_state()
     rows = synth_clusters(1400, 784, 3, separation=1.0, seed=SEED).features
     out, whole = {}, {}
-    saved = predictor.compute_threads
+    # getattr: a tree whose mean modes never split has no floor to lower.
+    saved = predictor.compute_threads, getattr(predictor, "SPLIT_MULTIPLY_ADDS", 0)
     try:
         predictor.compute_threads = lambda: 1
         for gamma, beta in MODES:
@@ -349,7 +356,7 @@ def row_digests(problems) -> dict:
             problems += [f"rows/{gamma}_{beta}: rows {lo}:{hi} alone differ from the "
                          f"whole call" for (lo, hi), part in zip(ROW_SLICES, parts)
                          if part.tobytes() != res.probs[lo:hi].tobytes()]
-        predictor.compute_threads = lambda: 2
+        predictor.compute_threads, predictor.SPLIT_MULTIPLY_ADDS = lambda: 2, 0
         for gamma in ("all", "med"):
             res = predict(state, rows, PredictionMode(gamma, "mea"))
             out[f"threads/predict/{gamma}_mea"] = _digest(res.probs, res.replicate_probs,
@@ -357,7 +364,7 @@ def row_digests(problems) -> dict:
             if res.probs.tobytes() != whole[gamma, "mea"].tobytes():
                 problems.append(f"threads/predict/{gamma}_mea differs from one thread")
     finally:
-        predictor.compute_threads = saved
+        predictor.compute_threads, predictor.SPLIT_MULTIPLY_ADDS = saved
     return out
 
 
@@ -501,21 +508,19 @@ def main(argv=None) -> int:
     codes = {}
     with tempfile.TemporaryDirectory() as workdir:
         digests.update(cli_digests(workdir, codes))
+    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
     failed = sorted(tag for tag, code in codes.items() if code != 0)
     if failed:
-        print(f"CLI commands failed: {failed}", file=sys.stderr)
-        return 1
+        problems.append(f"CLI commands failed: {failed}")
     if any(threaded[f"threads/train/{name}"] != digest for name, digest in sequential.items()):
-        return 1
+        problems.append("a threads/train digest differs from its sequential run")
+    again = [tag for tag in digests if tag.endswith("/marginal_inclusion/again")]
+    if any(digests[tag] != digests[tag[:-len("/again")]] for tag in again):
+        problems.append("a reused marginal_inclusion differs from the first call")
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 1
-    again = [tag for tag in digests if tag.endswith("/marginal_inclusion/again")]
-    if any(digests[tag] != digests[tag[:-len("/again")]] for tag in again):
-        print("a reused marginal_inclusion differs from the first call", file=sys.stderr)
-        return 1
-    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
     return 0
 
 

@@ -626,6 +626,42 @@ class TestRowBlocks:
             predict(st, x, PredictionMode(gamma, "mea"))
         assert started == []
 
+    def test_sparse_median_layer_counts_its_kept_weights(self, monkeypatch, started):
+        # 2,000 rows through 784-16-3 are 25.2M dense multiply-adds, but
+        # the 1%-dense median mask forms layer 0 from 125 kept weights:
+        # 2,000 x (125 + 16 x 3) = 346k.
+        st = _sparse_state()
+        x = _features(n=2000, p=784)
+        plan = elbo.BlockedProducts(x, median_model(st))
+        assert plan.multiply_adds(st.spec.widths) == 125 + 16 * 3
+        assert elbo.BlockedProducts(x).multiply_adds(st.spec.widths) == 784 * 16 + 16 * 3
+        pin_cores(monkeypatch, cores=2, openblas="1")
+        predict(st, x, PredictionMode("med", "mea"))
+        assert started == []
+        predict(st, x, PredictionMode("all", "mea"))
+        assert len(started) == 1
+
+    def test_sparse_median_runs_share_one_pattern(self, monkeypatch, started):
+        st = _sparse_state()
+        x = _features(n=1000, p=784)
+        monkeypatch.setattr(predictor, "SPLIT_MULTIPLY_ADDS", 0)
+        built = []
+        init = elbo._KeptWeights.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(elbo._KeptWeights, "__init__", counting)
+        got = []
+        for cores in (1, 2, 3):
+            pin_cores(monkeypatch, cores=cores, openblas="1")
+            got.append(predict(st, x, PredictionMode("med", "mea")).probs.tobytes())
+            assert (len(started), len(built)) == (cores - 1, 1)
+            started.clear()
+            built.clear()
+        assert got[0] == got[1] == got[2]
+
     @pytest.mark.parametrize("gamma", ["all", "med"])
     def test_non_finite_row_of_the_second_run_raises_after_both_threads(
             self, monkeypatch, started, gamma):
