@@ -6,7 +6,8 @@ the data and the architecture.  Keys a section omits take the defaults
 of the library object the section builds (``PhaseConfig``,
 ``PriorConfig`` with ``HyperParams``, ``PredictionMode``), whose own
 checks then validate the keys it sets; the defaults below are theirs.
-Numbers must be finite.  Unknown sections or keys are rejected, and
+Numbers must be finite.  Unknown sections or keys are rejected, as is
+a ``[dataset]`` key that the chosen format does not read, and
 validation reports every problem at once (exit code 2).
 
 Config schema (defaults in parentheses)::
@@ -106,8 +107,8 @@ from .errors import ConfigError, DomainError, FormatError, ShapeError, SlabnnErr
 from .metrics import (MetricsReport, accuracy, entropy_cdf,
                       inclusion_correlation, layer_inclusion_means,
                       summarize_runs)
-from .model import (GROUPS, Family, NetworkSpec, PriorConfig, family_problems,
-                    marginal_inclusion, memory_problems)
+from .model import (GROUPS, Family, NetworkSpec, PriorConfig, check_init_tau,
+                    family_problems, marginal_inclusion, memory_problems)
 from .numkernel import RngStream
 from .predictor import (BETA_RULES, DOUBT_THRESHOLD, GAMMA_RULES, PredictionMode,
                         classify_with_doubt, density_level, export_predictions_csv,
@@ -126,14 +127,9 @@ STREAM_METRICS_ALPHA = 998
 
 _FORMATS = ("csv", "idx", "synth_logistic", "synth_clusters")
 
+# [dataset] knows the keys its format reads (``load_config``).
 _KNOWN_KEYS = {
-    "dataset": {
-        "format", "path", "label_column", "has_header", "delimiter",
-        "train_images", "train_labels", "test_images", "test_labels",
-        "n", "p", "k_true", "coef_scale", "data_seed",
-        "classes", "separation", "spread", "shift",
-        "standardize", "train_n", "test_n", "split_seed",
-    },
+    "dataset": None,
     "model": {"widths", "activations", "family", "rank", "fixed_dense", "init_tau"},
     "prior": {"sigma2", "psi", "a_beta", "b_beta", "a_psi", "b_psi",
               "learn_sigma2", "learn_psi", "learn_hyper"},
@@ -178,6 +174,7 @@ class _SectionReader:
         self.section = section
         self.raw = raw
         self.problems = problems
+        self.read = set()
 
     def note(self, message):
         self.problems.append(f"[{self.section}] {message}")
@@ -190,6 +187,7 @@ class _SectionReader:
 
     def get(self, key, parse=str, default=None, required=False, choices=None):
         """``parse`` of the key's stripped value; ``default`` when unset or rejected."""
+        self.read.add(key)
         if key not in self.raw:
             if required:
                 self.fail(key, "required key is missing")
@@ -329,12 +327,13 @@ def load_config(path: str) -> RunConfig:
     problems = []
     readers = {}
     for name in parser.sections():
-        known = _PHASE_KEYS if name.startswith("phase:") else _KNOWN_KEYS.get(name)
-        if known is None:
+        if not name.startswith("phase:") and name not in _KNOWN_KEYS:
             problems.append(f"unknown section [{name}]")
             continue
+        known = _PHASE_KEYS if name.startswith("phase:") else _KNOWN_KEYS[name]
         raw = dict(parser.items(name))
-        problems.extend(f"[{name}] unknown key {key!r}" for key in sorted(set(raw) - known))
+        if known is not None:
+            problems.extend(f"[{name}] unknown key {key!r}" for key in sorted(set(raw) - known))
         readers[name] = _SectionReader(name, raw, problems)
     for required in ("dataset", "model"):
         if required not in readers:
@@ -343,7 +342,11 @@ def load_config(path: str) -> RunConfig:
     def reader(name):
         return readers.get(name) or _SectionReader(name, {}, problems)
 
-    dataset = _dataset_config(reader("dataset"))
+    ds = reader("dataset")
+    dataset = _dataset_config(ds)
+    if dataset["format"] is not None:  # else the format is the problem to report
+        for key in sorted(set(ds.raw) - ds.read):
+            ds.fail(key, f"not read with format = {dataset['format']}")
 
     model = reader("model")
     widths = model.get("widths", _int_list, required=True)
@@ -351,8 +354,7 @@ def load_config(path: str) -> RunConfig:
                               choices=[f.value for f in Family]))
     rank = model.get("rank", int, default=0)
     init_tau = model.get("init_tau", _finite, default=0.05)
-    if init_tau <= 0.0:
-        model.fail("init_tau", "must be positive")
+    model.build(check_init_tau, init_tau)
     spec = None
     if widths is not None:
         acts = model.get("activations")

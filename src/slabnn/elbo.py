@@ -57,12 +57,11 @@ phase policy, which the trainer's step sizes obey as well.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import sparse, special
+from scipy import special
 
 from .distributions import kl_bernoulli, kl_gaussian, logpdf_beta, logpdf_inv_gamma
 from .errors import DomainError, NumericError, ShapeError
@@ -73,9 +72,6 @@ from .numkernel import RngStream, log_sigmoid, log_softmax, sigmoid
 __all__ = [
     "Batch",
     "GradientBundle",
-    "BLOCK_ROWS",
-    "BlockedProducts",
-    "SPARSE_SHARE",
     "forward",
     "forward_logits",
     "kl_state",
@@ -86,30 +82,6 @@ __all__ = [
 ]
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-
-# A fixed mask that keeps at most this share of a transition's non-bias
-# weights has that transition's product formed from the kept weights
-# only (``BlockedProducts``).  At 784-64, 2000 rows and one BLAS thread,
-# ten forwards per mask break even with the dense product near 9%
-# density.  A single forward gains little or loses even at 1%: the
-# one-off copy of the live input columns costs about what it saves.
-SPARSE_SHARE = 1.0 / 32.0
-
-# Every dense product on the predict side (``BlockedProducts``) is this
-# many rows tall, so a BLAS call's shape depends on the layer only.
-# OpenBLAS 0.3.31 (Haswell kernels, one thread) sums a row in a partial
-# row tile, or in a call above some row count, in another order: of
-# 378 slices (1, 37 and 150 rows at 9 offsets) of 1,000-row products
-# over 14 layer shapes from 3x2 to 784x128, 0 differed from the whole
-# call's rows in 256-row blocks.  At 784x64 on 2,000 rows, blocks of
-# 64, 128, 256 and 512 rows took 6.3, 6.2, 5.8 and 6.1 ms against
-# 5.5 ms for one product; at 60x15 on 3,000 rows 0.17 ms each against
-# 0.27 ms.  Any one size from 8 to 256 rows keeps the slices' bytes,
-# but not two sizes mixed: at 784x16 a row's bytes in 64-row blocks
-# differ from its bytes in 128-row ones.  Smaller blocks pad less (a
-# 1-row all/mea call at 784-64-32-10 takes 0.62 ms in 64-row blocks,
-# 1.13 ms in 256-row ones) and run 2,000-row calls about 6% slower.
-BLOCK_ROWS = 256
 
 # The prior values' and hyperprior shapes' groups: those only pre-training moves.
 _PRIOR_GROUPS = PHASE_GROUPS["pretrain"] - PHASE_GROUPS["train"]
@@ -178,139 +150,7 @@ class GradientBundle:
                 arr *= c
 
 
-class _KeptWeights:
-    """CSR pattern of one transition's kept weights, output unit x live input.
-
-    A live input is one with at least one kept weight.  ``z_t`` is the
-    transposed live-column copy of a fixed input block, or None when the
-    input changes per forward and is gathered each time.  The pattern and
-    ``z_t`` are read-only after construction and each ``pre`` call fills
-    its own data array, so threads may call ``pre`` at once.
-    """
-
-    def __init__(self, kept: np.ndarray, z=None):
-        live_mask = kept.any(axis=1)
-        self.live = np.flatnonzero(live_mask)
-        units, cols = np.nonzero(kept[self.live].T)  # row-major, so CSR order
-        self.take = (self.live[cols] + 1, units)     # positions in W, bias row first
-        indptr = np.zeros(kept.shape[1] + 1, dtype=np.intp)
-        np.cumsum(np.bincount(units, minlength=kept.shape[1]), out=indptr[1:])
-        pattern = sparse.csr_array((np.zeros(units.size), cols, indptr),
-                                   shape=(kept.shape[1], self.live.size))
-        # In the index dtype scipy chose, so a per-call matrix shares them uncopied.
-        self.indices, self.indptr = pattern.indices, pattern.indptr
-        self.indices.setflags(write=False)
-        self.indptr.setflags(write=False)
-        self.shape = pattern.shape
-        self.z_t = None
-        if z is not None:
-            # z.T[live], copied 128 rows at a time: faster than that
-            # strided gather, with the same bytes.
-            self.z_t = np.empty((self.live.size, z.shape[0]), dtype=z.dtype)
-            for s in range(0, z.shape[0], 128):
-                self.z_t[:, s:s + 128] = z[s:s + 128].compress(live_mask, axis=1).T
-
-    def rows(self, start: int, stop: int) -> "_KeptWeights":
-        """This pattern over rows ``start:stop`` of its fixed input block."""
-        part = copy.copy(self)
-        part.z_t = self.z_t[:, start:stop]
-        return part
-
-    def pre(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``z @ w[1:] + w[0]`` through the kept weights of ``w``."""
-        matrix = sparse.csr_array((w[self.take], self.indices, self.indptr),
-                                  shape=self.shape)
-        z_t = self.z_t if self.z_t is not None else z.T[self.live]
-        pre = np.empty((z.shape[0], w.shape[1]))
-        np.add((matrix @ z_t).T, w[0, :], out=pre)
-        return pre
-
-
-def _blocked_pre(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``z @ w[1:] + w[0]`` with every product ``BLOCK_ROWS`` rows tall.
-
-    The whole blocks go as one stacked matmul, which numpy hands to BLAS
-    one block at a time; a last partial block is zero-padded to
-    ``BLOCK_ROWS`` rows and its padded rows are dropped.
-    """
-    n, width = z.shape
-    pre = np.empty((n, w.shape[1]))
-    full = n - n % BLOCK_ROWS
-    if full:
-        np.matmul(z[:full].reshape(-1, BLOCK_ROWS, width), w[1:, :],
-                  out=pre[:full].reshape(-1, BLOCK_ROWS, w.shape[1]))
-    if full < n:
-        tail = np.zeros((BLOCK_ROWS, width))
-        tail[:n - full] = z[full:]
-        pre[full:] = (tail @ w[1:, :])[:n - full]
-    pre += w[0, :]
-    return pre
-
-
-class BlockedProducts:
-    """How ``forward_logits`` forms each product on the predict side.
-
-    Every dense product runs on blocks of exactly ``BLOCK_ROWS`` rows
-    (``_blocked_pre``), so each BLAS call of a transition has one shape
-    whatever the block of features, and a row's outputs are the same
-    bytes alone or among any other rows.  Under fixed 0/1 ``masks`` (the
-    median model's, held fixed over many forwards), a transition whose
-    mask keeps at most ``SPARSE_SHARE`` of its non-bias weights
-    multiplies through its kept weights only, a product that is per row
-    already; the others stay blocked and dense, so with no sparse
-    transition a forward is bit for bit the blocked dense one.  A sparse
-    product skips the dropped weights, which are zero in every weight
-    matrix drawn under the mask, so it equals the dense product up to
-    rounding.  The first transition's live input columns are copied
-    once, transposed.  A sparse first product never reads a dropped
-    column, so a non-finite feature anywhere in the block raises
-    ``NumericError`` here, as the dense product would at transition 0.
-    A plan writes nothing after construction, so threads may share it.
-    """
-
-    def __init__(self, features: np.ndarray, masks=None):
-        self.features = features
-        self.layers = []
-        for t, mask in enumerate(masks or ()):
-            kept = np.asarray(mask)[1:, :] != 0.0
-            if np.count_nonzero(kept) > SPARSE_SHARE * kept.size:
-                self.layers.append(None)
-                continue
-            if t == 0 and not np.all(np.isfinite(features)):
-                raise NumericError("non-finite activations at transition 0")
-            self.layers.append(_KeptWeights(kept, features if t == 0 else None))
-
-    def rows(self, start: int, stop: int) -> "BlockedProducts":
-        """The plan of rows ``start:stop`` of this block.
-
-        It shares this plan's kept-weight patterns and slices the first
-        transition's live-column copy, so a block split into runs builds
-        neither again.
-        """
-        part = copy.copy(self)
-        part.features = self.features[start:stop]
-        if self.layers and self.layers[0] is not None:
-            part.layers = [self.layers[0].rows(start, stop)] + self.layers[1:]
-        return part
-
-    def multiply_adds(self, widths) -> int:
-        """Multiply-adds per row of a forward through this plan.
-
-        A transition formed from its kept weights counts those; a dense
-        one counts ``widths[t] * widths[t + 1]``.
-        """
-        layers = self.layers or [None] * (len(widths) - 1)
-        return sum(a * b if kept is None else kept.indices.size
-                   for a, b, kept in zip(widths[:-1], widths[1:], layers))
-
-    def pre(self, t: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Transition ``t``'s ``z @ w[1:] + w[0]``."""
-        kept = self.layers[t] if self.layers else None
-        return _blocked_pre(z, w) if kept is None else kept.pre(z, w)
-
-
-def forward_logits(sampled: SampledNetwork, features: np.ndarray,
-                   products: BlockedProducts = None):
+def forward_logits(sampled: SampledNetwork, features: np.ndarray, products=None):
     """Run the sampled network on a design block.
 
     Returns the output logits and the activation tape (per transition,
@@ -319,9 +159,10 @@ def forward_logits(sampled: SampledNetwork, features: np.ndarray,
     mask is read back as ``z_in > 0`` of the next transition, which is
     ``pre > 0`` for the finite blocks a forward lets through.  Raises
     ``NumericError`` naming the first transition whose activations stop
-    being finite.  ``products``, built for this block and the masks the
-    draw was made under, changes only how each transition's product is
-    formed; training passes none and multiplies the block whole.
+    being finite.  ``products``, when given, forms transition t's
+    ``z @ w[1:] + w[0]`` as ``products.pre(t, z, w)`` (prediction's
+    ``predictor.BlockedProducts``); training passes none and multiplies
+    the block whole.
     """
     spec = sampled.spec
     x = np.ascontiguousarray(features, dtype=np.float64)
@@ -329,8 +170,6 @@ def forward_logits(sampled: SampledNetwork, features: np.ndarray,
         raise ShapeError(
             f"features must be (N, {spec.widths[0]}), got {x.shape}"
         )
-    if products is not None and products.features is not x:
-        raise ShapeError("products were built for another design block")
     tape = []
     z = x
     n_trans = spec.n_transitions

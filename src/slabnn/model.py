@@ -85,6 +85,7 @@ __all__ = [
     "memory_problems",
     "pack_lower",
     "unpack_lower",
+    "check_init_tau",
     "init_state",
     "draw_noise",
     "sample_network",
@@ -558,12 +559,25 @@ def family_problems(family: Family, rank: int, spec: NetworkSpec) -> list:
     return problems
 
 
+def check_init_tau(init_tau) -> float:
+    """``init_tau`` as a float, or ``DomainError`` unless it can start a slab sd.
+
+    It must be positive and finite with a finite square (below about
+    1.34e154): the KL's tau^2 term overflows otherwise.
+    """
+    tau = float(init_tau)
+    if not (tau > 0.0 and math.isfinite(tau * tau)):
+        raise DomainError(f"init_tau: must be positive with a finite square, got {tau!r}")
+    return tau
+
+
 def init_state(spec: NetworkSpec, prior: PriorConfig, family: Family, rng: RngStream,
                rank: int = 0, init_tau: float = 0.05) -> VariationalState:
     """Fresh variational state with the documented initialization.
 
     kappa ~ N(0, 1/fan_in) with fan_in the layer input width, tau
-    starts at ``init_tau`` everywhere, and the structure parameters
+    starts at ``init_tau`` everywhere (``check_init_tau`` refuses a
+    value that cannot), and the structure parameters
     start as ``LayerParams.init_structure`` sets them (inclusion
     probabilities at 1/2).  Prior values come from ``prior`` and must
     sit in their hyperpriors' support.  Raises ``ConfigError`` for the
@@ -574,7 +588,7 @@ def init_state(spec: NetworkSpec, prior: PriorConfig, family: Family, rng: RngSt
     if problems:
         raise ConfigError("; ".join(problems))
     state = VariationalState(spec, prior, family, rank)
-    rho0 = softplus_inv(float(init_tau))
+    rho0 = softplus_inv(check_init_tau(init_tau))
     for l, layer in enumerate(state.layers):
         fan_in = spec.widths[l]
         sd = 1.0 / np.sqrt(fan_in)

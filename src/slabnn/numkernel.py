@@ -45,11 +45,11 @@ BLAS tiles a product's rows, and a row in a partial tile, or in a
 product above some row count, sums in another order, so one row's
 result can depend on the rows that share its product.  Prediction
 therefore forms every dense product on fixed 256-row blocks
-(``elbo.BlockedProducts``): a row's predicted probabilities are the
+(``predictor.BlockedProducts``): a row's predicted probabilities are the
 same bytes alone, in a slice of its file or in the whole file, in
 every mode, and a mean mode's rows split over threads keep them.  This
-holds per machine, numpy build and one BLAS thread; two or more BLAS
-threads are untested.  Training multiplies its minibatches whole.  The
+holds per machine, numpy build and BLAS thread count, and is tested at
+one and two BLAS threads.  Training multiplies its minibatches whole.  The
 CLI's ``--standardize`` still rescales each file by its own statistics.
 
 ``exp``, ``log`` and ``log1p`` run numpy's CPU-dispatched SIMD loops,

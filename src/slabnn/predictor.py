@@ -13,11 +13,12 @@ weights (second) are handled:
 * med/mea : the median mask applied to the slab means; deterministic.
 
 Every forward of a call runs through a product plan
-(``elbo.BlockedProducts``): each dense product is formed on blocks of
-exactly ``elbo.BLOCK_ROWS`` (256) rows, the last one zero-padded, so a
+(``BlockedProducts``), which ``elbo.forward_logits`` asks for each
+transition's product: each dense product is formed on blocks of
+exactly ``BLOCK_ROWS`` (256) rows, the last one zero-padded, so a
 row's probabilities are the same bytes predicted alone or inside any
 file, in every mode.  The median model runs as the sparse network it
-is: a layer whose mask keeps at most ``elbo.SPARSE_SHARE`` of its
+is: a layer whose mask keeps at most ``SPARSE_SHARE`` of its
 non-bias weights has its product formed from the kept weights only.
 Its probabilities equal the dense ones up to rounding; layers above
 the share stay dense, bit for bit with the blocked dense forward.
@@ -61,14 +62,16 @@ keeps after the call.
 
 The mean modes have one network and split its rows instead: a call
 whose forward takes at least ``SPLIT_MULTIPLY_ADDS`` multiply-adds
-(counting a sparse median layer's kept weights only) hands contiguous
-runs of whole 256-row blocks, each through the call's plan cut to its
-rows, to k = min(compute_threads(), blocks) threads the same way, and
-joins their rows in order.  A row's bytes do not depend on its block,
-so neither do they on k; a failing run is raised as a failing
-replicate is.  A smaller call, such as 60-15-5 on 3,000 rows or
-med/mea on a 1%-dense median model, stays on the calling thread,
-where a split measured slower.
+(``multiply_adds``, counting a sparse median layer's kept weights
+only) hands contiguous runs of whole 256-row blocks to
+k = min(compute_threads(), blocks) threads the same way, and joins
+their rows in order.  Each run builds its own plan for its rows, so
+its finiteness check and live-column copy run on its own thread, and
+a split med/mea call builds one kept-weight pattern per run.  A row's
+bytes do not depend on its block, so neither do they on k; a failing
+run is raised as a failing replicate is.  A smaller call, such as
+60-15-5 on 3,000 rows or med/mea on a 1%-dense median model, stays on
+the calling thread, where a split measured slower.
 
 The inclusion probabilities are exact for every family and draw
 nothing, so the deterministic modes (all/mea, med/mea) run without an
@@ -86,9 +89,10 @@ from dataclasses import dataclass
 from threading import Thread
 
 import numpy as np
+from scipy import sparse
 
-from .elbo import BLOCK_ROWS, BlockedProducts, forward_logits
-from .errors import ConfigError, DomainError, ShapeError
+from .elbo import forward_logits
+from .errors import ConfigError, DomainError, NumericError, ShapeError
 from .model import (SampledLayer, SampledNetwork, VariationalState, _layer_consts,
                     marginal_inclusion, median_model, memory_problems,
                     posterior_mean_weights, sample_network)
@@ -103,6 +107,10 @@ __all__ = [
     "density_level",
     "export_predictions_csv",
     "DOUBT_THRESHOLD",
+    "BLOCK_ROWS",
+    "SPARSE_SHARE",
+    "BlockedProducts",
+    "multiply_adds",
 ]
 
 GAMMA_RULES = ("sim", "all", "med")
@@ -115,7 +123,7 @@ DOUBT_THRESHOLD = 0.95
 # forward it runs takes at least this many multiply-adds: rows times
 # the sum over transitions of widths[t] * widths[t + 1], or of the kept
 # weights where a median mask forms the product from those
-# (``BlockedProducts.multiply_adds``).  Medians of all/mea calls on an MF
+# (``multiply_adds``).  Medians of all/mea calls on an MF
 # state, 2 cores, one BLAS thread, one thread -> two: 60-15-5 x 3,000
 # rows (2.9M) 0.87 -> 1.16 ms in one pass and 1.15 -> 1.13 in another,
 # 784-16-3 x 512 (6.4M) 0.85 -> 1.02, 60-15-5 x 9,000 (8.8M) 2.24 ->
@@ -127,6 +135,30 @@ DOUBT_THRESHOLD = 0.95
 # counted, 105M dense) 6.56 -> 7.33 ms, lowrank_eval x 5,000 (1.7M
 # counted, 263M dense) 7.55 -> 6.89 ms; both stay on one thread.
 SPLIT_MULTIPLY_ADDS = 2**24
+
+# A fixed mask that keeps at most this share of a transition's non-bias
+# weights has that transition's product formed from the kept weights
+# only (``BlockedProducts``).  At 784-64, 2000 rows and one BLAS thread,
+# ten forwards per mask break even with the dense product near 9%
+# density.  A single forward gains little or loses even at 1%: the
+# one-off copy of the live input columns costs about what it saves.
+SPARSE_SHARE = 1.0 / 32.0
+
+# Every dense product on the predict side (``BlockedProducts``) is this
+# many rows tall, so a BLAS call's shape depends on the layer only.
+# OpenBLAS 0.3.31 (Haswell kernels, one thread) sums a row in a partial
+# row tile, or in a call above some row count, in another order: of
+# 378 slices (1, 37 and 150 rows at 9 offsets) of 1,000-row products
+# over 14 layer shapes from 3x2 to 784x128, 0 differed from the whole
+# call's rows in 256-row blocks.  At 784x64 on 2,000 rows, blocks of
+# 64, 128, 256 and 512 rows took 6.3, 6.2, 5.8 and 6.1 ms against
+# 5.5 ms for one product; at 60x15 on 3,000 rows 0.17 ms each against
+# 0.27 ms.  Any one size from 8 to 256 rows keeps the slices' bytes,
+# but not two sizes mixed: at 784x16 a row's bytes in 64-row blocks
+# differ from its bytes in 128-row ones.  Smaller blocks pad less (a
+# 1-row all/mea call at 784-64-32-10 takes 0.62 ms in 64-row blocks,
+# 1.13 ms in 256-row ones) and run 2,000-row calls about 6% slower.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -189,6 +221,130 @@ class DoubtDecisions:
     @property
     def n_abstained(self) -> int:
         return int(np.sum(self.decisions < 0))
+
+
+class _KeptWeights:
+    """CSR pattern of one transition's kept weights, output unit x live input.
+
+    A live input is one with at least one kept weight.  ``z_t`` is the
+    transposed live-column copy of a fixed input block, or None when the
+    input changes per forward and is gathered each time.  The pattern and
+    ``z_t`` are read-only after construction and each ``pre`` call fills
+    its own data array, so threads may call ``pre`` at once.
+    """
+
+    def __init__(self, kept: np.ndarray, z=None):
+        live_mask = kept.any(axis=1)
+        self.live = np.flatnonzero(live_mask)
+        units, cols = np.nonzero(kept[self.live].T)  # row-major, so CSR order
+        self.take = (self.live[cols] + 1, units)     # positions in W, bias row first
+        indptr = np.zeros(kept.shape[1] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(units, minlength=kept.shape[1]), out=indptr[1:])
+        pattern = sparse.csr_array((np.zeros(units.size), cols, indptr),
+                                   shape=(kept.shape[1], self.live.size))
+        # In the index dtype scipy chose, so a per-call matrix shares them uncopied.
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
+        self.shape = pattern.shape
+        self.z_t = None
+        if z is not None:
+            # z.T[live], copied 128 rows at a time: faster than that
+            # strided gather, with the same bytes.
+            self.z_t = np.empty((self.live.size, z.shape[0]), dtype=z.dtype)
+            for s in range(0, z.shape[0], 128):
+                self.z_t[:, s:s + 128] = z[s:s + 128].compress(live_mask, axis=1).T
+
+    def pre(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``z @ w[1:] + w[0]`` through the kept weights of ``w``."""
+        matrix = sparse.csr_array((w[self.take], self.indices, self.indptr),
+                                  shape=self.shape)
+        z_t = self.z_t if self.z_t is not None else z.T[self.live]
+        pre = np.empty((z.shape[0], w.shape[1]))
+        np.add((matrix @ z_t).T, w[0, :], out=pre)
+        return pre
+
+
+def _sparse_kept(mask):
+    """A 0/1 transition mask's kept non-bias weights, or None above ``SPARSE_SHARE``.
+
+    None means the transition's product stays dense.
+    """
+    kept = np.asarray(mask)[1:, :] != 0.0
+    return kept if np.count_nonzero(kept) <= SPARSE_SHARE * kept.size else None
+
+
+def multiply_adds(widths, masks=None) -> int:
+    """Multiply-adds per row of a forward through ``BlockedProducts(x, masks)``.
+
+    A transition formed from its kept weights counts those; a dense
+    one counts ``widths[t] * widths[t + 1]``.
+    """
+    kept = map(_sparse_kept, masks) if masks else [None] * (len(widths) - 1)
+    return sum(a * b if k is None else np.count_nonzero(k)
+               for a, b, k in zip(widths[:-1], widths[1:], kept))
+
+
+def _blocked_pre(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``z @ w[1:] + w[0]`` with every product ``BLOCK_ROWS`` rows tall.
+
+    The whole blocks go as one stacked matmul, which numpy hands to BLAS
+    one block at a time; a last partial block is zero-padded to
+    ``BLOCK_ROWS`` rows and its padded rows are dropped.
+    """
+    n, width = z.shape
+    pre = np.empty((n, w.shape[1]))
+    full = n - n % BLOCK_ROWS
+    if full:
+        np.matmul(z[:full].reshape(-1, BLOCK_ROWS, width), w[1:, :],
+                  out=pre[:full].reshape(-1, BLOCK_ROWS, w.shape[1]))
+    if full < n:
+        tail = np.zeros((BLOCK_ROWS, width))
+        tail[:n - full] = z[full:]
+        pre[full:] = (tail @ w[1:, :])[:n - full]
+    pre += w[0, :]
+    return pre
+
+
+class BlockedProducts:
+    """How ``forward_logits`` forms each product on the predict side.
+
+    Every dense product runs on blocks of exactly ``BLOCK_ROWS`` rows
+    (``_blocked_pre``), so each BLAS call of a transition has one shape
+    whatever the block of features, and a row's outputs are the same
+    bytes alone or among any other rows.  Under fixed 0/1 ``masks`` (the
+    median model's, held fixed over many forwards), a transition whose
+    mask keeps at most ``SPARSE_SHARE`` of its non-bias weights
+    multiplies through its kept weights only, a product that is per row
+    already; the others stay blocked and dense, so with no sparse
+    transition a forward is bit for bit the blocked dense one.  A sparse
+    product skips the dropped weights, which are zero in every weight
+    matrix drawn under the mask, so it equals the dense product up to
+    rounding.  The first transition's live input columns are copied
+    once, transposed.  A sparse first product never reads a dropped
+    column, so a non-finite feature anywhere in the block raises
+    ``NumericError`` here, as the dense product would at transition 0.
+    A plan writes nothing after construction, so threads may share it.
+    """
+
+    def __init__(self, features: np.ndarray, masks=None):
+        self.features = features
+        self.layers = []
+        for t, mask in enumerate(masks or ()):
+            kept = _sparse_kept(mask)
+            if kept is None:
+                self.layers.append(None)
+                continue
+            if t == 0 and not np.all(np.isfinite(features)):
+                raise NumericError("non-finite activations at transition 0")
+            self.layers.append(_KeptWeights(kept, features if t == 0 else None))
+
+    def pre(self, t: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Transition ``t``'s ``z @ w[1:] + w[0]``; at t = 0, ``z`` is the plan's block."""
+        if t == 0 and z is not self.features:
+            raise ShapeError("products were built for another design block")
+        kept = self.layers[t] if self.layers else None
+        return _blocked_pre(z, w) if kept is None else kept.pre(z, w)
 
 
 def _probs(spec, weights, features, products: BlockedProducts) -> np.ndarray:
@@ -263,18 +419,17 @@ def _mean_probs(spec, weights, x, mask) -> np.ndarray:
     """A mean mode's probabilities, its row blocks split over k threads.
 
     Run j of k takes the rows of blocks j * blocks // k up to
-    (j + 1) * blocks // k, through the call's plan cut to those rows,
-    and the runs are joined in order.  A row's bytes do not depend on
-    its block, so neither do they on k.
+    (j + 1) * blocks // k through its own plan, and the runs are joined
+    in order.  A row's bytes do not depend on its block, so neither do
+    they on k.
     """
-    plan = BlockedProducts(x, mask)
     blocks = -(-x.shape[0] // BLOCK_ROWS)
-    work = x.shape[0] * plan.multiply_adds(spec.widths)
+    work = x.shape[0] * multiply_adds(spec.widths, mask)
     k = min(compute_threads(), blocks) if work >= SPLIT_MULTIPLY_ADDS else 1
 
     def run(j):
-        part = plan.rows(j * blocks // k * BLOCK_ROWS, (j + 1) * blocks // k * BLOCK_ROWS)
-        return _probs(spec, weights, part.features, part)
+        rows = x[j * blocks // k * BLOCK_ROWS:(j + 1) * blocks // k * BLOCK_ROWS]
+        return _probs(spec, weights, rows, BlockedProducts(rows, mask))
 
     return np.concatenate(_run_replicates(run, k, k))
 

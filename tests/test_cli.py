@@ -116,9 +116,18 @@ seeds = 1
         ("seeds = 1,2", "seeds = 1,-1", "[run] seed must fit in an unsigned 64-bit integer"),
         ("seeds = 1,2", "seeds = 1,18446744073709551616",
          "[run] seed must fit in an unsigned 64-bit integer"),
-    ], ids=["threshold", "duplicate_seeds", "negative_seed", "seed_2**64"])
-    def test_refused_predict_and_run_keys_write_nothing(self, tmp_path, capsys,
-                                                         old, new, expected):
+        # tau^2 overflows: the first step would abort after overflow warnings
+        ("[model]\n", "[model]\ninit_tau = 1e308\n",
+         "[model] init_tau: must be positive with a finite square, got 1e+308"),
+        ("data_seed = 1", "data_seed = 1\nk_true = 3",
+         "[dataset] k_true: not read with format = synth_clusters"),
+        # a refused format is the one problem; its keys are not judged
+        ("format = synth_clusters", "format = clusters\nk_true = 3",
+         "[dataset] format: must be one of csv, idx, synth_logistic, synth_clusters; "
+         "got 'clusters'"),
+    ], ids=["threshold", "duplicate_seeds", "negative_seed", "seed_2**64", "init_tau_1e308",
+            "key_of_another_format", "key_under_a_refused_format"])
+    def test_refused_keys_write_nothing(self, tmp_path, capsys, old, new, expected):
         cfg, out = _write_config(tmp_path, GOOD_CONFIG.replace(old, new))
         code, stdout, err = _run_main(["train", str(cfg)], capsys)
         assert code == 2

@@ -95,9 +95,10 @@ class TestInit:
                 PriorConfig(psi=psi)
 
     def test_init_tau_must_be_finite_and_positive(self):
-        for tau in (0.0, np.nan, np.inf):
+        for tau in (0.0, np.nan, np.inf, 1e155, 1e308):
             with pytest.raises(DomainError):
                 make_state(init_tau=tau)
+        assert make_state(init_tau=1e150).layers[0].tau()[0, 0] == 1e150
 
     def test_lowrank_rank_zero_is_diagonal(self):
         st = make_state(Family.MVN_LOWRANK, rank=0)

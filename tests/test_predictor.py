@@ -1,5 +1,8 @@
 """Prediction modes, abstention, density, and CSV export."""
 
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -235,7 +238,7 @@ def _sparse_state(kept=125, seed=70, widths=(784, 16, 3)):
 
 def _blocked_probs(net, x):
     """The dense forward through predict's row blocks."""
-    logits, _ = elbo.forward_logits(net, x, products=elbo.BlockedProducts(x))
+    logits, _ = elbo.forward_logits(net, x, products=predictor.BlockedProducts(x))
     return np.exp(log_softmax(logits))
 
 
@@ -271,14 +274,14 @@ class TestSparseMedianModel:
     def test_sparse_mask_matches_dense_forward(self):
         st = _sparse_state()  # 125 of 12,544 weights: 1% dense
         x = _features(n=200, p=784)
-        layers = elbo.BlockedProducts(x, median_model(st)).layers
+        layers = predictor.BlockedProducts(x, median_model(st)).layers
         assert layers[0] is not None and layers[1] is None
         self._check_against_dense(st, x, exact=False)
 
     def test_live_columns_copy_is_the_gather(self):
         st = _sparse_state()
         x = _features(n=300, p=784)  # not a multiple of the 128-row copy blocks
-        kept = elbo.BlockedProducts(x, median_model(st)).layers[0]
+        kept = predictor.BlockedProducts(x, median_model(st)).layers[0]
         assert kept.z_t.shape == (kept.live.size, 300)
         assert kept.z_t.tobytes() == x.T[kept.live].tobytes()
 
@@ -286,20 +289,20 @@ class TestSparseMedianModel:
         st = _sparse_state(kept=0)
         st.layers[0].omega[...] = -4.0  # the bias row goes too
         x = _features(n=50, p=784)
-        assert elbo.BlockedProducts(x, median_model(st)).layers[0].live.size == 0
+        assert predictor.BlockedProducts(x, median_model(st)).layers[0].live.size == 0
         self._check_against_dense(st, x, exact=False)
 
     def test_mask_above_share_stays_dense_bit_for_bit(self):
-        share = int(elbo.SPARSE_SHARE * 784 * 16)
+        share = int(predictor.SPARSE_SHARE * 784 * 16)
         st = _sparse_state(kept=share + 1)
         x = _features(n=50, p=784)
-        assert elbo.BlockedProducts(x, median_model(st)).layers == [None, None]
+        assert predictor.BlockedProducts(x, median_model(st)).layers == [None, None]
         self._check_against_dense(st, x, exact=True)
 
     def test_share_is_inclusive(self):
-        share = int(elbo.SPARSE_SHARE * 784 * 16)
+        share = int(predictor.SPARSE_SHARE * 784 * 16)
         x = _features(n=5, p=784)
-        assert elbo.BlockedProducts(x, median_model(_sparse_state(kept=share))).layers[0] \
+        assert predictor.BlockedProducts(x, median_model(_sparse_state(kept=share))).layers[0] \
             is not None
 
     def test_nan_in_dropped_column_still_raises(self):
@@ -317,7 +320,7 @@ class TestSparseMedianModel:
     def test_products_bound_to_their_block(self):
         st = _sparse_state()
         x = _features(n=10, p=784)
-        products = elbo.BlockedProducts(x, median_model(st))
+        products = predictor.BlockedProducts(x, median_model(st))
         net = sample_network(st, 0.0, "hard", RngStream(1, 1), fixed_masks=median_model(st))
         with pytest.raises(ShapeError, match="another design block"):
             elbo.forward_logits(net, x.copy(), products=products)
@@ -467,7 +470,7 @@ class TestReplicateThreads:
         # threads; at 4 BLAS threads the same call runs sequentially.
         sparse_st = _sparse_family_state(family, rank, seed=81)
         x_sparse = _features(n=40, p=64)
-        assert elbo.BlockedProducts(x_sparse, median_model(sparse_st)).layers[0] is not None
+        assert predictor.BlockedProducts(x_sparse, median_model(sparse_st)).layers[0] is not None
         cases = [(_varied_state(family, rank, 82), _features(n=30, p=6), "sim"),
                  (_varied_state(family, rank, 83), _features(n=30, p=6), "med"),
                  (sparse_st, x_sparse, "med"),
@@ -489,7 +492,7 @@ class TestReplicateThreads:
         # weights would differ from the sequential one.
         st = _sparse_state()
         x = _features(n=64, p=784)
-        kept = elbo.BlockedProducts(x, median_model(st)).layers[0]
+        kept = predictor.BlockedProducts(x, median_model(st)).layers[0]
         weights = [RngStream(90, i).std_normal(785 * 16).reshape(785, 16) for i in range(6)]
         refs = [kept.pre(x, w).tobytes() for w in weights]
         calls, wrong = [0] * 6, [0] * 6
@@ -579,8 +582,48 @@ _SLICES = [(0, 1), (500, 501), (3, 40), (600, 637), (230, 300), (700, 790),
            (963, 1000), (999, 1000)]
 
 
+# 1, 37 and 300 rows of a 1,400-row call, four of each: at both ends,
+# across a 256-row block boundary and inside.
+_CALL_SLICES = [(0, 1), (255, 256), (700, 701), (1399, 1400), (0, 37), (250, 287),
+                (600, 637), (1363, 1400), (0, 300), (200, 500), (700, 1000), (1100, 1400)]
+
+
+def _differing_slices():
+    """Every (widths, mode, slice) whose rows alone differ from the whole 1,400-row call.
+
+    all/mea, med/sim and sim/sim on a 784-64-32-10 state and on the
+    784-16-3 state whose median model runs layer 0 sparse.
+    """
+    x = _features(n=1400, p=784)
+    states = [_varied_state(Family.MF, 0, 97, (784, 64, 32, 10)), _sparse_state()]
+    modes = [PredictionMode("all", "mea"), PredictionMode("med", "sim", 2),
+             PredictionMode("sim", "sim", 2)]
+    differ = []
+    for st in states:
+        for mode in modes:
+            whole = predict(st, x, mode, rng=RngStream(6, 99)).probs
+            differ += [(st.spec.widths, mode.gamma, mode.beta, lo, hi)
+                       for lo, hi in _CALL_SLICES
+                       if predict(st, x[lo:hi], mode, rng=RngStream(6, 99)).probs.tobytes()
+                       != whole[lo:hi].tobytes()]
+    return differ
+
+
 class TestRowBlocks:
     """A row's probabilities are the same bytes alone or inside any block of rows."""
+
+    def test_slices_are_the_bytes_of_the_whole_call_at_two_blas_threads(self):
+        # OpenBLAS reads its thread count once, when it loads, so the
+        # calls run in a fresh interpreter.  At two threads it splits a
+        # 256 x 785 by 785 x 16 product over both (twice the CPU time of
+        # the wall time on OpenBLAS 0.3.31).
+        tests = pathlib.Path(__file__).parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+            [str(tests), str(pathlib.Path(predictor.__file__).parents[1])]))
+        code = "import test_predictor; print(test_predictor._differing_slices())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
 
     @pytest.mark.parametrize("family,rank,widths", [
         (Family.MF, 0, (784, 16, 3)), (Family.MF, 0, (784, 64, 32, 10)),
@@ -592,7 +635,7 @@ class TestRowBlocks:
                       PredictionMode("all", "sim", 2)))
         if widths == (784, 16, 3) and family is Family.MF:
             sparse = _sparse_state()
-            assert elbo.BlockedProducts(x, median_model(sparse)).layers[0] is not None
+            assert predictor.BlockedProducts(x, median_model(sparse)).layers[0] is not None
             cases += [(sparse, PredictionMode("med", "sim", 2)),
                       (sparse, PredictionMode("med", "mea"))]
         for st, mode in cases:
@@ -632,32 +675,32 @@ class TestRowBlocks:
         # 2,000 x (125 + 16 x 3) = 346k.
         st = _sparse_state()
         x = _features(n=2000, p=784)
-        plan = elbo.BlockedProducts(x, median_model(st))
-        assert plan.multiply_adds(st.spec.widths) == 125 + 16 * 3
-        assert elbo.BlockedProducts(x).multiply_adds(st.spec.widths) == 784 * 16 + 16 * 3
+        assert predictor.multiply_adds(st.spec.widths, median_model(st)) == 125 + 16 * 3
+        assert predictor.multiply_adds(st.spec.widths) == 784 * 16 + 16 * 3
         pin_cores(monkeypatch, cores=2, openblas="1")
         predict(st, x, PredictionMode("med", "mea"))
         assert started == []
         predict(st, x, PredictionMode("all", "mea"))
         assert len(started) == 1
 
-    def test_sparse_median_runs_share_one_pattern(self, monkeypatch, started):
+    def test_sparse_median_builds_one_pattern_per_run(self, monkeypatch, started):
+        # 1,000 rows are 4 blocks: k runs at k cores, each building its own plan.
         st = _sparse_state()
         x = _features(n=1000, p=784)
         monkeypatch.setattr(predictor, "SPLIT_MULTIPLY_ADDS", 0)
         built = []
-        init = elbo._KeptWeights.__init__
+        init = predictor._KeptWeights.__init__
 
         def counting(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(elbo._KeptWeights, "__init__", counting)
+        monkeypatch.setattr(predictor._KeptWeights, "__init__", counting)
         got = []
         for cores in (1, 2, 3):
             pin_cores(monkeypatch, cores=cores, openblas="1")
             got.append(predict(st, x, PredictionMode("med", "mea")).probs.tobytes())
-            assert (len(started), len(built)) == (cores - 1, 1)
+            assert (len(started), len(built)) == (cores - 1, cores)
             started.clear()
             built.clear()
         assert got[0] == got[1] == got[2]

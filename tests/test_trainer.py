@@ -478,6 +478,13 @@ class TestTrain:
         mean_alpha = float(np.mean(sigmoid(state.layers[0].omega)))
         assert mean_alpha < 0.35
 
+    def test_init_tau_with_an_overflowing_square_writes_nothing(self, tmp_path):
+        ds = synth_clusters(n=60, p=3, n_classes=2, seed=17)
+        with pytest.raises(DomainError, match="init_tau"):
+            train(NetworkSpec((3, 2)), PriorConfig(), Family.MF, _tiny_phases(), ds.features,
+                  ds.labels, seed=1, init_tau=1e308, checkpoint_dir=tmp_path / "ck")
+        assert not (tmp_path / "ck").exists()
+
 
 def _worker_runs():
     """The five runs the epoch worker must not change, as in ``tests/same_bytes.py``."""
